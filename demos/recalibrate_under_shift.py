@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from cshift.conformal import PredictorSpec, calibrate, evaluate
+from cshift.conformal import Calibrator, PredictorSpec, calibrate, evaluate
 from cshift.qtc import METHODS, recalibrate
 from cshift.regression import temperature_scale
 from cshift.scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
@@ -60,8 +60,9 @@ def main():
     print(f"{'method':<8} {'tau':>8} {'coverage':>9} {'gap':>8} {'avg |set|':>10}")
     print(f"{'none':<8} {plain.tau:>8.4f} {base.coverage:>9.4f} "
           f"{abs(base.coverage - (1 - ALPHA)):>8.4f} {base.avg_set_size:>10.2f}")
+    source_cal = Calibrator(spec, source, seed=2)
     for method in METHODS:
-        threshold = recalibrate(spec, source, target_hidden, ALPHA, method, seed=2)
+        threshold, _ = recalibrate(source_cal, target_hidden, ALPHA, method)
         report = evaluate(spec, threshold, target_revealed, seed=3)
         gap = abs(report.coverage - (1 - ALPHA))
         print(f"{method:<8} {threshold.tau:>8.4f} {report.coverage:>9.4f} "

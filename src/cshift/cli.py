@@ -15,10 +15,12 @@ per role, so identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
+from pathlib import Path
 
 from .conformal import (
+    Calibrator,
     PredictorSpec,
     SaturationError,
     Threshold,
@@ -27,14 +29,7 @@ from .conformal import (
     load_threshold,
     save_threshold,
 )
-from .qtc import (
-    METHODS,
-    estimate_beta_qtc,
-    estimate_beta_qtc_sc,
-    estimate_tau_qtc_st,
-    recalibrate,
-    save_estimate,
-)
+from .qtc import METHODS, recalibrate, save_estimate
 from .regression import (
     EXTRACTORS,
     TrainingDivergedError,
@@ -59,34 +54,18 @@ from .util import derive_seed, format_float, read_kv
 
 EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_size,n_eval,seed"
 
+# a grid is materialised as a list and recalibrated point by point
+MAX_ALPHA_GRID_POINTS = 10_000
+
 _REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully resolved sweep: predictor, alpha grid, method, paths, seed."""
-
-    spec: PredictorSpec
-    alphas: tuple[float, ...]
-    method: str
-    source: str
-    target: str
-    out: str
-    seed: int
-
-    def __post_init__(self):
-        if not self.alphas:
-            raise ValueError("alpha grid is empty")
-        for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alpha must lie in (0, 1), got {a}")
 
 
 def parse_alpha_grid(text: str) -> list[float]:
     """Parse ``0.1`` or an inclusive grid ``start:stop:step``.
 
     The stop endpoint is included when it lies within 1e-12 of a grid
-    point.
+    point. Grids of more than ``MAX_ALPHA_GRID_POINTS`` points are
+    rejected before any point is built.
     """
     if ":" not in text:
         return [_parse_alpha(text)]
@@ -94,11 +73,18 @@ def parse_alpha_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"alpha grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"alpha grid bounds must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"alpha grid step must be > 0, got {step}")
     if stop < start:
         raise ValueError(f"alpha grid stop {stop} is below start {start}")
-    count = int((stop - start + 1e-12) // step) + 1
+    steps = (stop - start + 1e-12) // step
+    if steps >= MAX_ALPHA_GRID_POINTS:
+        raise ValueError(
+            f"alpha grid {text!r} has more than {MAX_ALPHA_GRID_POINTS} points"
+        )
+    count = int(steps) + 1
     values = []
     for i in range(count):
         v = start + i * step
@@ -223,58 +209,37 @@ def cmd_recalibrate(args) -> int:
     )
     if args.method not in METHODS:
         raise ValueError(f"--method must be one of {METHODS}, got {args.method!r}")
-    config = ExperimentConfig(
-        spec=_predictor_from_args(args),
-        alphas=tuple(parse_alpha_grid(args.alpha)),
-        method=args.method,
-        source=args.source,
-        target=args.target,
-        out=args.out,
-        seed=args.seed,
-    )
-    source = _load_labeled(config.source)
-    target = load_dataset(config.target)
-    seed = derive_seed(config.seed, "recalibrate")
-    spec = config.spec
-    if len(config.alphas) == 1:
-        alpha = config.alphas[0]
-        threshold = recalibrate(spec, source, target, alpha, config.method, seed)
-        save_threshold(threshold, config.out, spec=spec, method=config.method)
-        save_estimate(
-            _estimate(spec, source, target, alpha, config.method, seed),
-            str(config.out) + ".qtc",
-        )
+    spec = _predictor_from_args(args)
+    alphas = parse_alpha_grid(args.alpha)
+    source = _load_labeled(args.source)
+    target = load_dataset(args.target)
+    calibrator = Calibrator(spec, source, derive_seed(args.seed, "recalibrate"))
+    if len(alphas) == 1:
+        threshold, est = recalibrate(calibrator, target, alphas[0], args.method)
+        save_threshold(threshold, args.out, spec=spec, method=args.method)
+        save_estimate(est, str(args.out) + ".qtc")
         print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
         return 0
     lines = ["method,predictor,alpha,tau,q,estimate,seed"]
-    for alpha in config.alphas:
-        threshold = recalibrate(spec, source, target, alpha, config.method, seed)
-        est = _estimate(spec, source, target, alpha, config.method, seed)
+    for alpha in alphas:
+        threshold, est = recalibrate(calibrator, target, alpha, args.method)
         lines.append(
             ",".join(
                 [
-                    config.method,
+                    args.method,
                     spec.kind,
                     format_float(alpha),
                     format_float(threshold.tau),
                     format_float(est.q_threshold),
                     format_float(est.value),
-                    str(config.seed),
+                    str(args.seed),
                 ]
             )
         )
-    with open(config.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(config.alphas)} rows to {config.out}")
+    print(f"wrote {len(alphas)} rows to {args.out}")
     return 0
-
-
-def _estimate(spec, source, target, alpha, method, seed):
-    if method == "qtc":
-        return estimate_beta_qtc(source, target, alpha)
-    if method == "qtc-sc":
-        return estimate_beta_qtc_sc(source, target, alpha)
-    return estimate_tau_qtc_st(source, target, spec, alpha, seed)
 
 
 def cmd_evaluate(args) -> int:
@@ -300,8 +265,6 @@ def cmd_evaluate(args) -> int:
             str(args.seed),
         ]
     )
-    from pathlib import Path
-
     out = Path(args.out)
     fresh = not out.exists()
     with open(out, "a", encoding="utf-8") as fh:

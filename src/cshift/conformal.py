@@ -3,13 +3,17 @@
 Three prediction-set constructions are provided:
 
 * ``tps``: thresholds the true-class score; the set at level tau is every
-  class with score >= 1 - tau.
+  class with 1 - score <= tau.
 * ``aps``: ranks classes by descending score and admits a class when the
   cumulative score mass strictly above it, plus ``u`` times its own score,
   stays within tau. The smoothing variable ``u`` is shared by all classes
   of a row.
-* ``raps``: ``aps`` with an additive penalty ``lam`` for every admitted
-  class beyond the ``k_reg`` highest-ranked ones.
+* ``raps``: ``aps`` plus the penalty ``lam * max(0, r - k_reg)``, where
+  ``r`` is the class's 0-based rank (the top class has r = 0). The first
+  charged class is therefore the one ranked ``k_reg + 2`` counting from 1.
+  RAPS as published (Angelopoulos et al., arXiv 2009.14193) writes
+  ``lam * (o(y) - k_reg)^+`` with the 1-based rank ``o(y)``, which charges
+  one class earlier; this module keeps the 0-based convention.
 
 Calibration picks the smallest tau whose calibration-set coverage count
 reaches ``ceil((1 - alpha) * (n + 1))``, realized as that order statistic of
@@ -123,23 +127,33 @@ def _check_applicable(spec: PredictorSpec, n_classes: int) -> None:
         )
 
 
-def _rank_order(values: np.ndarray) -> np.ndarray:
-    # Descending by score; np.argsort is stable on the negated values, so
-    # ties resolve to the lower class index.
-    return np.argsort(-values, axis=1, kind="stable")
-
-
 def _rank_entry_values(spec: PredictorSpec, values: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per-rank admission scores: entry (i, r) is the conformity score of the
-    class ranked r in row i. Non-decreasing along each row."""
-    order = _rank_order(values)
-    sorted_vals = np.take_along_axis(values, order, axis=1)
-    prefix = np.cumsum(sorted_vals, axis=1) - sorted_vals
-    entry = prefix + u[:, None] * sorted_vals
+    class ranked r in row i. Non-decreasing along each row.
+
+    Only the sorted values are needed, not the permutation: tied classes
+    have equal scores, so their order does not change any entry.
+    """
+    sorted_vals = -values
+    sorted_vals.sort(axis=1)
+    np.negative(sorted_vals, out=sorted_vals)
+    entry = np.cumsum(sorted_vals, axis=1)
+    entry -= sorted_vals
+    sorted_vals *= u[:, None]
+    entry += sorted_vals
     if spec.kind == "raps":
         ranks = np.arange(values.shape[1])
-        entry = entry + spec.lam * np.maximum(0, ranks - spec.k_reg)[None, :]
+        entry += spec.lam * np.maximum(0, ranks - spec.k_reg)[None, :]
     return entry
+
+
+def _label_ranks(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """0-based descending rank of each row's label, ties to the lower class
+    index: the classes with a higher score plus the equal ones before it."""
+    label_vals = values[np.arange(values.shape[0]), labels][:, None]
+    above = np.count_nonzero(values > label_vals, axis=1)
+    tied_before = (values == label_vals) & (np.arange(values.shape[1]) < labels[:, None])
+    return above + np.count_nonzero(tied_before, axis=1)
 
 
 def conformity_scores(
@@ -157,16 +171,7 @@ def conformity_scores(
         return 1.0 - values[rows, labels]
     if u is None:
         raise ValueError(f"{spec.kind} conformity scores require smoothing uniforms")
-    order = _rank_order(values)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(L), (n, L)), axis=1)
-    r = ranks[rows, labels]
-    sorted_vals = np.take_along_axis(values, order, axis=1)
-    prefix = np.cumsum(sorted_vals, axis=1) - sorted_vals
-    s = prefix[rows, r] + u * values[rows, labels]
-    if spec.kind == "raps":
-        s = s + spec.lam * np.maximum(0, r - spec.k_reg)
-    return s
+    return _rank_entry_values(spec, values, u)[rows, _label_ranks(values, labels)]
 
 
 def conformity_score(spec: PredictorSpec, row: np.ndarray, label: int, u: float = 0.0) -> float:
@@ -185,9 +190,10 @@ def prediction_set(spec: PredictorSpec, row: np.ndarray, u: float, tau: float) -
     row = np.asarray(row, dtype=np.float64)
     _check_applicable(spec, row.shape[0])
     if spec.kind == "tps":
-        return np.flatnonzero(row >= 1.0 - tau)
+        return np.flatnonzero(1.0 - row <= tau)
     entry = _rank_entry_values(spec, row[None, :], np.array([u]))[0]
-    order = _rank_order(row[None, :])[0]
+    # stable on the negated scores, so ties rank the lower class index first
+    order = np.argsort(-row, kind="stable")
     return np.sort(order[entry <= tau])
 
 
@@ -197,27 +203,47 @@ def _smoothing(spec: PredictorSpec, n: int, seed: int) -> np.ndarray | None:
     return row_uniforms(seed, n)
 
 
-def calibrate(spec: PredictorSpec, cal: LabeledDataset, alpha: float, seed: int = 0) -> Threshold:
-    """Calibrate a threshold at miscoverage level alpha.
+class Calibrator:
+    """Calibration scores of one labeled dataset, sorted once for any level.
 
-    The threshold is the k-th smallest calibration conformity score with
-    k = ceil((1 - alpha) * (n + 1)); if k > n it saturates at the maximal
-    tau for the predictor and ``source_tag`` gains a ``:saturated`` marker.
+    Conformity scores do not depend on alpha, so a grid of levels costs one
+    score pass and then one index per level. The scores are computed at the
+    first unsaturated level; saturated levels never compute them.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_applicable(spec, cal.L)
-    n = cal.n
-    k = max(1, ceil_count((1.0 - alpha) * (n + 1)))
-    tag = f"calibrate:{spec.kind}:n={n}:alpha={format_float(alpha)}"
-    if k > n:
-        return Threshold(
-            tau=max_tau(spec, cal.L), alpha=alpha, source_tag=tag + ":saturated"
-        )
-    u = _smoothing(spec, n, seed)
-    s = conformity_scores(spec, cal.scores.values, cal.labels, u)
-    tau = float(np.partition(s, k - 1)[k - 1])
-    return Threshold(tau=tau, alpha=alpha, source_tag=tag)
+
+    def __init__(self, spec: PredictorSpec, cal: LabeledDataset, seed: int = 0):
+        _check_applicable(spec, cal.L)
+        self.spec = spec
+        self.cal = cal
+        self.seed = seed
+        self._sorted_scores: np.ndarray | None = None
+
+    def threshold(self, alpha: float) -> Threshold:
+        """The k-th smallest calibration conformity score with
+        k = ceil((1 - alpha) * (n + 1)); if k > n the threshold saturates at
+        the maximal tau for the predictor and ``source_tag`` gains a
+        ``:saturated`` marker."""
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        spec, n = self.spec, self.cal.n
+        k = max(1, ceil_count((1.0 - alpha) * (n + 1)))
+        tag = f"calibrate:{spec.kind}:n={n}:alpha={format_float(alpha)}"
+        if k > n:
+            return Threshold(
+                tau=max_tau(spec, self.cal.L), alpha=alpha, source_tag=tag + ":saturated"
+            )
+        if self._sorted_scores is None:
+            u = _smoothing(spec, n, self.seed)
+            self._sorted_scores = np.sort(
+                conformity_scores(spec, self.cal.scores.values, self.cal.labels, u)
+            )
+        return Threshold(tau=float(self._sorted_scores[k - 1]), alpha=alpha, source_tag=tag)
+
+
+def calibrate(spec: PredictorSpec, cal: LabeledDataset, alpha: float, seed: int = 0) -> Threshold:
+    """Calibrate a threshold at miscoverage level alpha; see
+    :meth:`Calibrator.threshold`."""
+    return Calibrator(spec, cal, seed).threshold(alpha)
 
 
 def evaluate(
@@ -226,18 +252,19 @@ def evaluate(
     """Coverage and set-size statistics of a threshold on a labeled test set.
 
     Deterministic for a given seed; rows are aggregated in index order.
+    Coverage and set sizes come from one set of per-rank scores, so a row's
+    label is covered exactly when it is in the row's counted set.
     """
     values = test.scores.values
     n, L = values.shape
     _check_applicable(spec, L)
     tau = threshold.tau
-    u = _smoothing(spec, n, seed)
-    s = conformity_scores(spec, values, test.labels, u)
-    covered = s <= tau
     if spec.kind == "tps":
-        sizes = np.count_nonzero(values >= 1.0 - tau, axis=1)
+        covered = conformity_scores(spec, values, test.labels, None) <= tau
+        sizes = np.count_nonzero(1.0 - values <= tau, axis=1)
     else:
-        entry = _rank_entry_values(spec, values, u)
+        entry = _rank_entry_values(spec, values, _smoothing(spec, n, seed))
+        covered = entry[np.arange(n), _label_ranks(values, test.labels)] <= tau
         sizes = np.count_nonzero(entry <= tau, axis=1)
     hist = np.bincount(sizes, minlength=L + 1).astype(np.int64)
     hist.setflags(write=False)
@@ -278,15 +305,15 @@ def load_threshold(path) -> tuple[Threshold, PredictorSpec | None, str]:
             alpha=float(kv["alpha"]),
             source_tag=kv.get("source_tag", ""),
         )
+        spec = None
+        if "predictor" in kv:
+            kind = kv["predictor"]
+            if kind == "raps":
+                spec = PredictorSpec.raps(float(kv["lambda"]), int(kv["kreg"]))
+            else:
+                spec = PredictorSpec(kind)
     except KeyError as exc:
         raise ValueError(f"threshold file {path} missing key {exc}") from exc
-    spec = None
-    if "predictor" in kv:
-        kind = kv["predictor"]
-        if kind == "raps":
-            spec = PredictorSpec.raps(float(kv["lambda"]), int(kv["kreg"]))
-        else:
-            spec = PredictorSpec(kind)
     return threshold, spec, kv.get("method", "none")
 
 

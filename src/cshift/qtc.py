@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import PredictorSpec, SaturationError, Threshold, calibrate, max_tau
-from .scores import Dataset, LabeledDataset, ScoreMatrix
+from .conformal import Calibrator, SaturationError, Threshold, max_tau
+from .scores import Dataset, ScoreMatrix
 from .util import ceil_count, format_float, read_kv, write_kv
 
 METHODS = ("qtc", "qtc-sc", "qtc-st")
@@ -117,29 +117,23 @@ def estimate_beta_qtc_sc(source_cal: Dataset, target: Dataset, alpha: float) -> 
     )
 
 
-def estimate_tau_qtc_st(
-    source_cal: LabeledDataset,
-    target: Dataset,
-    spec: PredictorSpec,
-    alpha: float,
-    seed: int = 0,
-) -> QtcEstimate:
+def estimate_tau_qtc_st(source: Calibrator, target: Dataset, alpha: float) -> QtcEstimate:
     """Self-trained variant: shift the calibrated threshold itself.
 
-    The source threshold tau is read as a quantile level (for raps, divided
-    by the maximal tau so it lands in (0, 1]), translated through the
-    source confidence quantile, and re-measured on the target; the raps
+    The source threshold tau at alpha is read as a quantile level (for raps,
+    divided by the maximal tau so it lands in (0, 1]), translated through
+    the source confidence quantile, and re-measured on the target; the raps
     scale factor is applied back to the result. Saturated source
     calibrations are rejected: the shifted threshold is undefined there.
     """
-    _check_compatible(source_cal, target)
-    base = calibrate(spec, source_cal, alpha, seed)
+    _check_compatible(source.cal, target)
+    base = source.threshold(alpha)
     if base.is_saturated:
         raise SaturationError(
             f"source threshold saturated at tau={base.tau:g}; qtc-st is undefined"
         )
-    scale = max_tau(spec, source_cal.L)
-    q = quantile_q(source_cal, base.tau / scale)
+    scale = max_tau(source.spec, source.cal.L)
+    q = quantile_q(source.cal, base.tau / scale)
     below = int(np.count_nonzero(top_confidences(target) < q))
     return QtcEstimate(
         method="qtc-st",
@@ -150,42 +144,36 @@ def estimate_tau_qtc_st(
 
 
 def recalibrate(
-    spec: PredictorSpec,
-    source_cal: LabeledDataset,
-    target: Dataset,
-    alpha: float,
-    method: str = "qtc",
-    seed: int = 0,
-) -> Threshold:
-    """Produce a threshold aimed at miscoverage alpha on the target.
+    source: Calibrator, target: Dataset, alpha: float, method: str = "qtc"
+) -> tuple[Threshold, QtcEstimate]:
+    """Produce a threshold aimed at miscoverage alpha on the target, and the
+    estimate it was derived from.
 
     ``qtc`` and ``qtc-sc`` estimate a level beta, clamp it to
     [1/(n+1), 1 - 1/(n+1)] so the follow-up calibration cannot saturate,
     and calibrate on the source at beta. ``qtc-st`` returns the shifted
-    threshold directly, with alpha recorded for provenance.
+    threshold directly, with alpha recorded for provenance. One
+    :class:`~cshift.conformal.Calibrator` serves any number of levels.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "qtc-st":
-        est = estimate_tau_qtc_st(source_cal, target, spec, alpha, seed)
-        return Threshold(
-            tau=est.value,
-            alpha=alpha,
-            source_tag=f"recalibrate:qtc-st:alpha={format_float(alpha)}",
-        )
+        est = estimate_tau_qtc_st(source, target, alpha)
+        tag = f"recalibrate:qtc-st:alpha={format_float(alpha)}"
+        return Threshold(tau=est.value, alpha=alpha, source_tag=tag), est
     if method == "qtc":
-        est = estimate_beta_qtc(source_cal, target, alpha)
+        est = estimate_beta_qtc(source.cal, target, alpha)
     else:
-        est = estimate_beta_qtc_sc(source_cal, target, alpha)
-    n = source_cal.n
+        est = estimate_beta_qtc_sc(source.cal, target, alpha)
+    n = source.cal.n
     lo = 1.0 / (n + 1)
     beta = min(max(est.value, lo), 1.0 - lo)
-    base = calibrate(spec, source_cal, beta, seed)
+    base = source.threshold(beta)
     tag = (
         f"recalibrate:{method}:alpha={format_float(alpha)}"
         f":beta={format_float(beta)}:{base.source_tag}"
     )
-    return Threshold(tau=base.tau, alpha=base.alpha, source_tag=tag)
+    return Threshold(tau=base.tau, alpha=base.alpha, source_tag=tag), est
 
 
 def save_estimate(estimate: QtcEstimate, path) -> None:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import PredictorSpec, evaluate
-from .qtc import estimate_beta_qtc, recalibrate
+from .conformal import Calibrator, PredictorSpec, evaluate
+from .qtc import recalibrate
 from .scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
 from .util import ceil_count, derive_seed, format_float
 
@@ -241,16 +241,15 @@ def run_theorem_trial(
     target_ds = UnlabeledDataset(
         to_dataset(sample(params_target, n, derive_seed(seed, "trial-target")), clf).scores
     )
-    est = estimate_beta_qtc(source_ds, target_ds, alpha)
+    spec = PredictorSpec.tps()
+    threshold, est = recalibrate(
+        Calibrator(spec, source_ds, derive_seed(seed, "recal")), target_ds, alpha, "qtc"
+    )
     if beta_oracle is None:
         beta_oracle = oracle_beta(
             params_source, params_target, clf, alpha, oracle_n_mc, derive_seed(seed, "oracle")
         )
     bound = theorem_bound(params_source, params_target, clf, n, delta)
-    spec = PredictorSpec.tps()
-    threshold = recalibrate(
-        spec, source_ds, target_ds, alpha, method="qtc", seed=derive_seed(seed, "recal")
-    )
     eval_ds = to_dataset(sample(params_target, n, derive_seed(seed, "trial-eval")), clf)
     report = evaluate(spec, threshold, eval_ds, derive_seed(seed, "eval"))
     return TheoremTrialReport(

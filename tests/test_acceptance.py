@@ -18,7 +18,7 @@ import pytest
 
 from conftest import labeled, sample_labels, softmax_rows, write_csv
 from cshift.cli import main
-from cshift.conformal import PredictorSpec, calibrate, evaluate
+from cshift.conformal import Calibrator, PredictorSpec, calibrate, evaluate
 from cshift.qtc import estimate_beta_qtc, estimate_beta_qtc_sc, recalibrate
 from cshift.regression import (
     extract_features,
@@ -131,7 +131,7 @@ def test_criterion_5_temperature_shift_gap_is_at_least_halved():
     target_unlabeled = UnlabeledDataset(ScoreMatrix(target_values))
     spec = PredictorSpec.tps()
     plain = calibrate(spec, source, alpha, seed=1)
-    shifted = recalibrate(spec, source, target_unlabeled, alpha, "qtc", seed=2)
+    shifted, _ = recalibrate(Calibrator(spec, source, seed=2), target_unlabeled, alpha, "qtc")
     gap_plain = abs(evaluate(spec, plain, target_labeled, seed=3).coverage - (1 - alpha))
     gap_qtc = abs(evaluate(spec, shifted, target_labeled, seed=3).coverage - (1 - alpha))
     # the flattened scores must open a real gap for the ratio to mean anything

@@ -8,11 +8,12 @@ the library readers they are meant to feed.
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
 from conftest import sample_labels, softmax_rows, write_csv
-from cshift.cli import EVAL_CSV_HEADER, main, parse_alpha_grid
+from cshift.cli import EVAL_CSV_HEADER, MAX_ALPHA_GRID_POINTS, main, parse_alpha_grid
 from cshift.conformal import load_threshold
 from cshift.qtc import load_estimate
 from cshift.toymodel import TRIAL_CSV_HEADER
@@ -41,9 +42,25 @@ def test_alpha_grid_parsing():
 
 
 def test_alpha_grid_rejections():
-    for text in ["0.1:0.2", "0.2:0.1:0.05", "0.1:0.3:0", "0.5:1.05:0.1", "0"]:
+    for text in ["0.1:0.2", "0.2:0.1:0.05", "0.1:0.3:0", "0.5:1.05:0.1", "0", "nan:0.2:0.1"]:
         with pytest.raises(ValueError):
             parse_alpha_grid(text)
+
+
+def test_oversized_alpha_grid_exits_2_before_building(tmp_path, capsys):
+    assert len(parse_alpha_grid("0.0001:0.9999:0.0001")) == MAX_ALPHA_GRID_POINTS - 1
+    src = tmp_path / "src.csv"
+    _cal_csv(src)
+    tgt = tmp_path / "tgt.csv"
+    _unlabeled_csv(tgt)
+    argv = ["recalibrate", "--predictor", "tps", "--source", str(src), "--target", str(tgt)]
+    # ~1e12 points: rejected from the count alone, in far less than a second
+    started = time.perf_counter()
+    rc = main(argv + ["--alpha", "0.01:0.99:1e-12", "--out", str(tmp_path / "grid.csv")])
+    assert time.perf_counter() - started < 5.0
+    assert rc == 2
+    assert f"more than {MAX_ALPHA_GRID_POINTS} points" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
 
 
 # --- calibrate ---
@@ -310,6 +327,22 @@ def test_evaluate_rejects_threshold_without_predictor(tmp_path, capsys):
     )
     assert rc == 2
     assert "does not record its predictor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["lambda", "kreg"])
+def test_evaluate_raps_threshold_missing_penalty_key_exits_2(tmp_path, capsys, missing):
+    keys = {"tau": "0.5", "alpha": "0.1", "predictor": "raps", "lambda": "0.1", "kreg": "2"}
+    del keys[missing]
+    thr = tmp_path / "raps.txt"
+    thr.write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
+    test_file = tmp_path / "test.csv"
+    _cal_csv(test_file, n=20)
+    out = tmp_path / "report.csv"
+    rc = main(["evaluate", "--test", str(test_file), "--threshold", str(thr), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(thr) in err and repr(missing) in err
+    assert not out.exists()
 
 
 # --- baseline ---

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, softmax_rows
+from cshift import conformal
 from cshift.conformal import (
+    Calibrator,
     CoverageReport,
     PredictorSpec,
     Threshold,
@@ -19,6 +21,7 @@ from cshift.conformal import (
     save_threshold,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix
+from cshift.util import row_uniforms
 
 TPS = PredictorSpec.tps()
 APS = PredictorSpec.aps()
@@ -92,6 +95,24 @@ def test_calibrate_single_row_boundary():
     assert thr.is_saturated
 
 
+def test_calibrator_scores_once_for_any_level(monkeypatch):
+    d = labeled(200, 6, seed=31)
+    alphas = (0.3, 0.05, 0.1)
+    specs = (TPS, APS, RAPS)
+    expected = {(s, a): calibrate(s, d, a, seed=4) for s in specs for a in alphas}
+    calls = []
+    scores = conformal.conformity_scores
+    monkeypatch.setattr(conformal, "conformity_scores", lambda *a: calls.append(a) or scores(*a))
+    for spec in specs:
+        calls.clear()
+        calibrator = Calibrator(spec, d, seed=4)
+        assert calibrator.threshold(0.001).is_saturated
+        assert not calls  # k > n needs no scores
+        for alpha in alphas:
+            assert calibrator.threshold(alpha) == expected[spec, alpha]
+        assert len(calls) == 1
+
+
 def test_raps_saturation_uses_penalized_maximum():
     spec = PredictorSpec.raps(0.5, 1)
     cal = labeled(4, 3, seed=0)
@@ -149,6 +170,22 @@ def test_empirical_calibration_on_the_calibration_set():
             assert rep.coverage == pytest.approx(k / n)
 
 
+def test_size_histogram_counts_prediction_sets():
+    d = labeled(90, 5, seed=12)
+    v = d.scores.values.copy()
+    v[::2, 3] = v[::2, 1]  # exact ties in every other row
+    tied = LabeledDataset(ScoreMatrix(v / v.sum(axis=1, keepdims=True)), d.labels)
+    u = row_uniforms(7, d.n)
+    for data in (d, tied):
+        values = data.scores.values
+        for spec in (TPS, APS, RAPS):
+            # same seed on both sides, so tau equals some row's own score
+            thr = calibrate(spec, data, 0.2, seed=7)
+            rep = evaluate(spec, thr, data, seed=7)
+            sizes = [len(prediction_set(spec, row, u[i], thr.tau)) for i, row in enumerate(values)]
+            np.testing.assert_array_equal(rep.size_histogram, np.bincount(sizes, minlength=6))
+
+
 def test_coverage_report_accounting():
     d = labeled(120, 5, seed=3)
     thr = calibrate(APS, d, 0.2, seed=4)
@@ -171,14 +208,64 @@ def test_nesting_property(seed, tau_pair):
         assert inner <= outer
 
 
-@given(seed=st.integers(0, 10**6), tau=st.floats(0, 1.3))
-def test_set_score_duality(seed, tau):
+@given(
+    seed=st.integers(0, 10**6),
+    tau=st.floats(0, 1.3),
+    tied=st.booleans(),
+    u_kind=st.sampled_from(["zero", "one", "random"]),
+)
+def test_set_score_duality(seed, tau, tied, u_kind):
     row = softmax_rows(1, 4, seed % 9973)[0]
-    u = np.random.default_rng(seed).random()
+    if tied:
+        # one decimal over four classes forces equal scores in most rows
+        row = np.round(row, 1)
+    u = {"zero": 0.0, "one": 1.0}.get(u_kind, np.random.default_rng(seed).random())
     for spec in (TPS, APS, RAPS):
-        members = set(prediction_set(spec, row, u, tau).tolist())
-        for label in range(4):
-            assert (conformity_score(spec, row, label, u) <= tau) == (label in members)
+        scores = [conformity_score(spec, row, label, u) for label in range(4)]
+        # tau equal to a label's own score must admit that label
+        for t in [tau, *scores]:
+            members = set(prediction_set(spec, row, u, t).tolist())
+            for label in range(4):
+                assert (scores[label] <= t) == (label in members)
+
+
+def _argsort_reference(spec, values, labels, u):
+    """aps/raps conformity scores through a stable argsort and its inverse."""
+    n, L = values.shape
+    rows = np.arange(n)
+    order = np.argsort(-values, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(L), (n, L)), axis=1)
+    r = ranks[rows, labels]
+    sorted_vals = np.take_along_axis(values, order, axis=1)
+    prefix = np.cumsum(sorted_vals, axis=1) - sorted_vals
+    s = prefix[rows, r] + u * values[rows, labels]
+    if spec.kind == "raps":
+        s = s + spec.lam * np.maximum(0, r - spec.k_reg)
+    return s
+
+
+@given(
+    n=st.integers(1, 25),
+    n_classes=st.integers(1, 9),
+    seed=st.integers(0, 10**6),
+    ties=st.sampled_from(["none", "rounded", "duplicated"]),
+    u_kind=st.sampled_from(["zero", "one", "random"]),
+)
+def test_conformity_scores_match_argsort_reference_bitwise(n, n_classes, seed, ties, u_kind):
+    rng = np.random.default_rng(seed)
+    values = softmax_rows(n, n_classes, seed % 9973)
+    if ties == "rounded":
+        values = np.round(values, 1)
+    elif ties == "duplicated":
+        src, dst = rng.integers(0, n_classes, 2)
+        values[:, dst] = values[:, src]
+    labels = rng.integers(0, n_classes, n)
+    u = {"zero": np.zeros(n), "one": np.ones(n)}.get(u_kind, rng.random(n))
+    for spec in (APS, PredictorSpec.raps(0.37, 0), PredictorSpec.raps(0.1, min(2, n_classes))):
+        got = conformity_scores(spec, values, labels, u)
+        want = _argsort_reference(spec, values, labels, u)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @given(n=st.integers(1, 30), seed=st.integers(0, 10**6))

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, unlabeled
-from cshift.conformal import PredictorSpec, SaturationError, calibrate, conformity_scores, max_tau
+from cshift.conformal import (
+    Calibrator,
+    PredictorSpec,
+    SaturationError,
+    calibrate,
+    conformity_scores,
+    max_tau,
+)
 from cshift.qtc import (
     estimate_beta_qtc,
     estimate_beta_qtc_sc,
@@ -131,7 +138,7 @@ def test_tau_qtc_st_hand_example():
     source = LabeledDataset(ScoreMatrix(v), np.array([1, 0, 0, 0]))
     assert calibrate(TPS, source, 0.2, seed=0).tau == pytest.approx(0.75)
     target = UnlabeledDataset(ScoreMatrix(np.array([[0.5, 0.3, 0.2], [0.85, 0.1, 0.05]])))
-    est = estimate_tau_qtc_st(source, target, TPS, alpha=0.2, seed=0)
+    est = estimate_tau_qtc_st(Calibrator(TPS, source, seed=0), target, alpha=0.2)
     assert est.q_threshold == pytest.approx(0.8)
     assert est.value == pytest.approx(0.5)
     assert est.method == "qtc-st"
@@ -139,7 +146,7 @@ def test_tau_qtc_st_hand_example():
 
 def test_tau_qtc_st_self_consistency():
     d = labeled(300, 5, seed=17)
-    est = estimate_tau_qtc_st(d, UnlabeledDataset(d.scores), TPS, alpha=0.1, seed=3)
+    est = estimate_tau_qtc_st(Calibrator(TPS, d, seed=3), UnlabeledDataset(d.scores), alpha=0.1)
     tau_p = calibrate(TPS, d, 0.1, seed=3).tau
     assert abs(est.value - tau_p) <= 1 / 300
 
@@ -151,7 +158,7 @@ def test_tau_qtc_st_raps_remap_round_trip():
     thr = calibrate(spec, d, 0.3, seed=5)
     scale = max_tau(spec, 2)
     assert scale == pytest.approx(3.0)
-    est = estimate_tau_qtc_st(d, tgt, spec, alpha=0.3, seed=5)
+    est = estimate_tau_qtc_st(Calibrator(spec, d, seed=5), tgt, alpha=0.3)
     q = quantile_q(UnlabeledDataset(d.scores), thr.tau / scale)
     below = float(np.mean(top_confidences(tgt) < q))
     assert est.q_threshold == pytest.approx(q)
@@ -161,7 +168,7 @@ def test_tau_qtc_st_raps_remap_round_trip():
 def test_tau_qtc_st_refuses_saturated_threshold():
     d = labeled(4, 3, seed=2)
     with pytest.raises(SaturationError):
-        estimate_tau_qtc_st(d, unlabeled(5, 3, seed=3), TPS, alpha=0.01, seed=0)
+        estimate_tau_qtc_st(Calibrator(TPS, d, seed=0), unlabeled(5, 3, seed=3), alpha=0.01)
 
 
 def test_recalibrate_self_consistency_one_step():
@@ -169,7 +176,7 @@ def test_recalibrate_self_consistency_one_step():
         d = labeled(150, 5, seed=40 + seed)
         u = UnlabeledDataset(d.scores)
         plain = calibrate(TPS, d, 0.2, seed=seed)
-        recal = recalibrate(TPS, d, u, 0.2, method="qtc", seed=seed)
+        recal = recalibrate(Calibrator(TPS, d, seed=seed), u, 0.2, method="qtc")[0]
         s = np.sort(conformity_scores(TPS, d.scores.values, d.labels, None))
         gap = abs(np.searchsorted(s, plain.tau) - np.searchsorted(s, recal.tau))
         assert gap <= 1
@@ -183,7 +190,7 @@ def test_recalibrate_clamps_degenerate_beta_low():
     t = max(0.26, tmin / 2)
     target = _rows_with_top([t] * 10, n_classes)
     assert float(top_confidences(target).max()) < tmin
-    thr = recalibrate(TPS, source, target, 0.1, method="qtc", seed=0)
+    thr = recalibrate(Calibrator(TPS, source, seed=0), target, 0.1, method="qtc")[0]
     assert not thr.is_saturated
     s = np.sort(conformity_scores(TPS, source.scores.values, source.labels, None))
     assert thr.tau == pytest.approx(s[-1])  # beta clamped to 1/(n+1), k lands on n
@@ -193,7 +200,7 @@ def test_recalibrate_clamps_degenerate_beta_high():
     source = _rows_with_top([0.3, 0.35, 0.4, 0.45, 0.5], 4)
     source = LabeledDataset(source.scores, np.zeros(5, dtype=np.int64))
     target = _rows_with_top([0.9, 0.92, 0.94], 4)
-    thr = recalibrate(TPS, source, target, 0.5, method="qtc", seed=0)
+    thr = recalibrate(Calibrator(TPS, source, seed=0), target, 0.5, method="qtc")[0]
     s = np.sort(conformity_scores(TPS, source.scores.values, source.labels, None))
     assert thr.tau == pytest.approx(s[0])  # beta clamped to n/(n+1), k lands on 1
 
@@ -201,8 +208,9 @@ def test_recalibrate_clamps_degenerate_beta_high():
 def test_recalibrate_qtc_st_passes_tau_through():
     d = labeled(120, 4, seed=61)
     tgt = unlabeled(80, 4, seed=62)
-    est = estimate_tau_qtc_st(d, tgt, TPS, alpha=0.15, seed=9)
-    thr = recalibrate(TPS, d, tgt, 0.15, method="qtc-st", seed=9)
+    est = estimate_tau_qtc_st(Calibrator(TPS, d, seed=9), tgt, alpha=0.15)
+    thr, used = recalibrate(Calibrator(TPS, d, seed=9), tgt, 0.15, method="qtc-st")
+    assert used == est
     assert thr.tau == est.value
     assert thr.alpha == 0.15
     assert "qtc-st" in thr.source_tag
@@ -211,7 +219,7 @@ def test_recalibrate_qtc_st_passes_tau_through():
 def test_recalibrate_rejects_unknown_method():
     d = labeled(20, 3, seed=70)
     with pytest.raises(ValueError, match="method"):
-        recalibrate(TPS, d, UnlabeledDataset(d.scores), 0.1, method="magic", seed=0)
+        recalibrate(Calibrator(TPS, d, seed=0), UnlabeledDataset(d.scores), 0.1, method="magic")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
