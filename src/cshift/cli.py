@@ -45,7 +45,7 @@ from .toymodel import (
     PreconditionError,
     ToyClassifier,
     ToyModelParams,
-    classifier_error_rate,
+    check_error_rates,
     oracle_beta,
     run_theorem_trial,
     trial_csv_row,
@@ -342,12 +342,7 @@ def cmd_simulate(args) -> int:
     src = ToyModelParams(gamma=args.gamma, c=args.c, p=args.psrc)
     tgt = ToyModelParams(gamma=args.gamma, c=args.c, p=args.ptgt)
     clf = ToyClassifier(w_inv=args.winv, w_sp=args.wsp)
-    for name, params in (("source", src), ("target", tgt)):
-        eps = classifier_error_rate(params, clf, args.nmc, derive_seed(args.seed, f"eps-{name}"))
-        if alpha >= 0.9 * eps:
-            raise PreconditionError(
-                f"alpha={alpha:g} must be below 0.9 * estimated {name} error rate {eps:g}"
-            )
+    check_error_rates(src, tgt, clf, alpha, args.nmc, args.seed)
     beta = oracle_beta(src, tgt, clf, alpha, args.nmc, derive_seed(args.seed, "oracle"))
     lines = [TRIAL_CSV_HEADER]
     violations = 0

@@ -23,6 +23,11 @@ threshold saturates at the maximal tau and is flagged in ``source_tag``.
 All randomness is counter-based: row i of a dataset always receives the
 same smoothing uniform for a given seed, so results do not depend on
 evaluation order.
+
+``aps`` and ``raps`` scores and evaluation run over row blocks of about
+``BLOCK_ENTRIES`` entries, so their working memory stays a few MB at any n.
+Each row is computed on its own, so the results are the same bits as one
+pass over the whole matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ from .scores import LabeledDataset, Dataset
 from .util import ceil_count, format_float, read_kv, row_uniforms, write_kv
 
 KINDS = ("tps", "aps", "raps")
+
+# entries per aps/raps row block: 2 MB of float64 per block-sized temporary
+BLOCK_ENTRIES = 1 << 18
 
 
 class SaturationError(RuntimeError):
@@ -156,6 +164,25 @@ def _label_ranks(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return above + np.count_nonzero(tied_before, axis=1)
 
 
+def _row_blocks(n: int, n_classes: int) -> list[slice]:
+    """Consecutive row slices of ``BLOCK_ENTRIES // n_classes`` rows (at
+    least one); the last may be shorter."""
+    step = max(1, BLOCK_ENTRIES // n_classes)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _block_scores(
+    spec: PredictorSpec, values: np.ndarray, labels: np.ndarray, u: np.ndarray, tau: float | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """aps/raps on one row block: each row's label score and, when ``tau``
+    is given, its set size at tau. The block's full-size temporaries are
+    freed on return."""
+    entry = _rank_entry_values(spec, values, u)
+    ranks = _label_ranks(values, labels)
+    sizes = None if tau is None else np.count_nonzero(entry <= tau, axis=1)
+    return entry[np.arange(ranks.size), ranks], sizes
+
+
 def conformity_scores(
     spec: PredictorSpec,
     values: np.ndarray,
@@ -166,12 +193,14 @@ def conformity_scores(
     the label enters the prediction set."""
     n, L = values.shape
     _check_applicable(spec, L)
-    rows = np.arange(n)
     if spec.kind == "tps":
-        return 1.0 - values[rows, labels]
+        return 1.0 - values[np.arange(n), labels]
     if u is None:
         raise ValueError(f"{spec.kind} conformity scores require smoothing uniforms")
-    return _rank_entry_values(spec, values, u)[rows, _label_ranks(values, labels)]
+    out = np.empty(n)
+    for b in _row_blocks(n, L):
+        out[b], _ = _block_scores(spec, values[b], labels[b], u[b], None)
+    return out
 
 
 def conformity_score(spec: PredictorSpec, row: np.ndarray, label: int, u: float = 0.0) -> float:
@@ -263,9 +292,12 @@ def evaluate(
         covered = conformity_scores(spec, values, test.labels, None) <= tau
         sizes = np.count_nonzero(1.0 - values <= tau, axis=1)
     else:
-        entry = _rank_entry_values(spec, values, _smoothing(spec, n, seed))
-        covered = entry[np.arange(n), _label_ranks(values, test.labels)] <= tau
-        sizes = np.count_nonzero(entry <= tau, axis=1)
+        label_scores = np.empty(n)
+        sizes = np.empty(n, dtype=np.intp)
+        u = _smoothing(spec, n, seed)
+        for b in _row_blocks(n, L):
+            label_scores[b], sizes[b] = _block_scores(spec, values[b], test.labels[b], u[b], tau)
+        covered = label_scores <= tau
     hist = np.bincount(sizes, minlength=L + 1).astype(np.int64)
     hist.setflags(write=False)
     return CoverageReport(
@@ -315,30 +347,3 @@ def load_threshold(path) -> tuple[Threshold, PredictorSpec | None, str]:
     except KeyError as exc:
         raise ValueError(f"threshold file {path} missing key {exc}") from exc
     return threshold, spec, kv.get("method", "none")
-
-
-def save_coverage_report(report: CoverageReport, path) -> None:
-    pairs = {
-        "coverage": report.coverage,
-        "avg_set_size": report.avg_set_size,
-        "median_set_size": report.median_set_size,
-        "n_eval": report.n_eval,
-    }
-    for k, count in enumerate(report.size_histogram):
-        pairs[f"hist_{k}"] = int(count)
-    write_kv(path, pairs)
-
-
-def load_coverage_report(path) -> CoverageReport:
-    kv = read_kv(path)
-    hist_keys = sorted(
-        (k for k in kv if k.startswith("hist_")), key=lambda k: int(k.split("_")[1])
-    )
-    hist = np.array([int(kv[k]) for k in hist_keys], dtype=np.int64)
-    return CoverageReport(
-        coverage=float(kv["coverage"]),
-        avg_set_size=float(kv["avg_set_size"]),
-        median_set_size=float(kv["median_set_size"]),
-        size_histogram=hist,
-        n_eval=int(kv["n_eval"]),
-    )

@@ -438,34 +438,37 @@ def load_model(path) -> MlpRegressor:
     for line in header_lines[1:]:
         key, _, value = line.partition("=")
         kv[key] = value
-    if len(blob) != int(kv["blob_bytes"]):
-        raise ValueError(
-            f"{path}: blob has {len(blob)} bytes, header says {kv['blob_bytes']}"
+    try:
+        if len(blob) != int(kv["blob_bytes"]):
+            raise ValueError(
+                f"{path}: blob has {len(blob)} bytes, header says {kv['blob_bytes']}"
+            )
+        layer_sizes = tuple(int(s) for s in kv["layers"].split(","))
+        if kv["predictor"] == "raps":
+            spec = PredictorSpec.raps(float(kv["lambda"]), int(kv["kreg"]))
+        else:
+            spec = PredictorSpec(kv["predictor"])
+        flat = np.frombuffer(blob, dtype="<f8")
+        weights, biases, offset = [], [], 0
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out).copy())
+            offset += fan_in * fan_out
+            biases.append(flat[offset : offset + fan_out].copy())
+            offset += fan_out
+        if offset != flat.size:
+            raise ValueError(f"{path}: weight blob size does not match layer sizes")
+        return MlpRegressor(
+            layer_sizes=layer_sizes,
+            weights=weights,
+            biases=biases,
+            feat_mean=np.array([float(s) for s in kv["feat_mean"].split(",")]),
+            feat_std=np.array([float(s) for s in kv["feat_std"].split(",")]),
+            extractor_id=kv["extractor"],
+            spec=spec,
+            alpha=float(kv["alpha"]),
+            n_classes=int(kv["n_classes"]),
+            offset_base=None if kv["offset_base"] == "none" else float(kv["offset_base"]),
+            final_loss=None if kv["final_loss"] == "none" else float(kv["final_loss"]),
         )
-    layer_sizes = tuple(int(s) for s in kv["layers"].split(","))
-    if kv["predictor"] == "raps":
-        spec = PredictorSpec.raps(float(kv["lambda"]), int(kv["kreg"]))
-    else:
-        spec = PredictorSpec(kv["predictor"])
-    flat = np.frombuffer(blob, dtype="<f8")
-    weights, biases, offset = [], [], 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out).copy())
-        offset += fan_in * fan_out
-        biases.append(flat[offset : offset + fan_out].copy())
-        offset += fan_out
-    if offset != flat.size:
-        raise ValueError(f"{path}: weight blob size does not match layer sizes")
-    return MlpRegressor(
-        layer_sizes=layer_sizes,
-        weights=weights,
-        biases=biases,
-        feat_mean=np.array([float(s) for s in kv["feat_mean"].split(",")]),
-        feat_std=np.array([float(s) for s in kv["feat_std"].split(",")]),
-        extractor_id=kv["extractor"],
-        spec=spec,
-        alpha=float(kv["alpha"]),
-        n_classes=int(kv["n_classes"]),
-        offset_base=None if kv["offset_base"] == "none" else float(kv["offset_base"]),
-        final_loss=None if kv["final_loss"] == "none" else float(kv["final_loss"]),
-    )
+    except KeyError as exc:
+        raise ValueError(f"model file {path} missing key {exc}") from exc

@@ -11,6 +11,12 @@ Two file formats are supported (see FORMATS.md):
 * CSV with header ``label,c0,...,c{L-1}``; a label of -1 marks an unlabeled
   row. A file must be entirely labeled or entirely unlabeled.
 * A little-endian binary container with magic ``CSHIFT01``.
+
+Memory: a binary load reads the file once and uses that buffer as the
+matrix without a copy, since its memory cannot change. A CSV table or a
+caller's array is copied once, so a matrix never shares memory a caller can
+write, and the caller's array stays writable. Validation adds no full-size
+temporaries unless an entry lies outside [0, 1].
 """
 
 from __future__ import annotations
@@ -34,20 +40,36 @@ class DataFormatError(ValueError):
     """A score file or matrix violates the documented format."""
 
 
+def _immutable(values: np.ndarray) -> bool:
+    """True when the array's memory belongs to an immutable ``bytes`` object,
+    as for ``np.frombuffer`` over a file read; such memory cannot change."""
+    base = values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
 def _validated_scores(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 2:
         raise DataFormatError(
             f"score matrix must be 2-D with at least 1 row and 2 classes, got shape {values.shape}"
         )
-    if not np.all(np.isfinite(values)):
-        row = int(np.argwhere(~np.all(np.isfinite(values), axis=1))[0, 0]) + 1
-        raise DataFormatError(f"non-finite score at row {row}")
-    bad = (values < -ENTRY_TOL) | (values > 1.0 + ENTRY_TOL)
-    if bad.any():
-        row = int(np.argwhere(bad.any(axis=1))[0, 0]) + 1
-        raise DataFormatError(f"score outside [0, 1] beyond tolerance at row {row}")
-    values = np.clip(values, 0.0, 1.0)
+    # NaN fails both comparisons, so one min/max pass picks the path; the
+    # clip (which keeps -0.0) only runs when it would change an entry.
+    # Either way the result is C-contiguous and no caller can write it.
+    if values.min() >= 0.0 and values.max() <= 1.0:
+        if not (_immutable(values) and values.flags.c_contiguous):
+            values = np.array(values, order="C")
+    else:
+        if not np.all(np.isfinite(values)):
+            row = int(np.argwhere(~np.all(np.isfinite(values), axis=1))[0, 0]) + 1
+            raise DataFormatError(f"non-finite score at row {row}")
+        bad = (values < -ENTRY_TOL) | (values > 1.0 + ENTRY_TOL)
+        if bad.any():
+            row = int(np.argwhere(bad.any(axis=1))[0, 0]) + 1
+            raise DataFormatError(f"score outside [0, 1] beyond tolerance at row {row}")
+        values = np.clip(values, 0.0, 1.0, out=np.empty(values.shape))
     sums = values.sum(axis=1)
     off = np.abs(sums - 1.0) > ROW_SUM_TOL
     if off.any():
@@ -59,9 +81,9 @@ def _validated_scores(values: np.ndarray) -> np.ndarray:
     # which already satisfy it round-trip bit-exactly.
     loose = np.abs(sums - 1.0) > RENORM_TOL
     if loose.any():
-        values = values.copy()
+        if not values.flags.writeable:
+            values = values.copy()
         values[loose] /= sums[loose, None]
-    values = np.ascontiguousarray(values)
     values.setflags(write=False)
     return values
 

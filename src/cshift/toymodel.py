@@ -130,6 +130,24 @@ def classifier_error_rate(
     return float(np.count_nonzero(miss) / n_mc)
 
 
+def check_error_rates(
+    params_source: ToyModelParams,
+    params_target: ToyModelParams,
+    clf: ToyClassifier,
+    alpha: float,
+    n_mc: int = 10**6,
+    seed: int = 0,
+) -> None:
+    """Raise :class:`PreconditionError` unless alpha lies below 0.9 of the
+    Monte Carlo error rate on both source and target (10% safety margin)."""
+    for name, params in (("source", params_source), ("target", params_target)):
+        eps = classifier_error_rate(params, clf, n_mc, derive_seed(seed, f"eps-{name}"))
+        if alpha >= 0.9 * eps:
+            raise PreconditionError(
+                f"alpha={alpha:g} must be below 0.9 * estimated {name} error rate {eps:g}"
+            )
+
+
 def oracle_tau(
     params_target: ToyModelParams,
     clf: ToyClassifier,
@@ -220,23 +238,16 @@ def run_theorem_trial(
     seed: int,
     beta_oracle: float | None = None,
     oracle_n_mc: int = 10**6,
-    precheck_n_mc: int = 10**5,
 ) -> TheoremTrialReport:
     """Draw fresh source/target sets of size n, estimate beta, check the bound.
 
     Also recalibrates a top-score predictor on the source with the
     estimated beta and reports its coverage on a fresh target evaluation
     set of size n. ``beta_oracle`` may carry a precomputed ground-truth
-    value; otherwise it is estimated here at ``oracle_n_mc`` draws.
+    value; otherwise it is estimated here at ``oracle_n_mc`` draws. The
+    caller checks alpha against the error rates once, with
+    :func:`check_error_rates`.
     """
-    for name, params in (("source", params_source), ("target", params_target)):
-        eps = classifier_error_rate(
-            params, clf, precheck_n_mc, derive_seed(seed, f"precheck-{name}")
-        )
-        if alpha >= 0.9 * eps:
-            raise PreconditionError(
-                f"alpha={alpha:g} is not below 0.9 of the {name} error rate {eps:g}"
-            )
     source_ds = to_dataset(sample(params_source, n, derive_seed(seed, "trial-source")), clf)
     target_ds = UnlabeledDataset(
         to_dataset(sample(params_target, n, derive_seed(seed, "trial-target")), clf).scores

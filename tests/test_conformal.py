@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,14 +15,12 @@ from cshift.conformal import (
     conformity_score,
     conformity_scores,
     evaluate,
-    load_coverage_report,
     load_threshold,
     max_tau,
     prediction_set,
-    save_coverage_report,
     save_threshold,
 )
-from cshift.scores import LabeledDataset, ScoreMatrix
+from cshift.scores import LabeledDataset, ScoreMatrix, load_dataset, save_dataset
 from cshift.util import row_uniforms
 
 TPS = PredictorSpec.tps()
@@ -251,8 +251,11 @@ def _argsort_reference(spec, values, labels, u):
     seed=st.integers(0, 10**6),
     ties=st.sampled_from(["none", "rounded", "duplicated"]),
     u_kind=st.sampled_from(["zero", "one", "random"]),
+    block_rows=st.integers(0, 4),
 )
-def test_conformity_scores_match_argsort_reference_bitwise(n, n_classes, seed, ties, u_kind):
+def test_conformity_scores_match_argsort_reference_bitwise(
+    n, n_classes, seed, ties, u_kind, block_rows
+):
     rng = np.random.default_rng(seed)
     values = softmax_rows(n, n_classes, seed % 9973)
     if ties == "rounded":
@@ -262,10 +265,53 @@ def test_conformity_scores_match_argsort_reference_bitwise(n, n_classes, seed, t
         values[:, dst] = values[:, src]
     labels = rng.integers(0, n_classes, n)
     u = {"zero": np.zeros(n), "one": np.ones(n)}.get(u_kind, rng.random(n))
-    for spec in (APS, PredictorSpec.raps(0.37, 0), PredictorSpec.raps(0.1, min(2, n_classes))):
-        got = conformity_scores(spec, values, labels, u)
-        want = _argsort_reference(spec, values, labels, u)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # blocks of block_rows rows (one row for 0), mostly with a partial last block
+    saved = conformal.BLOCK_ENTRIES
+    conformal.BLOCK_ENTRIES = block_rows * n_classes
+    try:
+        for spec in (APS, PredictorSpec.raps(0.37, 0), PredictorSpec.raps(0.1, min(2, n_classes))):
+            got = conformity_scores(spec, values, labels, u)
+            want = _argsort_reference(spec, values, labels, u)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    finally:
+        conformal.BLOCK_ENTRIES = saved
+
+
+def test_evaluate_is_independent_of_the_row_blocks(monkeypatch):
+    d = labeled(50, 7, seed=31)
+    for spec in (APS, PredictorSpec.raps(0.05, 2)):
+        thr = calibrate(spec, d, 0.2, seed=3)
+        whole = evaluate(spec, thr, d, seed=4)
+        for block_rows in (1, 3, 7, 49):
+            monkeypatch.setattr(conformal, "BLOCK_ENTRIES", block_rows * 7)
+            blocked = evaluate(spec, thr, d, seed=4)
+            assert blocked.coverage == whole.coverage
+            assert blocked.avg_set_size == whole.avg_set_size
+            assert blocked.median_set_size == whole.median_set_size
+            np.testing.assert_array_equal(blocked.size_histogram, whole.size_histogram)
+        monkeypatch.undo()
+
+
+def test_binary_load_and_aps_passes_stay_near_the_file_size(tmp_path):
+    path = tmp_path / "d.bin"
+    save_dataset(labeled(3000, 400, seed=5), path)
+    size = path.stat().st_size
+    # the first calls import numpy's lazily loaded random modules; keep that
+    # one-time cost out of the measurement
+    small = labeled(4, 3, seed=0)
+    evaluate(APS, calibrate(APS, small, 0.1), small)
+    tracemalloc.start()
+    try:
+        d = load_dataset(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        evaluate(APS, calibrate(APS, d, 0.1, seed=1), d, seed=2)
+        pass_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the loaded matrix is the file buffer itself; aps works in small row blocks
+    assert load_peak <= 1.1 * size
+    assert pass_peak <= 1.5 * size
 
 
 @given(n=st.integers(1, 30), seed=st.integers(0, 10**6))
@@ -309,14 +355,3 @@ def test_threshold_file_round_trip(tmp_path):
     assert back.source_tag == thr.source_tag
     assert spec == RAPS
     assert method == "none"
-
-
-def test_coverage_report_round_trip(tmp_path):
-    d = labeled(80, 3, seed=2)
-    rep = evaluate(TPS, calibrate(TPS, d, 0.2, seed=0), d, seed=1)
-    path = tmp_path / "rep.txt"
-    save_coverage_report(rep, path)
-    back = load_coverage_report(path)
-    assert back.coverage == rep.coverage
-    assert back.avg_set_size == rep.avg_set_size
-    np.testing.assert_array_equal(back.size_histogram, rep.size_histogram)

@@ -320,6 +320,19 @@ def test_model_file_rejects_truncated_blob(tmp_path):
         load_model(path)
 
 
+def test_model_file_missing_header_key_names_file_and_key(tmp_path):
+    d = labeled(100, 3, seed=22)
+    corpus = build_corpus(d, TPS, 0.2, 2, "acr", seed=1)
+    model = train(corpus, epochs=10, learning_rate=1e-3, seed=1)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    start = data.index(b"\nextractor=") + 1
+    path.write_bytes(data[:start] + data[data.index(b"\n", start) + 1 :])
+    with pytest.raises(ValueError, match=r"model\.bin missing key 'extractor'"):
+        load_model(path)
+
+
 def test_forward_pass_shapes():
     sizes = (2, 64, 64, 64, 1)
     weights, biases = init_parameters(sizes, seed=0)

@@ -95,6 +95,50 @@ def test_matrix_is_immutable():
         m.values[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_names_row(bad):
+    v = np.full((3, 2), 0.5)
+    v[1, 0] = bad
+    with pytest.raises(DataFormatError, match=r"^non-finite score at row 2$"):
+        ScoreMatrix(v)
+
+
+@pytest.mark.parametrize("entry", [-2e-4, 1.0 + 2e-4])
+def test_entry_beyond_tolerance_names_row(entry):
+    v = np.full((3, 2), 0.5)
+    v[2, 0] = entry
+    with pytest.raises(DataFormatError, match=r"^score outside \[0, 1\] beyond tolerance at row 3$"):
+        ScoreMatrix(v)
+
+
+def test_non_finite_is_reported_before_an_earlier_range_error():
+    v = np.full((4, 2), 0.5)
+    v[0, 0] = 1.5
+    v[2, 1] = np.nan
+    with pytest.raises(DataFormatError, match=r"^non-finite score at row 3$"):
+        ScoreMatrix(v)
+
+
+def test_caller_array_stays_writable_and_unshared():
+    v = softmax_rows(4, 3, seed=2)
+    m = ScoreMatrix(v)
+    assert v.flags.writeable
+    before = m.values.copy()
+    v[:] = 0.0
+    np.testing.assert_array_equal(m.values, before)
+
+
+@pytest.mark.parametrize("clipped_row", [False, True])
+def test_negative_zero_entries_survive_bitwise(clipped_row):
+    v = np.array([[-0.0, 1.0], [0.25, 0.75]])
+    if clipped_row:
+        # an entry within tolerance below 0 sends validation through the clip
+        v[1] = [-5e-5, 1.0]
+    m = ScoreMatrix(v)
+    assert np.signbit(m.values[0, 0])
+    assert m.values[0].tobytes() == v[0].tobytes()
+
+
 def test_binary_round_trip_bit_exact(tmp_path):
     d = labeled(17, 4, seed=3)
     path = tmp_path / "d.bin"

@@ -10,6 +10,7 @@ from cshift.toymodel import (
     ToyClassifier,
     ToyModelParams,
     ToySampleBatch,
+    check_error_rates,
     classifier_error_rate,
     classify,
     oracle_beta,
@@ -204,7 +205,7 @@ def test_trial_uses_supplied_oracle_and_is_deterministic():
 
 def test_trial_precondition_rejects_large_alpha():
     with pytest.raises(PreconditionError):
-        run_theorem_trial(SRC, TGT, CLF, alpha=0.045, n=1000, delta=0.1, seed=0)
+        check_error_rates(SRC, TGT, CLF, alpha=0.045, n_mc=10**5, seed=0)
 
 
 def test_trial_csv_row_shape():
