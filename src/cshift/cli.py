@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: ``calibrate``, ``recalibrate``, ``evaluate``, ``baseline``,
-``simulate``. Flags may also be supplied through ``--config FILE``, a flat
-``key=value`` file whose keys are the long flag names; explicit flags win.
+``simulate``. Each option is declared once, in :func:`build_parser`, with
+its default, type and choices. ``--config FILE`` names a flat ``key=value``
+file whose keys are the long flag names; each pair is parsed as the flag
+``--key=value``, placed before the explicit flags so that those win.
 
-Exit codes: 0 success, 2 I/O or parse error, 3 saturation (``calibrate``
-still writes its threshold file first), 4 numeric failure during training,
-5 unreachable precondition.
+Exit codes: 0 success, 2 usage, I/O or parse error (a bad flag and a bad
+config line alike), 3 saturation (``calibrate`` still writes its threshold
+file first), 4 numeric failure during training, 5 unreachable precondition.
 
 Every command takes one ``--seed``; internal randomness is derived from it
 per role, so identical invocations produce byte-identical output files.
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .conformal import (
+    KINDS,
     Calibrator,
     PredictorSpec,
     SaturationError,
@@ -56,8 +59,6 @@ EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_s
 
 # a grid is materialised as a list and recalibrated point by point
 MAX_ALPHA_GRID_POINTS = 10_000
-
-_REQUIRED = object()
 
 
 def parse_alpha_grid(text: str) -> list[float]:
@@ -119,67 +120,10 @@ def _load_labeled(path) -> LabeledDataset:
     return ds
 
 
-def _merge_config(args, defaults: dict) -> None:
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = {k.replace("-", "_"): v for k, v in read_kv(args.config).items()}
-        # config keys mirror the long flag names; --lambda stores to lam
-        if "lambda" in cfg:
-            cfg["lam"] = cfg.pop("lambda")
-    missing = []
-    for dest, default in defaults.items():
-        if getattr(args, dest, None) is not None:
-            continue
-        if dest in cfg:
-            caster = _CASTS.get(dest, str)
-            setattr(args, dest, caster(cfg[dest]))
-        elif default is _REQUIRED:
-            missing.append(dest)
-        else:
-            setattr(args, dest, default)
-    if missing:
-        flags = ", ".join("--" + m.replace("_", "-") for m in missing)
-        raise ValueError(f"missing required option(s): {flags}")
-
-
-_CASTS = {
-    "alpha": str,
-    "seed": int,
-    "kreg": int,
-    "bins": int,
-    "shifts": int,
-    "epochs": int,
-    "trials": int,
-    "n": int,
-    "nmc": int,
-    "lam": float,
-    "lr": float,
-    "delta": float,
-    "psrc": float,
-    "ptgt": float,
-    "winv": float,
-    "wsp": float,
-    "gamma": float,
-    "c": float,
-}
-
-
 # --- commands ---
 
 
 def cmd_calibrate(args) -> int:
-    _merge_config(
-        args,
-        {
-            "cal": _REQUIRED,
-            "predictor": _REQUIRED,
-            "alpha": _REQUIRED,
-            "out": _REQUIRED,
-            "seed": 0,
-            "lam": None,
-            "kreg": None,
-        },
-    )
     spec = _predictor_from_args(args)
     (alpha,) = parse_alpha_grid(args.alpha)
     cal = _load_labeled(args.cal)
@@ -193,22 +137,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_recalibrate(args) -> int:
-    _merge_config(
-        args,
-        {
-            "source": _REQUIRED,
-            "target": _REQUIRED,
-            "predictor": _REQUIRED,
-            "alpha": _REQUIRED,
-            "method": "qtc",
-            "out": _REQUIRED,
-            "seed": 0,
-            "lam": None,
-            "kreg": None,
-        },
-    )
-    if args.method not in METHODS:
-        raise ValueError(f"--method must be one of {METHODS}, got {args.method!r}")
     spec = _predictor_from_args(args)
     alphas = parse_alpha_grid(args.alpha)
     source = _load_labeled(args.source)
@@ -223,19 +151,8 @@ def cmd_recalibrate(args) -> int:
     lines = ["method,predictor,alpha,tau,q,estimate,seed"]
     for alpha in alphas:
         threshold, est = recalibrate(calibrator, target, alpha, args.method)
-        lines.append(
-            ",".join(
-                [
-                    args.method,
-                    spec.kind,
-                    format_float(alpha),
-                    format_float(threshold.tau),
-                    format_float(est.q_threshold),
-                    format_float(est.value),
-                    str(args.seed),
-                ]
-            )
-        )
+        fields = map(format_float, [alpha, threshold.tau, est.q_threshold, est.value])
+        lines.append(",".join([args.method, spec.kind, *fields, str(args.seed)]))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(alphas)} rows to {args.out}")
@@ -243,30 +160,20 @@ def cmd_recalibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _merge_config(
-        args,
-        {"test": _REQUIRED, "threshold": _REQUIRED, "out": _REQUIRED, "seed": 0},
-    )
+    out = Path(args.out)
+    fresh = not out.exists() or out.stat().st_size == 0
+    if not fresh:
+        with open(out, "r", encoding="utf-8", errors="replace") as fh:
+            if fh.readline().rstrip("\n") != EVAL_CSV_HEADER:
+                raise DataFormatError(f"{out} exists but its first line is not the report header")
     threshold, spec, method = load_threshold(args.threshold)
     if spec is None:
         raise ValueError(f"{args.threshold} does not record its predictor")
     test = _load_labeled(args.test)
     report = evaluate(spec, threshold, test, derive_seed(args.seed, "evaluate"))
-    row = ",".join(
-        [
-            method,
-            spec.kind,
-            format_float(threshold.alpha),
-            format_float(threshold.tau),
-            format_float(report.coverage),
-            format_float(report.avg_set_size),
-            format_float(report.median_set_size),
-            str(report.n_eval),
-            str(args.seed),
-        ]
-    )
-    out = Path(args.out)
-    fresh = not out.exists()
+    stats = [threshold.alpha, threshold.tau, report.coverage, report.avg_set_size]
+    fields = map(format_float, [*stats, report.median_set_size])
+    row = ",".join([method, spec.kind, *fields, str(report.n_eval), str(args.seed)])
     with open(out, "a", encoding="utf-8") as fh:
         if fresh:
             fh.write(EVAL_CSV_HEADER + "\n")
@@ -276,28 +183,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    _merge_config(
-        args,
-        {
-            "cal": _REQUIRED,
-            "predictor": _REQUIRED,
-            "alpha": _REQUIRED,
-            "extractor": _REQUIRED,
-            "model_out": _REQUIRED,
-            "bins": 10,
-            "shifts": 90,
-            "epochs": 5000,
-            "lr": 1e-3,
-            "target": None,
-            "pred_out": None,
-            "seed": 0,
-            "lam": None,
-            "kreg": None,
-        },
-    )
     spec = _predictor_from_args(args)
-    if args.extractor not in EXTRACTORS:
-        raise ValueError(f"--extractor must be one of {EXTRACTORS}, got {args.extractor!r}")
     (alpha,) = parse_alpha_grid(args.alpha)
     cal = _load_labeled(args.cal)
     corpus = build_corpus(
@@ -320,24 +206,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _merge_config(
-        args,
-        {
-            "trials": 100,
-            "n": 10000,
-            "alpha": "0.02",
-            "delta": 0.1,
-            "psrc": 0.9,
-            "ptgt": 0.7,
-            "winv": 1.0,
-            "wsp": 0.5,
-            "gamma": 0.05,
-            "c": 1.0,
-            "nmc": 10**6,
-            "out": _REQUIRED,
-            "seed": 0,
-        },
-    )
     (alpha,) = parse_alpha_grid(args.alpha)
     src = ToyModelParams(gamma=args.gamma, c=args.c, p=args.psrc)
     tgt = ToyModelParams(gamma=args.gamma, c=args.c, p=args.ptgt)
@@ -373,78 +241,116 @@ def cmd_simulate(args) -> int:
 # --- parser ---
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` on a usage error, so that ``main`` reports a bad
+    flag or config line like any other bad input and returns 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """Insert each pair of ``--config FILE`` as the token ``--key=value``
+    right after the subcommand. Explicit flags come later and so win; the
+    single-token form keeps values that start with ``-`` intact."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv[1:])[0].config
+    if config is None:
+        return argv
+    tokens = [f"--{key}={value}" for key, value in read_kv(config).items()]
+    return argv[:1] + tokens + argv[1:]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # abbreviations are off, so that a flag and a config key each name one
+    # option exactly and --config has a single spelling
+    parser = _Parser(
         prog="cshift",
         description="Conformal prediction with quantile-based recalibration under shift.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_defaulted(p, table):
+        for flag, kind, default, text in table:
+            p.add_argument(flag, type=kind, default=default, help=text + " (default %(default)s)")
+
     def add(name, func, helptext):
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="flat key=value file of defaults for this command")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        p.add_argument("--config", metavar="FILE", help="key=value file read as --key=value flags")
+        add_defaulted(p, [("--seed", int, 0, "master seed")])
         return p
 
+    def add_predictor(p):
+        p.add_argument("--predictor", required=True, choices=KINDS, help="conformity score")
+        p.add_argument("--lambda", dest="lam", type=float, metavar="LAMBDA", help="raps penalty")
+        p.add_argument("--kreg", type=int, help="raps penalty-free set size")
+
     p = add("calibrate", cmd_calibrate, "calibrate a threshold on labeled scores")
-    p.add_argument("--cal", help="labeled calibration scores (csv or binary)")
-    p.add_argument("--predictor", choices=["tps", "aps", "raps"])
-    p.add_argument("--alpha", help="miscoverage level in (0, 1)")
-    p.add_argument("--lambda", dest="lam", type=float, help="raps penalty")
-    p.add_argument("--kreg", type=int, help="raps penalty-free set size")
-    p.add_argument("--out", help="threshold file to write")
+    p.add_argument("--cal", required=True, help="labeled calibration scores (csv or binary)")
+    add_predictor(p)
+    p.add_argument("--alpha", required=True, help="miscoverage level in (0, 1)")
+    p.add_argument("--out", required=True, help="threshold file to write")
 
     p = add("recalibrate", cmd_recalibrate, "recalibrate for a shifted target")
-    p.add_argument("--source", help="labeled source calibration scores")
-    p.add_argument("--target", help="unlabeled target scores")
-    p.add_argument("--predictor", choices=["tps", "aps", "raps"])
-    p.add_argument("--alpha", help="level or inclusive grid start:stop:step")
-    p.add_argument("--method", choices=list(METHODS))
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--kreg", type=int)
-    p.add_argument("--out", help="threshold file (single alpha) or csv (grid)")
+    p.add_argument("--source", required=True, help="labeled source calibration scores")
+    p.add_argument("--target", required=True, help="unlabeled target scores")
+    add_predictor(p)
+    p.add_argument("--alpha", required=True, help="level or inclusive grid start:stop:step")
+    p.add_argument("--method", choices=METHODS, default="qtc", help="default %(default)s")
+    p.add_argument("--out", required=True, help="threshold file (single alpha) or csv (grid)")
 
     p = add("evaluate", cmd_evaluate, "evaluate a threshold on labeled scores")
-    p.add_argument("--test", help="labeled test scores")
-    p.add_argument("--threshold", help="threshold file from calibrate/recalibrate/baseline")
-    p.add_argument("--out", help="csv report to append to")
+    p.add_argument("--test", required=True, help="labeled test scores")
+    p.add_argument("--threshold", required=True, help="threshold file to evaluate")
+    p.add_argument("--out", required=True, help="csv report to append to")
 
     p = add("baseline", cmd_baseline, "train a threshold-regression baseline")
-    p.add_argument("--cal", help="labeled source scores")
-    p.add_argument("--predictor", choices=["tps", "aps", "raps"])
-    p.add_argument("--alpha")
-    p.add_argument("--extractor", choices=list(EXTRACTORS))
-    p.add_argument("--bins", type=int, help="chr/chr-minus histogram bins (default 10)")
-    p.add_argument("--shifts", type=int, help="synthetic shift count incl. identity (default 90)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 5000)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--kreg", type=int)
-    p.add_argument("--model-out", dest="model_out", help="model file to write")
+    p.add_argument("--cal", required=True, help="labeled source scores")
+    add_predictor(p)
+    p.add_argument("--alpha", required=True, help="miscoverage level in (0, 1)")
+    p.add_argument("--extractor", required=True, choices=EXTRACTORS, help="corpus feature")
+    add_defaulted(
+        p,
+        [
+            ("--bins", int, 10, "chr/chr-minus histogram bins"),
+            ("--shifts", int, 90, "synthetic shift count incl. identity"),
+            ("--epochs", int, 5000, "training epochs"),
+            ("--lr", float, 1e-3, "learning rate"),
+        ],
+    )
+    p.add_argument("--model-out", required=True, help="model file to write")
     p.add_argument("--target", help="optional target scores to predict a threshold for")
-    p.add_argument("--pred-out", dest="pred_out", help="threshold file for the prediction")
+    p.add_argument("--pred-out", help="threshold file for the prediction (default MODEL_OUT.tau)")
 
     p = add("simulate", cmd_simulate, "run deviation-bound trials on the two-feature model")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--psrc", type=float, help="source spurious agreement rate")
-    p.add_argument("--ptgt", type=float, help="target spurious agreement rate")
-    p.add_argument("--winv", type=float, help="invariant-feature weight")
-    p.add_argument("--wsp", type=float, help="spurious-feature weight")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--nmc", type=int, help="Monte Carlo draws for oracle quantities")
-    p.add_argument("--out", help="trial csv to write")
+    add_defaulted(
+        p,
+        [
+            ("--trials", int, 100, "trial count"),
+            ("--n", int, 10000, "rows per trial"),
+            ("--alpha", str, "0.02", "target miscoverage level"),
+            ("--delta", float, 0.1, "failure probability of the bound"),
+            ("--psrc", float, 0.9, "source spurious agreement rate"),
+            ("--ptgt", float, 0.7, "target spurious agreement rate"),
+            ("--winv", float, 1.0, "invariant-feature weight"),
+            ("--wsp", float, 0.5, "spurious-feature weight"),
+            ("--gamma", float, 0.05, "lower end of the invariant feature's magnitude"),
+            ("--c", float, 1.0, "upper end of the invariant feature's magnitude"),
+            ("--nmc", int, 10**6, "Monte Carlo draws for oracle quantities"),
+        ],
+    )
+    p.add_argument("--out", required=True, help="trial csv to write")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ Given labeled source scores and unlabeled target scores, the estimators here
 translate a desired target miscoverage level alpha into a level beta to
 calibrate at on the source (``qtc``, ``qtc-sc``) or directly into a
 threshold (``qtc-st``). All three work from top confidences only: the
-maximum score of each row.
+maximum score of each row. They read them sorted, from
+:attr:`~cshift.scores.ScoreMatrix.sorted_top`, which each matrix computes
+once however many levels a grid asks for.
 
 Quantiles are order statistics: the level-c quantile of a dataset is its
 ``ceil(c * n)``-th smallest top confidence, and all comparisons against a
@@ -44,13 +46,9 @@ class QtcEstimate:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
-def top_confidence(row: np.ndarray) -> float:
-    """Largest score of a single row."""
-    return float(np.max(np.asarray(row, dtype=np.float64)))
-
-
 def top_confidences(data) -> np.ndarray:
-    """Top confidence of every row of a dataset or raw score matrix."""
+    """Top confidence of every row of a dataset or raw score matrix, in row
+    order."""
     if isinstance(data, ScoreMatrix):
         values = data.values
     elif hasattr(data, "scores"):
@@ -60,15 +58,26 @@ def top_confidences(data) -> np.ndarray:
     return values.max(axis=1)
 
 
+def _sorted_top(data) -> np.ndarray:
+    return (data if isinstance(data, ScoreMatrix) else data.scores).sorted_top
+
+
+def _count_below(data, q: float) -> int:
+    """Rows whose top confidence is strictly below q. Validated scores hold
+    no NaN, so this equals ``count_nonzero(top_confidences(data) < q)``."""
+    return int(np.searchsorted(_sorted_top(data), q, side="left"))
+
+
 def quantile_q(data, c: float) -> float:
-    """Level-c confidence quantile: the ceil(c * n)-th smallest top confidence.
+    """Level-c confidence quantile of a dataset or :class:`ScoreMatrix`: the
+    ceil(c * n)-th smallest top confidence.
 
     ``c`` must lie in (0, 1]. Levels below 1/n fall back to the first order
     statistic with a warning.
     """
     if not 0.0 < c <= 1.0:
         raise ValueError(f"quantile level must lie in (0, 1], got {c}")
-    s = np.sort(top_confidences(data))
+    s = _sorted_top(data)
     n = s.size
     if c * n < 1.0 - 1e-9:
         warnings.warn(
@@ -95,7 +104,7 @@ def estimate_beta_qtc(source_cal: Dataset, target: Dataset, alpha: float) -> Qtc
     """
     _check_compatible(source_cal, target)
     q = quantile_q(target, alpha)
-    count = int(np.count_nonzero(top_confidences(source_cal) < q))
+    count = _count_below(source_cal, q)
     return QtcEstimate(method="qtc", q_threshold=q, value=count / source_cal.n, alpha=alpha)
 
 
@@ -108,7 +117,7 @@ def estimate_beta_qtc_sc(source_cal: Dataset, target: Dataset, alpha: float) -> 
     """
     _check_compatible(source_cal, target)
     q = quantile_q(source_cal, 1.0 - alpha)
-    below = int(np.count_nonzero(top_confidences(target) < q))
+    below = _count_below(target, q)
     return QtcEstimate(
         method="qtc-sc",
         q_threshold=q,
@@ -134,7 +143,7 @@ def estimate_tau_qtc_st(source: Calibrator, target: Dataset, alpha: float) -> Qt
         )
     scale = max_tau(source.spec, source.cal.L)
     q = quantile_q(source.cal, base.tau / scale)
-    below = int(np.count_nonzero(top_confidences(target) < q))
+    below = _count_below(target, q)
     return QtcEstimate(
         method="qtc-st",
         q_threshold=q,

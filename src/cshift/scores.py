@@ -15,14 +15,15 @@ Two file formats are supported (see FORMATS.md):
 Memory: a binary load reads the file once and uses that buffer as the
 matrix without a copy, since its memory cannot change. A CSV table or a
 caller's array is copied once, so a matrix never shares memory a caller can
-write, and the caller's array stays writable. Validation adds no full-size
-temporaries unless an entry lies outside [0, 1].
+write, and the caller's array stays writable. Labels follow the same rule.
+Validation adds no full-size temporaries unless an entry lies outside [0, 1].
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,14 @@ class ScoreMatrix:
     def L(self) -> int:
         return self.values.shape[1]
 
+    @cached_property
+    def sorted_top(self) -> np.ndarray:
+        """Row maxima (top confidences) in ascending order, read-only;
+        computed once per matrix."""
+        top = np.sort(self.values.max(axis=1))
+        top.setflags(write=False)
+        return top
+
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
@@ -125,7 +134,10 @@ class LabeledDataset:
             raise DataFormatError(
                 f"label {labels[row - 1]} outside [0, {self.scores.L - 1}] at row {row}"
             )
-        labels = np.ascontiguousarray(labels)
+        # as for scores: a binary load's immutable buffer is kept, anything
+        # else is copied once, so the caller's array stays writable
+        if not (_immutable(labels) and labels.flags.c_contiguous):
+            labels = np.array(labels, order="C")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 

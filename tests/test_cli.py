@@ -13,7 +13,13 @@ import time
 import pytest
 
 from conftest import sample_labels, softmax_rows, write_csv
-from cshift.cli import EVAL_CSV_HEADER, MAX_ALPHA_GRID_POINTS, main, parse_alpha_grid
+from cshift.cli import (
+    EVAL_CSV_HEADER,
+    MAX_ALPHA_GRID_POINTS,
+    build_parser,
+    main,
+    parse_alpha_grid,
+)
 from cshift.conformal import load_threshold
 from cshift.qtc import load_estimate
 from cshift.toymodel import TRIAL_CSV_HEADER
@@ -284,6 +290,26 @@ def test_evaluate_creates_header_then_appends(tmp_path):
     assert lines[0] == EVAL_CSV_HEADER
     assert len(lines) == 3
     assert lines[1] == lines[2]  # same flags and seed, same row
+
+
+def test_evaluate_rejects_a_report_with_another_header(tmp_path, capsys):
+    cal, thr = _calibrated_threshold(tmp_path)
+    out = tmp_path / "report.csv"
+    out.write_text("method,predictor,alpha\nqtc,tps,0.1\n")
+    rc = main(["evaluate", "--test", str(cal), "--threshold", str(thr), "--out", str(out)])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "method,predictor,alpha\nqtc,tps,0.1\n"
+
+
+def test_evaluate_writes_the_header_into_an_empty_report(tmp_path):
+    cal, thr = _calibrated_threshold(tmp_path)
+    out = tmp_path / "report.csv"
+    out.write_text("")
+    assert main(["evaluate", "--test", str(cal), "--threshold", str(thr), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == EVAL_CSV_HEADER
+    assert len(lines) == 2
 
 
 def test_evaluate_saturated_threshold_reports_full_coverage(tmp_path):
@@ -578,7 +604,7 @@ def test_config_missing_required_option_is_named(tmp_path, capsys):
     cfg.write_text(f"cal={cal}\npredictor=tps\nalpha=0.1\n")
     rc = main(["calibrate", "--config", str(cfg)])
     assert rc == 2
-    assert "missing required option(s): --out" in capsys.readouterr().err
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_config_bad_method_value_rejected(tmp_path, capsys):
@@ -603,7 +629,118 @@ def test_config_bad_method_value_rejected(tmp_path, capsys):
         ]
     )
     assert rc == 2
-    assert "--method must be one of" in capsys.readouterr().err
+    assert "argument --method: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def _defaults(argv):
+    args = vars(build_parser().parse_args(argv))
+    return {k: v for k, v in args.items() if k not in ("command", "func")}
+
+
+def test_each_command_gets_its_defaults_from_the_parser():
+    assert _defaults(["calibrate", "--cal", "c", "--predictor", "tps", "--alpha", "0.1",
+                      "--out", "o"]) == dict(
+        config=None, seed=0, cal="c", predictor="tps", lam=None, kreg=None, alpha="0.1", out="o"
+    )
+    assert _defaults(["recalibrate", "--source", "s", "--target", "t", "--predictor", "aps",
+                      "--alpha", "0.1", "--out", "o"]) == dict(
+        config=None, seed=0, source="s", target="t", predictor="aps", lam=None, kreg=None,
+        alpha="0.1", method="qtc", out="o",
+    )
+    assert _defaults(["evaluate", "--test", "t", "--threshold", "h", "--out", "o"]) == dict(
+        config=None, seed=0, test="t", threshold="h", out="o"
+    )
+    assert _defaults(["baseline", "--cal", "c", "--predictor", "tps", "--alpha", "0.1",
+                      "--extractor", "chr", "--model-out", "m"]) == dict(
+        config=None, seed=0, cal="c", predictor="tps", lam=None, kreg=None, alpha="0.1",
+        extractor="chr", bins=10, shifts=90, epochs=5000, lr=1e-3, model_out="m", target=None,
+        pred_out=None,
+    )
+    assert _defaults(["simulate", "--out", "o"]) == dict(
+        config=None, seed=0, trials=100, n=10000, alpha="0.02", delta=0.1, psrc=0.9, ptgt=0.7,
+        winv=1.0, wsp=0.5, gamma=0.05, c=1.0, nmc=10**6, out="o",
+    )
+
+
+def _flags_and_config_agree(tmp_path, command, options):
+    """Run one command with options as flags, then from a config file;
+    return both output directories' file bytes."""
+    runs = []
+    for how in ("flags", "config"):
+        out_dir = tmp_path / how
+        out_dir.mkdir()
+        opts = {k: str(out_dir / v) if k == "out" else v for k, v in options.items()}
+        if how == "flags":
+            argv = [command] + [f"--{k}={v}" for k, v in opts.items()]
+        else:
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in opts.items()))
+            argv = [command, "--config", str(cfg)]
+        assert main(argv) == 0
+        runs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+    return runs
+
+
+def test_config_gives_the_same_bytes_as_flags(tmp_path):
+    src, tgt = _source_and_target(tmp_path)
+    flags, config = _flags_and_config_agree(
+        tmp_path,
+        "recalibrate",
+        dict(source=src, target=tgt, predictor="raps", **{"lambda": "0.05"}, kreg="2",
+             alpha="0.1", method="qtc-sc", seed="4", out="thr.txt"),
+    )
+    assert sorted(flags) == ["thr.txt", "thr.txt.qtc"]
+    assert flags == config
+
+
+def test_config_negative_value_gives_the_same_bytes_as_flags(tmp_path):
+    flags, config = _flags_and_config_agree(
+        tmp_path,
+        "simulate",
+        dict(trials="1", n="1000", wsp="-0.5", nmc="30000", seed="3", out="trials.csv"),
+    )
+    assert flags == config
+    assert flags["trials.csv"].splitlines()[1].split(b",")[7] == b"-0.5"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("alpah=0.1", "unrecognized arguments: --alpah=0.1"),
+        ("extractor=chr", "unrecognized arguments: --extractor=chr"),  # baseline's option
+        ("model_out=m.bin", "unrecognized arguments: --model_out=m.bin"),
+        ("seed=abc", "argument --seed: invalid int value: 'abc'"),
+        ("predictor=bogus", "argument --predictor: invalid choice: 'bogus'"),
+    ],
+)
+def test_config_unknown_key_bad_type_and_bad_choice_exit_2(tmp_path, capsys, line, message):
+    cal = tmp_path / "cal.csv"
+    _cal_csv(cal)
+    out = tmp_path / "thr.txt"
+    cfg = tmp_path / "calibrate.cfg"
+    cfg.write_text(f"cal={cal}\npredictor=tps\nalpha=0.1\nout={out}\n{line}\n")
+    rc = main(["calibrate", "--config", str(cfg)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["calibrate", "--alpha", "0.1"], "the following arguments are required: --cal"),
+        (["simulate", "--out", "o", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        (["recalibrate", "--method", "bogus"], "argument --method: invalid choice: 'bogus'"),
+        (["simulate", "--out", "o", "--tri", "3"], "unrecognized arguments: --tri 3"),
+        (["calibrate", "--config"], "argument --config: expected one argument"),
+    ],
+)
+def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 # --- determinism ---

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, unlabeled
+from cshift import qtc
 from cshift.conformal import (
     Calibrator,
     PredictorSpec,
@@ -21,7 +22,6 @@ from cshift.qtc import (
     quantile_q,
     recalibrate,
     save_estimate,
-    top_confidence,
     top_confidences,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
@@ -39,17 +39,39 @@ def _rows_with_top(confs, n_classes):
     return UnlabeledDataset(ScoreMatrix(np.array(rows)))
 
 
-def test_top_confidence_basics():
-    assert top_confidence(np.array([0.5, 0.3, 0.2])) == 0.5
-    assert top_confidence(np.full(4, 0.25)) == 0.25
-    assert top_confidence(np.array([0.0, 1.0])) == 1.0
-
-
 def test_top_confidences_shapes():
     d = unlabeled(7, 3, seed=0)
     tc = top_confidences(d)
     assert tc.shape == (7,)
     np.testing.assert_array_equal(tc, d.scores.values.max(axis=1))
+
+
+TIED_TOPS = [0.25, 0.4, 0.5, 0.7, 1.0]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@given(
+    src_tops=st.lists(st.sampled_from(TIED_TOPS), min_size=1, max_size=30),
+    tgt_tops=st.lists(st.sampled_from(TIED_TOPS), min_size=1, max_size=30),
+    q=st.one_of(st.sampled_from(TIED_TOPS), st.floats(0.0, 1.0)),
+    alpha=st.floats(0.01, 0.99),
+)
+def test_sorted_count_below_matches_elementwise_count(src_tops, tgt_tops, q, alpha):
+    # tied and duplicated top confidences, with q on and between them; a
+    # 0.25 row of 4 classes also ties within the row
+    src = _rows_with_top(src_tops, 4)
+    tgt = _rows_with_top(tgt_tops, 4)
+    top = top_confidences(src)
+    sorted_top = src.scores.sorted_top
+    np.testing.assert_array_equal(sorted_top, np.sort(top))
+    assert not sorted_top.flags.writeable
+    assert src.scores.sorted_top is sorted_top
+    assert qtc._count_below(src, q) == np.count_nonzero(top < q)
+    est = estimate_beta_qtc(src, tgt, alpha)
+    assert est.value == np.count_nonzero(top < est.q_threshold) / src.n
+    est = estimate_beta_qtc_sc(src, tgt, alpha)
+    below = np.count_nonzero(top_confidences(tgt) < est.q_threshold)
+    assert est.value == (tgt.n - below) / tgt.n
 
 
 def test_quantile_q_order_statistics():

@@ -128,6 +128,24 @@ def test_caller_array_stays_writable_and_unshared():
     np.testing.assert_array_equal(m.values, before)
 
 
+def test_caller_labels_stay_writable_and_unshared():
+    lab = np.array([0, 1, 2, 1], dtype=np.int64)
+    ds = LabeledDataset(ScoreMatrix(softmax_rows(4, 3, seed=2)), lab)
+    assert lab.flags.writeable
+    assert not ds.labels.flags.writeable
+    lab[:] = 0
+    np.testing.assert_array_equal(ds.labels, [0, 1, 2, 1])
+
+
+def test_binary_load_keeps_the_label_buffer(tmp_path):
+    path = tmp_path / "d.bin"
+    save_dataset(labeled(6, 3, seed=4), path)
+    ds = load_dataset(path)
+    # the labels are a view of the file buffer, not a copy of it
+    assert isinstance(ds.labels.base, bytes)
+    assert not ds.labels.flags.writeable
+
+
 @pytest.mark.parametrize("clipped_row", [False, True])
 def test_negative_zero_entries_survive_bitwise(clipped_row):
     v = np.array([[-0.0, 1.0], [0.25, 0.75]])
