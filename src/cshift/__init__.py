@@ -1,41 +1,11 @@
-"""Conformal prediction with quantile-based recalibration under distribution shift."""
+"""Conformal prediction with quantile-based recalibration under distribution shift.
 
-from .conformal import (
-    Calibrator,
-    CoverageReport,
-    PredictorSpec,
-    SaturationError,
-    Threshold,
-    calibrate,
-    conformity_score,
-    evaluate,
-    load_threshold,
-    max_tau,
-    prediction_set,
-    save_threshold,
-)
-from .qtc import (
-    QtcEstimate,
-    estimate_beta_qtc,
-    estimate_beta_qtc_sc,
-    estimate_tau_qtc_st,
-    quantile_q,
-    recalibrate,
-    top_confidences,
-)
-from .regression import (
-    FeatureVector,
-    MlpRegressor,
-    RegressionCorpus,
-    TrainingDivergedError,
-    build_corpus,
-    extract_features,
-    load_model,
-    predict_tau,
-    save_model,
-    synthetic_shift,
-    train,
-)
+The package root exports the quick-start API of the README; everything else
+is imported from its module (``cshift.qtc``, ``cshift.regression``, ...).
+"""
+
+from .conformal import Calibrator, PredictorSpec, calibrate, evaluate
+from .qtc import recalibrate
 from .scores import (
     DataFormatError,
     LabeledDataset,
@@ -43,73 +13,20 @@ from .scores import (
     UnlabeledDataset,
     load_dataset,
     save_dataset,
-    split,
-)
-from .toymodel import (
-    PreconditionError,
-    TheoremTrialReport,
-    ToyClassifier,
-    ToyModelParams,
-    classifier_error_rate,
-    classify,
-    oracle_beta,
-    oracle_tau,
-    run_theorem_trial,
-    sample,
-    theorem_bound,
-    to_dataset,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Calibrator",
-    "CoverageReport",
-    "DataFormatError",
-    "FeatureVector",
-    "LabeledDataset",
-    "MlpRegressor",
-    "PreconditionError",
     "PredictorSpec",
-    "QtcEstimate",
-    "RegressionCorpus",
-    "SaturationError",
-    "ScoreMatrix",
-    "TheoremTrialReport",
-    "Threshold",
-    "ToyClassifier",
-    "ToyModelParams",
-    "TrainingDivergedError",
-    "UnlabeledDataset",
-    "build_corpus",
     "calibrate",
-    "classifier_error_rate",
-    "classify",
-    "conformity_score",
-    "estimate_beta_qtc",
-    "estimate_beta_qtc_sc",
-    "estimate_tau_qtc_st",
     "evaluate",
-    "extract_features",
-    "load_dataset",
-    "load_model",
-    "load_threshold",
-    "max_tau",
-    "oracle_beta",
-    "oracle_tau",
-    "prediction_set",
-    "predict_tau",
-    "quantile_q",
     "recalibrate",
-    "run_theorem_trial",
-    "sample",
+    "LabeledDataset",
+    "UnlabeledDataset",
+    "ScoreMatrix",
+    "load_dataset",
     "save_dataset",
-    "save_model",
-    "save_threshold",
-    "split",
-    "synthetic_shift",
-    "theorem_bound",
-    "to_dataset",
-    "top_confidences",
-    "train",
+    "DataFormatError",
 ]

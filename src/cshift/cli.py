@@ -44,14 +44,12 @@ from .regression import (
 )
 from .scores import DataFormatError, LabeledDataset, load_dataset
 from .toymodel import (
-    TRIAL_CSV_HEADER,
     PreconditionError,
     ToyClassifier,
     ToyModelParams,
     check_error_rates,
     oracle_beta,
     run_theorem_trial,
-    trial_csv_row,
 )
 from .util import derive_seed, format_float, read_kv
 
@@ -69,7 +67,7 @@ def parse_alpha_grid(text: str) -> list[float]:
     rejected before any point is built.
     """
     if ":" not in text:
-        return [_parse_alpha(text)]
+        return [level(text)]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"alpha grid must be start:stop:step, got {text!r}")
@@ -93,13 +91,27 @@ def parse_alpha_grid(text: str) -> list[float]:
         # nearest short decimal so grid labels round-trip cleanly
         snapped = round(v, 10)
         values.append(snapped if abs(snapped - v) < 1e-12 else v)
-    return [_parse_alpha(format_float(v)) for v in values]
+    return [level(format_float(v)) for v in values]
 
 
-def _parse_alpha(text) -> float:
+def level(text: str) -> float:
+    """One miscoverage level in (0, 1). As an argparse ``type=``, its name
+    is what a rejection says: ``invalid level value: '0'``."""
     value = float(text)
     if not 0.0 < value < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """An integer >= 1, as an argparse ``type=``. A non-integer gets the
+    message of ``type=int``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
     return value
 
 
@@ -125,9 +137,8 @@ def _load_labeled(path) -> LabeledDataset:
 
 def cmd_calibrate(args) -> int:
     spec = _predictor_from_args(args)
-    (alpha,) = parse_alpha_grid(args.alpha)
     cal = _load_labeled(args.cal)
-    threshold = calibrate(spec, cal, alpha, derive_seed(args.seed, "calibrate"))
+    threshold = calibrate(spec, cal, args.alpha, derive_seed(args.seed, "calibrate"))
     save_threshold(threshold, args.out, spec=spec, method="none")
     print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
     if threshold.is_saturated:
@@ -184,11 +195,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baseline(args) -> int:
     spec = _predictor_from_args(args)
-    (alpha,) = parse_alpha_grid(args.alpha)
     cal = _load_labeled(args.cal)
-    corpus = build_corpus(
-        cal, spec, alpha, args.shifts, args.extractor, args.bins, derive_seed(args.seed, "corpus")
-    )
+    seed = derive_seed(args.seed, "corpus")
+    corpus = build_corpus(cal, spec, args.alpha, args.shifts, args.extractor, args.bins, seed)
     model = train(corpus, args.epochs, args.lr, derive_seed(args.seed, "train"))
     save_model(model, args.model_out)
     print(f"corpus_size={corpus.size} final_loss={format_float(model.final_loss)}")
@@ -196,9 +205,8 @@ def cmd_baseline(args) -> int:
         target = load_dataset(args.target)
         feature = extract_features(target, args.extractor, args.bins, source_ref=cal)
         tau = predict_tau(model, feature)
-        threshold = Threshold(
-            tau=tau, alpha=alpha, source_tag=f"baseline:{args.extractor}:alpha={format_float(alpha)}"
-        )
+        tag = f"baseline:{args.extractor}:alpha={format_float(args.alpha)}"
+        threshold = Threshold(tau=tau, alpha=args.alpha, source_tag=tag)
         out = args.pred_out or str(args.model_out) + ".tau"
         save_threshold(threshold, out, spec=spec, method=f"baseline-{args.extractor}")
         print(f"predicted_tau={format_float(tau)}")
@@ -206,13 +214,17 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    (alpha,) = parse_alpha_grid(args.alpha)
     src = ToyModelParams(gamma=args.gamma, c=args.c, p=args.psrc)
     tgt = ToyModelParams(gamma=args.gamma, c=args.c, p=args.ptgt)
     clf = ToyClassifier(w_inv=args.winv, w_sp=args.wsp)
-    check_error_rates(src, tgt, clf, alpha, args.nmc, args.seed)
-    beta = oracle_beta(src, tgt, clf, alpha, args.nmc, derive_seed(args.seed, "oracle"))
-    lines = [TRIAL_CSV_HEADER]
+    check_error_rates(src, tgt, clf, args.alpha, args.nmc, args.seed)
+    beta = oracle_beta(src, tgt, clf, args.alpha, args.nmc, derive_seed(args.seed, "oracle"))
+    lines = [
+        "trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
+        "beta_true,beta_qtc,bound,violated,coverage"
+    ]
+    fixed = [args.alpha, args.delta, args.psrc, args.ptgt, args.winv, args.wsp]
+    setting = ",".join([str(args.n), *map(format_float, fixed)])
     violations = 0
     coverage_err = 0.0
     for trial in range(args.trials):
@@ -220,15 +232,17 @@ def cmd_simulate(args) -> int:
             src,
             tgt,
             clf,
-            alpha,
+            args.alpha,
             args.n,
             args.delta,
             derive_seed(args.seed, f"trial-{trial}"),
             beta_oracle=beta,
         )
         violations += report.violated
-        coverage_err += abs(report.achieved_target_coverage - (1.0 - alpha))
-        lines.append(trial_csv_row(trial, src, tgt, clf, alpha, args.n, args.delta, report))
+        coverage_err += abs(report.achieved_target_coverage - (1.0 - args.alpha))
+        found = map(format_float, [report.beta_true, report.beta_qtc, report.bound])
+        row = [str(trial), setting, *found, str(int(report.violated))]
+        lines.append(",".join(row + [format_float(report.achieved_target_coverage)]))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(
@@ -291,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("calibrate", cmd_calibrate, "calibrate a threshold on labeled scores")
     p.add_argument("--cal", required=True, help="labeled calibration scores (csv or binary)")
     add_predictor(p)
-    p.add_argument("--alpha", required=True, help="miscoverage level in (0, 1)")
+    p.add_argument("--alpha", required=True, type=level, help="miscoverage level in (0, 1)")
     p.add_argument("--out", required=True, help="threshold file to write")
 
     p = add("recalibrate", cmd_recalibrate, "recalibrate for a shifted target")
@@ -310,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("baseline", cmd_baseline, "train a threshold-regression baseline")
     p.add_argument("--cal", required=True, help="labeled source scores")
     add_predictor(p)
-    p.add_argument("--alpha", required=True, help="miscoverage level in (0, 1)")
+    p.add_argument("--alpha", required=True, type=level, help="miscoverage level in (0, 1)")
     p.add_argument("--extractor", required=True, choices=EXTRACTORS, help="corpus feature")
     add_defaulted(
         p,
@@ -329,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_defaulted(
         p,
         [
-            ("--trials", int, 100, "trial count"),
+            ("--trials", positive_int, 100, "trial count"),
             ("--n", int, 10000, "rows per trial"),
-            ("--alpha", str, "0.02", "target miscoverage level"),
+            ("--alpha", level, "0.02", "target miscoverage level"),
             ("--delta", float, 0.1, "failure probability of the bound"),
             ("--psrc", float, 0.9, "source spurious agreement rate"),
             ("--ptgt", float, 0.7, "target spurious agreement rate"),

@@ -32,12 +32,13 @@ pass over the whole matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scores import LabeledDataset, Dataset
-from .util import ceil_count, format_float, read_kv, row_uniforms, write_kv
+from .scores import LabeledDataset
+from .util import ceil_count, format_float, read_kv, reading, row_uniforms, write_kv
 
 KINDS = ("tps", "aps", "raps")
 
@@ -66,8 +67,8 @@ class PredictorSpec:
         if self.kind == "raps":
             if self.lam is None or self.k_reg is None:
                 raise ValueError("raps requires lam and k_reg")
-            if self.lam < 0:
-                raise ValueError(f"lam must be >= 0, got {self.lam}")
+            if not (math.isfinite(self.lam) and self.lam >= 0):
+                raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
             if self.k_reg < 0 or int(self.k_reg) != self.k_reg:
                 raise ValueError(f"k_reg must be a non-negative integer, got {self.k_reg}")
             object.__setattr__(self, "k_reg", int(self.k_reg))
@@ -85,6 +86,20 @@ class PredictorSpec:
     @classmethod
     def raps(cls, lam: float, k_reg: int) -> "PredictorSpec":
         return cls("raps", lam=lam, k_reg=k_reg)
+
+    def to_kv(self) -> dict:
+        """The ``predictor``, ``lambda`` and ``kreg`` pairs of a threshold or
+        model file (see FORMATS.md)."""
+        if self.kind != "raps":
+            return {"predictor": self.kind}
+        return {"predictor": self.kind, "lambda": float(self.lam), "kreg": self.k_reg}
+
+    @classmethod
+    def from_kv(cls, kv: dict) -> "PredictorSpec":
+        """Inverse of :meth:`to_kv`; a missing key raises ``KeyError``."""
+        if kv["predictor"] == "raps":
+            return cls.raps(float(kv["lambda"]), int(kv["kreg"]))
+        return cls(kv["predictor"])
 
 
 def max_tau(spec: PredictorSpec, n_classes: int) -> float:
@@ -109,8 +124,8 @@ class Threshold:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau >= 0.0):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
     @property
     def is_saturated(self) -> bool:
@@ -321,29 +336,18 @@ def save_threshold(
         "source_tag": threshold.source_tag,
         "method": method,
     }
-    if spec is not None:
-        pairs["predictor"] = spec.kind
-        if spec.kind == "raps":
-            pairs["lambda"] = float(spec.lam)
-            pairs["kreg"] = spec.k_reg
-    write_kv(path, pairs)
+    write_kv(path, pairs if spec is None else pairs | spec.to_kv())
 
 
 def load_threshold(path) -> tuple[Threshold, PredictorSpec | None, str]:
+    """Threshold, predictor (None when the file records none) and method of
+    a threshold file; every error names the file."""
     kv = read_kv(path)
-    try:
+    with reading(path):
         threshold = Threshold(
             tau=float(kv["tau"]),
             alpha=float(kv["alpha"]),
             source_tag=kv.get("source_tag", ""),
         )
-        spec = None
-        if "predictor" in kv:
-            kind = kv["predictor"]
-            if kind == "raps":
-                spec = PredictorSpec.raps(float(kv["lambda"]), int(kv["kreg"]))
-            else:
-                spec = PredictorSpec(kind)
-    except KeyError as exc:
-        raise ValueError(f"threshold file {path} missing key {exc}") from exc
+        spec = PredictorSpec.from_kv(kv) if "predictor" in kv else None
     return threshold, spec, kv.get("method", "none")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import Calibrator, SaturationError, Threshold, max_tau
 from .scores import Dataset, ScoreMatrix
-from .util import ceil_count, format_float, read_kv, write_kv
+from .util import ceil_count, format_float, write_kv
 
 METHODS = ("qtc", "qtc-sc", "qtc-st")
 
@@ -196,12 +196,3 @@ def save_estimate(estimate: QtcEstimate, path) -> None:
         },
     )
 
-
-def load_estimate(path) -> QtcEstimate:
-    kv = read_kv(path)
-    return QtcEstimate(
-        method=kv["method"],
-        q_threshold=float(kv["q"]),
-        value=float(kv["value"]),
-        alpha=float(kv["alpha"]),
-    )

@@ -22,7 +22,6 @@ are standardized per coordinate; the statistics are stored in the model.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ import numpy as np
 from .conformal import PredictorSpec, calibrate, max_tau
 from .qtc import top_confidences
 from .scores import Dataset, LabeledDataset, ScoreMatrix
-from .util import derive_seed, format_float
+from .util import derive_seed, format_float, format_kv, parse_kv, reading
 
 EXTRACTORS = ("acr", "dcr", "chr", "chr-minus", "pcr")
 
@@ -393,61 +392,60 @@ def predict_tau(model: MlpRegressor, feature: FeatureVector) -> float:
 # --- model file format (see FORMATS.md) ---
 
 
+def _floats(values) -> str:
+    return ",".join(format_float(v) for v in values)
+
+
+def _optional(text: str) -> float | None:
+    return None if text == "none" else float(text)
+
+
 def save_model(model: MlpRegressor, path) -> None:
     blob = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
         for w, b in zip(model.weights, model.biases)
         for arr in (w, b)
     )
-    header = [
-        MODEL_MAGIC.decode(),
-        "layers=" + ",".join(map(str, model.layer_sizes)),
-        f"extractor={model.extractor_id}",
-        f"predictor={model.spec.kind}",
-    ]
-    if model.spec.kind == "raps":
-        header.append(f"lambda={format_float(model.spec.lam)}")
-        header.append(f"kreg={model.spec.k_reg}")
-    header.append(f"alpha={format_float(model.alpha)}")
-    header.append(f"n_classes={model.n_classes}")
-    header.append(
-        "offset_base=" + ("none" if model.offset_base is None else format_float(model.offset_base))
-    )
-    header.append(
-        "final_loss=" + ("none" if model.final_loss is None else format_float(model.final_loss))
-    )
-    header.append("feat_mean=" + ",".join(format_float(v) for v in model.feat_mean))
-    header.append("feat_std=" + ",".join(format_float(v) for v in model.feat_std))
-    header.append(f"blob_bytes={len(blob)}")
+    header = {
+        "layers": ",".join(map(str, model.layer_sizes)),
+        "extractor": model.extractor_id,
+        **model.spec.to_kv(),
+        "alpha": float(model.alpha),
+        "n_classes": model.n_classes,
+        "offset_base": "none" if model.offset_base is None else float(model.offset_base),
+        "final_loss": "none" if model.final_loss is None else float(model.final_loss),
+        "feat_mean": _floats(model.feat_mean),
+        "feat_std": _floats(model.feat_std),
+        "blob_bytes": len(blob),
+    }
     with open(path, "wb") as fh:
-        fh.write("\n".join(header).encode() + b"\n")
-        fh.write(blob)
+        fh.write(MODEL_MAGIC + b"\n" + format_kv(header).encode() + blob)
 
 
 def load_model(path) -> MlpRegressor:
+    """Read a model file; every error names the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    marker = b"\nblob_bytes="
-    pos = raw.find(marker)
-    if not raw.startswith(MODEL_MAGIC) or pos < 0:
-        raise ValueError(f"{path} is not a model file")
-    header_end = raw.index(b"\n", pos + 1)
-    header_lines = raw[:header_end].decode().splitlines()
-    blob = raw[header_end + 1 :]
-    kv = {}
-    for line in header_lines[1:]:
-        key, _, value = line.partition("=")
-        kv[key] = value
-    try:
+    with reading(path):
+        # the header ends with its first "blob_bytes=" line; the blob follows
+        pos = raw.find(b"\nblob_bytes=")
+        end = raw.find(b"\n", pos + 1) if pos >= 0 else -1
+        if not raw.startswith(MODEL_MAGIC + b"\n") or end < 0:
+            raise ValueError("not a model file")
+        kv = parse_kv(raw[len(MODEL_MAGIC) + 1 : end].decode().split("\n"), first_lineno=2)
+        blob = raw[end + 1 :]
         if len(blob) != int(kv["blob_bytes"]):
-            raise ValueError(
-                f"{path}: blob has {len(blob)} bytes, header says {kv['blob_bytes']}"
-            )
+            raise ValueError(f"blob has {len(blob)} bytes, header says {kv['blob_bytes']}")
         layer_sizes = tuple(int(s) for s in kv["layers"].split(","))
-        if kv["predictor"] == "raps":
-            spec = PredictorSpec.raps(float(kv["lambda"]), int(kv["kreg"]))
-        else:
-            spec = PredictorSpec(kv["predictor"])
+        if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+            raise ValueError(f"layers must be two or more positive sizes, got {kv['layers']}")
+        feat_mean = np.array([float(s) for s in kv["feat_mean"].split(",")])
+        feat_std = np.array([float(s) for s in kv["feat_std"].split(",")])
+        if feat_mean.size != layer_sizes[0] or feat_std.size != layer_sizes[0]:
+            raise ValueError(
+                f"feat_mean has {feat_mean.size} and feat_std {feat_std.size} entries "
+                f"for {layer_sizes[0]} inputs"
+            )
         flat = np.frombuffer(blob, dtype="<f8")
         weights, biases, offset = [], [], 0
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -456,19 +454,17 @@ def load_model(path) -> MlpRegressor:
             biases.append(flat[offset : offset + fan_out].copy())
             offset += fan_out
         if offset != flat.size:
-            raise ValueError(f"{path}: weight blob size does not match layer sizes")
+            raise ValueError("weight blob size does not match layer sizes")
         return MlpRegressor(
             layer_sizes=layer_sizes,
             weights=weights,
             biases=biases,
-            feat_mean=np.array([float(s) for s in kv["feat_mean"].split(",")]),
-            feat_std=np.array([float(s) for s in kv["feat_std"].split(",")]),
+            feat_mean=feat_mean,
+            feat_std=feat_std,
             extractor_id=kv["extractor"],
-            spec=spec,
+            spec=PredictorSpec.from_kv(kv),
             alpha=float(kv["alpha"]),
             n_classes=int(kv["n_classes"]),
-            offset_base=None if kv["offset_base"] == "none" else float(kv["offset_base"]),
-            final_loss=None if kv["final_loss"] == "none" else float(kv["final_loss"]),
+            offset_base=_optional(kv["offset_base"]),
+            final_loss=_optional(kv["final_loss"]),
         )
-    except KeyError as exc:
-        raise ValueError(f"model file {path} missing key {exc}") from exc

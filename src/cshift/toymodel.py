@@ -29,7 +29,7 @@ import numpy as np
 from .conformal import Calibrator, PredictorSpec, evaluate
 from .qtc import recalibrate
 from .scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
-from .util import ceil_count, derive_seed, format_float
+from .util import ceil_count, derive_seed
 
 
 class PreconditionError(ValueError):
@@ -271,37 +271,3 @@ def run_theorem_trial(
         achieved_target_coverage=report.coverage,
     )
 
-
-TRIAL_CSV_HEADER = (
-    "trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
-    "beta_true,beta_qtc,bound,violated,coverage"
-)
-
-
-def trial_csv_row(
-    trial_id: int,
-    params_source: ToyModelParams,
-    params_target: ToyModelParams,
-    clf: ToyClassifier,
-    alpha: float,
-    n: int,
-    delta: float,
-    report: TheoremTrialReport,
-) -> str:
-    ff = format_float
-    fields = [
-        str(trial_id),
-        str(n),
-        ff(alpha),
-        ff(delta),
-        ff(params_source.p),
-        ff(params_target.p),
-        ff(clf.w_inv),
-        ff(clf.w_sp),
-        ff(report.beta_true),
-        ff(report.beta_qtc),
-        ff(report.bound),
-        str(int(report.violated)),
-        ff(report.achieved_target_coverage),
-    ]
-    return ",".join(fields)

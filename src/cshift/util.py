@@ -1,9 +1,12 @@
-"""Shared helpers: guarded order-statistic indices, seeded streams, key-value files."""
+"""Shared helpers: guarded order-statistic indices, seeded streams, and the
+one codec of every ``key=value`` record (threshold, sidecar, config, model
+header)."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -42,30 +45,52 @@ def row_uniforms(seed: int, n: int) -> np.ndarray:
     return gen.random(n)
 
 
+def format_kv(pairs: dict) -> str:
+    """One ``key=value`` line per pair, in dict order; floats in
+    :func:`format_float` form, anything else through ``str``."""
+    return "".join(
+        f"{key}={format_float(value) if isinstance(value, float) else value}\n"
+        for key, value in pairs.items()
+    )
+
+
+def parse_kv(lines, first_lineno: int = 1) -> dict:
+    """Pairs of ``key=value`` lines. Blank and ``#`` lines are skipped and
+    whitespace around key and value is stripped."""
+    pairs = {}
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed key=value line {lineno}: {line!r}")
+        key, _, value = line.partition("=")
+        pairs[key.strip()] = value.strip()
+    return pairs
+
+
+@contextmanager
+def reading(path):
+    """Re-raise a ``KeyError`` or ``ValueError`` raised while reading ``path``
+    as a ``ValueError`` whose message starts with the path."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path} missing key {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def write_kv(path, pairs: dict) -> None:
-    """Write a flat key=value text file (one pair per line, repr floats)."""
-    lines = []
-    for key, value in pairs.items():
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key}={value}")
+    """Write a flat key=value text file; see :func:`format_kv`."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_kv(pairs))
 
 
 def read_kv(path) -> dict:
-    """Read a flat key=value text file written by :func:`write_kv`."""
-    pairs = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed key=value line {lineno}: {line!r}")
-            key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
-    return pairs
+    """Read a flat key=value text file; every parse error names the file."""
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
+        return parse_kv(fh)
 
 
 def format_float(v: float) -> str:

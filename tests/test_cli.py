@@ -21,8 +21,7 @@ from cshift.cli import (
     parse_alpha_grid,
 )
 from cshift.conformal import load_threshold
-from cshift.qtc import load_estimate
-from cshift.toymodel import TRIAL_CSV_HEADER
+from cshift.util import read_kv
 
 
 def _cal_csv(path, n=80, n_classes=5, seed=3):
@@ -181,9 +180,9 @@ def test_recalibrate_writes_threshold_and_estimate_sidecar(tmp_path):
     assert method == "qtc"
     assert spec.kind == "tps"
     assert 0.0 < threshold.tau <= 1.0
-    est = load_estimate(str(out) + ".qtc")
-    assert est.method == "qtc"
-    assert 0.0 <= est.value <= 1.0
+    est = read_kv(str(out) + ".qtc")
+    assert est["method"] == "qtc"
+    assert 0.0 <= float(est["value"]) <= 1.0
 
 
 def test_recalibrate_grid_labels_rows_with_clean_alphas(tmp_path):
@@ -371,6 +370,61 @@ def test_evaluate_raps_threshold_missing_penalty_key_exits_2(tmp_path, capsys, m
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tau=0.5\nxyz\n", "malformed key=value line 2: 'xyz'"),
+        ("alpha=0.1\npredictor=tps\n", "missing key 'tau'"),
+        ("tau=abc\nalpha=0.1\npredictor=tps\n", "could not convert string to float: 'abc'"),
+        ("tau=nan\nalpha=0.1\npredictor=tps\n", "tau must be finite and >= 0, got nan"),
+        (b"tau=0.5\nalpha=0.1\npredictor=tps\xff\n", "can't decode byte 0xff"),
+    ],
+)
+def test_evaluate_unreadable_threshold_names_the_file_and_exits_2(
+    tmp_path, capsys, text, message
+):
+    thr = tmp_path / "thr.txt"
+    if isinstance(text, bytes):
+        thr.write_bytes(text)
+    else:
+        thr.write_text(text)
+    test_file = tmp_path / "test.csv"
+    _cal_csv(test_file, n=20)
+    out = tmp_path / "report.csv"
+    rc = main(["evaluate", "--test", str(test_file), "--threshold", str(thr), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(thr) in err and message in err
+    assert not out.exists()
+
+
+def test_malformed_config_line_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("predictor=tps\nxyz\n")
+    out = tmp_path / "thr.txt"
+    rc = main(["calibrate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"error: {cfg}: malformed key=value line 2: 'xyz'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_lambda_and_tau_exit_2_and_write_nothing(tmp_path, capsys):
+    cal = tmp_path / "cal.csv"
+    _cal_csv(cal)
+    thr = tmp_path / "thr.txt"
+    argv = ["calibrate", "--cal", str(cal), "--predictor", "raps", "--kreg", "2", "--alpha", "0.1"]
+    for lam in ("nan", "inf"):
+        assert main(argv + ["--lambda", lam, "--out", str(thr)]) == 2
+        assert f"lam must be finite and >= 0, got {lam}" in capsys.readouterr().err
+        assert not thr.exists()
+    thr.write_text("tau=nan\nalpha=0.1\nsource_tag=x\nmethod=none\npredictor=tps\n")
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", "--test", str(cal), "--threshold", str(thr), "--out", str(out)]) == 2
+    assert str(thr) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- baseline ---
 
 
@@ -504,9 +558,14 @@ def test_simulate_writes_trial_rows_and_summary(tmp_path, capsys):
     )
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == TRIAL_CSV_HEADER
+    assert lines[0] == (
+        "trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,beta_true,beta_qtc,bound,violated,coverage"
+    )
     assert len(lines) == 1 + 3
-    assert all(len(line.split(",")) == 13 for line in lines[1:])
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(fields) == 13 for fields in rows)
+    assert [fields[0] for fields in rows] == ["0", "1", "2"]
+    assert all(fields[11] in ("0", "1") for fields in rows)  # violated serializes as 0/1
     summary = capsys.readouterr().out
     assert "violation_fraction=" in summary
     assert "mean_coverage_error=" in summary
@@ -640,7 +699,7 @@ def _defaults(argv):
 def test_each_command_gets_its_defaults_from_the_parser():
     assert _defaults(["calibrate", "--cal", "c", "--predictor", "tps", "--alpha", "0.1",
                       "--out", "o"]) == dict(
-        config=None, seed=0, cal="c", predictor="tps", lam=None, kreg=None, alpha="0.1", out="o"
+        config=None, seed=0, cal="c", predictor="tps", lam=None, kreg=None, alpha=0.1, out="o"
     )
     assert _defaults(["recalibrate", "--source", "s", "--target", "t", "--predictor", "aps",
                       "--alpha", "0.1", "--out", "o"]) == dict(
@@ -652,12 +711,12 @@ def test_each_command_gets_its_defaults_from_the_parser():
     )
     assert _defaults(["baseline", "--cal", "c", "--predictor", "tps", "--alpha", "0.1",
                       "--extractor", "chr", "--model-out", "m"]) == dict(
-        config=None, seed=0, cal="c", predictor="tps", lam=None, kreg=None, alpha="0.1",
+        config=None, seed=0, cal="c", predictor="tps", lam=None, kreg=None, alpha=0.1,
         extractor="chr", bins=10, shifts=90, epochs=5000, lr=1e-3, model_out="m", target=None,
         pred_out=None,
     )
     assert _defaults(["simulate", "--out", "o"]) == dict(
-        config=None, seed=0, trials=100, n=10000, alpha="0.02", delta=0.1, psrc=0.9, ptgt=0.7,
+        config=None, seed=0, trials=100, n=10000, alpha=0.02, delta=0.1, psrc=0.9, ptgt=0.7,
         winv=1.0, wsp=0.5, gamma=0.05, c=1.0, nmc=10**6, out="o",
     )
 
@@ -734,6 +793,12 @@ def test_config_unknown_key_bad_type_and_bad_choice_exit_2(tmp_path, capsys, lin
         (["recalibrate", "--method", "bogus"], "argument --method: invalid choice: 'bogus'"),
         (["simulate", "--out", "o", "--tri", "3"], "unrecognized arguments: --tri 3"),
         (["calibrate", "--config"], "argument --config: expected one argument"),
+        (["simulate", "--out", "o", "--trials", "0"], "argument --trials: must be an integer >= 1, got 0"),
+        (["simulate", "--out", "o", "--trials", "-3"], "argument --trials: must be an integer >= 1, got -3"),
+        (["simulate", "--out", "o", "--alpha", "0.01:0.03:0.01"],
+         "argument --alpha: invalid level value: '0.01:0.03:0.01'"),
+        (["calibrate", "--alpha", "0.05:0.2:0.05"], "argument --alpha: invalid level value: '0.05:0.2:0.05'"),
+        (["baseline", "--alpha", "1.5"], "argument --alpha: invalid level value: '1.5'"),
     ],
 )
 def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):

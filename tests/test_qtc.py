@@ -18,13 +18,13 @@ from cshift.qtc import (
     estimate_beta_qtc,
     estimate_beta_qtc_sc,
     estimate_tau_qtc_st,
-    load_estimate,
     quantile_q,
     recalibrate,
     save_estimate,
     top_confidences,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
+from cshift.util import read_kv
 
 TPS = PredictorSpec.tps()
 
@@ -268,5 +268,9 @@ def test_estimate_file_round_trip(tmp_path):
     est = estimate_beta_qtc(src, tgt, 0.25)
     path = tmp_path / "est.txt"
     save_estimate(est, path)
-    back = load_estimate(path)
-    assert back == est
+    kv = read_kv(path)
+    assert list(kv) == ["method", "q", "value", "alpha"]
+    assert kv["method"] == est.method
+    assert float(kv["q"]) == est.q_threshold
+    assert float(kv["value"]) == est.value
+    assert float(kv["alpha"]) == est.alpha

@@ -333,6 +333,39 @@ def test_model_file_missing_header_key_names_file_and_key(tmp_path):
         load_model(path)
 
 
+
+def _header_line(data: bytes, key: bytes) -> tuple[int, int]:
+    start = data.index(b"\n" + key + b"=") + 1
+    return start, data.index(b"\n", start)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (b"blob_bytes", b"abc", "invalid literal for int() with base 10: 'abc'"),
+        (b"blob_bytes", b"8", "header says 8"),
+        (b"extractor", b"acr\xff", "can't decode byte 0xff"),
+        (b"feat_mean", b"0.5,0.5", "feat_mean has 2 and feat_std 1 entries for 1 inputs"),
+        (b"feat_std", b"", "could not convert string to float: ''"),
+        (b"layers", b"1", "layers must be two or more positive sizes, got 1"),
+        (b"layers", b"1,-64,64,64,1", "layers must be two or more positive sizes"),
+    ],
+)
+def test_model_file_errors_name_the_file(tmp_path, key, value, message):
+    d = labeled(100, 3, seed=22)
+    corpus = build_corpus(d, TPS, 0.2, 2, "acr", seed=1)
+    model = train(corpus, epochs=10, learning_rate=1e-3, seed=1)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    start, end = _header_line(data, key)
+    path.write_bytes(data[: start + len(key) + 1] + value + data[end:])
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
 def test_forward_pass_shapes():
     sizes = (2, 64, 64, 64, 1)
     weights, biases = init_parameters(sizes, seed=0)

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from cshift.toymodel import (
-    TRIAL_CSV_HEADER,
     PreconditionError,
-    TheoremTrialReport,
     ToyClassifier,
     ToyModelParams,
     ToySampleBatch,
@@ -20,7 +18,6 @@ from cshift.toymodel import (
     spurious_mass,
     theorem_bound,
     to_dataset,
-    trial_csv_row,
 )
 
 SRC = ToyModelParams(gamma=0.05, c=1.0, p=0.9)
@@ -207,15 +204,3 @@ def test_trial_precondition_rejects_large_alpha():
     with pytest.raises(PreconditionError):
         check_error_rates(SRC, TGT, CLF, alpha=0.045, n_mc=10**5, seed=0)
 
-
-def test_trial_csv_row_shape():
-    rep = TheoremTrialReport(
-        beta_true=0.0066, beta_qtc=0.007, bound=0.58, violated=False,
-        achieved_target_coverage=0.981,
-    )
-    row = trial_csv_row(3, SRC, TGT, CLF, 0.02, 10**4, 0.1, rep)
-    fields = row.split(",")
-    assert len(fields) == len(TRIAL_CSV_HEADER.split(","))
-    assert fields[0] == "3"
-    assert fields[11] == "0"  # violated serializes as 0/1
-    assert TRIAL_CSV_HEADER.startswith("trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp")

@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import labeled
+from cshift.conformal import PredictorSpec, Threshold, load_threshold, save_threshold
+from cshift.regression import build_corpus, load_model, save_model, train
 from cshift.util import ceil_count, derive_seed, format_float, read_kv, row_uniforms, write_kv
 
 
@@ -54,10 +58,12 @@ def test_row_uniforms_negative_seed():
 
 def test_kv_round_trip(tmp_path):
     path = tmp_path / "kv.txt"
-    write_kv(path, {"tau": 0.4, "alpha": 0.1, "source_tag": "calibrate:tps:n=4:alpha=0.1"})
+    tag = "calibrate:tps:n=4:alpha=0.1"
+    write_kv(path, {"tau": 0.4, "alpha": np.float64(0.1), "source_tag": tag})
     back = read_kv(path)
     assert back["tau"] == "0.4"
-    assert back["source_tag"] == "calibrate:tps:n=4:alpha=0.1"
+    assert back["alpha"] == "0.1"
+    assert back["source_tag"] == tag
 
 
 def test_kv_skips_comments_and_blank_lines(tmp_path):
@@ -74,5 +80,42 @@ def test_format_float_round_trips_exactly():
 def test_kv_rejects_missing_separator(tmp_path):
     path = tmp_path / "kv.txt"
     path.write_text("just a line\n")
-    with pytest.raises(ValueError):
+    message = f"{path}: malformed key=value line 1: 'just a line'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_kv(path)
+
+
+@pytest.fixture(scope="module")
+def intact_files(tmp_path_factory):
+    """Bytes of one threshold, config and model file, each with its reader."""
+    d = tmp_path_factory.mktemp("intact")
+    save_threshold(
+        Threshold(0.93, 0.1, "calibrate:raps:n=100:alpha=0.1"), d / "thr", PredictorSpec.raps(0.1, 2)
+    )
+    (d / "cfg").write_text("# run\ncal=cal.csv\npredictor=raps\nlambda=0.1\nkreg=2\nalpha=0.1\n")
+    corpus = build_corpus(labeled(100, 3, seed=22), PredictorSpec.tps(), 0.2, 2, "acr", seed=1)
+    save_model(train(corpus, epochs=10, seed=1), d / "model")
+    readers = {"thr": load_threshold, "cfg": read_kv, "model": load_model}
+    return d, {name: ((d / name).read_bytes(), read) for name, read in readers.items()}
+
+
+@pytest.mark.parametrize("name", ["thr", "cfg", "model"])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_corrupted_files_load_or_fail_naming_the_file(intact_files, name, data):
+    d, files = intact_files
+    raw, read = files[name]
+    read(d / name)
+    header = raw.index(b"\n", raw.find(b"\nblob_bytes=") + 1) + 1 if name == "model" else len(raw)
+    # half the positions fall in the model's header, where the parser works
+    pos = data.draw(st.one_of(st.integers(0, header - 1), st.integers(0, len(raw) - 1)))
+    if data.draw(st.booleans()):
+        mutated = raw[:pos]
+    else:
+        mutated = raw[:pos] + bytes([raw[pos] ^ data.draw(st.integers(1, 255))]) + raw[pos + 1 :]
+    path = d / f"{name}.mutated"
+    path.write_bytes(mutated)
+    try:
+        read(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
