@@ -4,7 +4,8 @@ Subcommands: ``calibrate``, ``recalibrate``, ``evaluate``, ``baseline``,
 ``simulate``. Each option is declared once, in :func:`build_parser`, with
 its default, type and choices. ``--config FILE`` names a flat ``key=value``
 file whose keys are the long flag names; each pair is parsed as the flag
-``--key=value``, placed before the explicit flags so that those win.
+``--key=value``, placed before the explicit flags so that those win; a
+bad pair is reported with the file and its line.
 
 Exit codes: 0 success, 2 usage, I/O or parse error (a bad flag and a bad
 config line alike), 3 saturation (``calibrate`` still writes its threshold
@@ -51,7 +52,7 @@ from .toymodel import (
     oracle_beta,
     run_theorem_trial,
 )
-from .util import derive_seed, format_float, read_kv
+from .util import derive_seed, format_float, parse_kv, reading
 
 EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_size,n_eval,seed"
 
@@ -263,17 +264,45 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _with_config(argv: list[str]) -> list[str]:
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Insert each pair of ``--config FILE`` as the token ``--key=value``
     right after the subcommand. Explicit flags come later and so win; the
     single-token form keeps values that start with ``-`` intact."""
     pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv[1:])[0].config
-    if config is None:
+    command = parser.commands.get(argv[0]) if argv else None
+    if config is None or command is None:
         return argv
-    tokens = [f"--{key}={value}" for key, value in read_kv(config).items()]
-    return argv[:1] + tokens + argv[1:]
+    return argv[:1] + _config_tokens(command, config) + argv[1:]
+
+
+def _config_tokens(command: argparse.ArgumentParser, path) -> list[str]:
+    """The pairs of a config file as ``--key=value`` tokens, in file order.
+    Each value first goes through its option's type and choices on its own,
+    so that a bad pair is reported as ``FILE:LINE: <argparse's message>``.
+    argparse has no public call that parses one option without checking
+    for the required ones, hence its two private names here."""
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
+        pairs = [
+            (lineno, key, value)
+            for lineno, line in enumerate(fh, start=1)
+            for key, value in parse_kv([line], lineno).items()
+        ]
+    tokens = []
+    for lineno, key, value in pairs:
+        token = f"--{key}={value}"
+        action = command._option_string_actions.get(f"--{key}")
+        try:
+            if action is None:
+                raise ValueError(f"unrecognized arguments: {token}")
+            if action.nargs == 0:  # --help takes no value
+                raise argparse.ArgumentError(action, f"ignored explicit argument {value!r}")
+            command._get_values(action, [value])
+        except (argparse.ArgumentError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        tokens.append(token)
+    return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's parser by name, which checks the pairs of --config
+    parser.commands = sub.choices
 
     def add_defaulted(p, table):
         for flag, kind, default, text in table:
@@ -364,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        parser = build_parser()
+        args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,10 +24,12 @@ All randomness is counter-based: row i of a dataset always receives the
 same smoothing uniform for a given seed, so results do not depend on
 evaluation order.
 
-``aps`` and ``raps`` scores and evaluation run over row blocks of about
-``BLOCK_ENTRIES`` entries, so their working memory stays a few MB at any n.
-Each row is computed on its own, so the results are the same bits as one
-pass over the whole matrix.
+Scores and evaluation run over row blocks (:func:`cshift.util.map_row_blocks`):
+a matrix of more than ``BLOCK_ENTRIES`` entries is cut into blocks that run
+on every CPU of the process's affinity mask and share that one budget, so
+the working memory stays a few MB at any n and any CPU count. Each row is
+computed on its own and each block writes only its own rows, so the results
+are the same bits as one pass over the whole matrix, whatever the blocks.
 """
 
 from __future__ import annotations
@@ -38,12 +40,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scores import LabeledDataset
-from .util import ceil_count, format_float, read_kv, reading, row_uniforms, write_kv
+from .util import (
+    BLOCK_ENTRIES,
+    ceil_count,
+    format_float,
+    map_row_blocks,
+    read_kv,
+    reading,
+    row_uniforms,
+    write_kv,
+)
 
 KINDS = ("tps", "aps", "raps")
-
-# entries per aps/raps row block: 2 MB of float64 per block-sized temporary
-BLOCK_ENTRIES = 1 << 18
 
 
 class SaturationError(RuntimeError):
@@ -150,52 +158,92 @@ def _check_applicable(spec: PredictorSpec, n_classes: int) -> None:
         )
 
 
-def _rank_entry_values(spec: PredictorSpec, values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-rank admission scores: entry (i, r) is the conformity score of the
-    class ranked r in row i. Non-decreasing along each row.
+def _descending(values: np.ndarray) -> np.ndarray:
+    """Each row's values sorted in descending order, as a new array."""
+    sorted_vals = -values
+    sorted_vals.sort(axis=1)
+    return np.negative(sorted_vals, out=sorted_vals)
+
+
+def _rank_entry_values(spec: PredictorSpec, sorted_vals: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-rank admission scores from the :func:`_descending` values, which
+    this overwrites: entry (i, r) is the conformity score of the class
+    ranked r in row i. Non-decreasing along each row.
 
     Only the sorted values are needed, not the permutation: tied classes
     have equal scores, so their order does not change any entry.
     """
-    sorted_vals = -values
-    sorted_vals.sort(axis=1)
-    np.negative(sorted_vals, out=sorted_vals)
     entry = np.cumsum(sorted_vals, axis=1)
     entry -= sorted_vals
     sorted_vals *= u[:, None]
     entry += sorted_vals
     if spec.kind == "raps":
-        ranks = np.arange(values.shape[1])
+        ranks = np.arange(sorted_vals.shape[1])
         entry += spec.lam * np.maximum(0, ranks - spec.k_reg)[None, :]
     return entry
 
 
-def _label_ranks(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _label_ranks(values: np.ndarray, labels: np.ndarray, sorted_vals: np.ndarray) -> np.ndarray:
     """0-based descending rank of each row's label, ties to the lower class
-    index: the classes with a higher score plus the equal ones before it."""
-    label_vals = values[np.arange(values.shape[0]), labels][:, None]
-    above = np.count_nonzero(values > label_vals, axis=1)
-    tied_before = (values == label_vals) & (np.arange(values.shape[1]) < labels[:, None])
-    return above + np.count_nonzero(tied_before, axis=1)
+    index: the classes with a higher score plus the equal ones before it.
 
-
-def _row_blocks(n: int, n_classes: int) -> list[slice]:
-    """Consecutive row slices of ``BLOCK_ENTRIES // n_classes`` rows (at
-    least one); the last may be shorter."""
-    step = max(1, BLOCK_ENTRIES // n_classes)
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    ``sorted_vals`` are the :func:`_descending` values. Position ``above``
+    of a descending row holds the label's value, so the label's value
+    occurs again exactly when position ``above + 1`` equals it; only those
+    rows need the count of equal classes before the label.
+    """
+    rows, L = np.arange(values.shape[0]), values.shape[1]
+    label_vals = values[rows, labels]
+    ranks = np.count_nonzero(values > label_vals[:, None], axis=1)
+    nxt = np.minimum(ranks + 1, L - 1)
+    tied = np.flatnonzero((ranks + 1 < L) & (sorted_vals[rows, nxt] == label_vals))
+    if tied.size:
+        before = np.arange(L) < labels[tied, None]
+        ranks[tied] += np.count_nonzero((values[tied] == label_vals[tied, None]) & before, axis=1)
+    return ranks
 
 
 def _block_scores(
-    spec: PredictorSpec, values: np.ndarray, labels: np.ndarray, u: np.ndarray, tau: float | None
+    spec: PredictorSpec,
+    values: np.ndarray,
+    labels: np.ndarray,
+    u: np.ndarray | None,
+    tau: float | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """aps/raps on one row block: each row's label score and, when ``tau``
-    is given, its set size at tau. The block's full-size temporaries are
-    freed on return."""
-    entry = _rank_entry_values(spec, values, u)
-    ranks = _label_ranks(values, labels)
+    """One row block: each row's label score and, when ``tau`` is given, its
+    set size at tau. The block's full-size temporaries are freed on return."""
+    if spec.kind == "tps":
+        label_scores = 1.0 - values[np.arange(values.shape[0]), labels]
+        return label_scores, None if tau is None else np.count_nonzero(1.0 - values <= tau, axis=1)
+    sorted_vals = _descending(values)
+    ranks = _label_ranks(values, labels, sorted_vals)
+    entry = _rank_entry_values(spec, sorted_vals, u)
     sizes = None if tau is None else np.count_nonzero(entry <= tau, axis=1)
     return entry[np.arange(ranks.size), ranks], sizes
+
+
+def _blocked_scores(
+    spec: PredictorSpec,
+    values: np.ndarray,
+    labels: np.ndarray,
+    u: np.ndarray | None,
+    tau: float | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_block_scores` over the row blocks of the whole matrix."""
+    n, L = values.shape
+    label_scores = np.empty(n)
+    sizes = None if tau is None else np.empty(n, dtype=np.intp)
+
+    def block(rows):
+        got, got_sizes = _block_scores(
+            spec, values[rows], labels[rows], None if u is None else u[rows], tau
+        )
+        label_scores[rows] = got
+        if sizes is not None:
+            sizes[rows] = got_sizes
+
+    map_row_blocks(block, n, L, BLOCK_ENTRIES)
+    return label_scores, sizes
 
 
 def conformity_scores(
@@ -206,16 +254,10 @@ def conformity_scores(
 ) -> np.ndarray:
     """Conformity score of each row's given label: the smallest tau at which
     the label enters the prediction set."""
-    n, L = values.shape
-    _check_applicable(spec, L)
-    if spec.kind == "tps":
-        return 1.0 - values[np.arange(n), labels]
-    if u is None:
+    _check_applicable(spec, values.shape[1])
+    if spec.kind != "tps" and u is None:
         raise ValueError(f"{spec.kind} conformity scores require smoothing uniforms")
-    out = np.empty(n)
-    for b in _row_blocks(n, L):
-        out[b], _ = _block_scores(spec, values[b], labels[b], u[b], None)
-    return out
+    return _blocked_scores(spec, values, labels, u, None)[0]
 
 
 def conformity_score(spec: PredictorSpec, row: np.ndarray, label: int, u: float = 0.0) -> float:
@@ -235,7 +277,7 @@ def prediction_set(spec: PredictorSpec, row: np.ndarray, u: float, tau: float) -
     _check_applicable(spec, row.shape[0])
     if spec.kind == "tps":
         return np.flatnonzero(1.0 - row <= tau)
-    entry = _rank_entry_values(spec, row[None, :], np.array([u]))[0]
+    entry = _rank_entry_values(spec, _descending(row[None, :]), np.array([u]))[0]
     # stable on the negated scores, so ties rank the lower class index first
     order = np.argsort(-row, kind="stable")
     return np.sort(order[entry <= tau])
@@ -303,16 +345,10 @@ def evaluate(
     n, L = values.shape
     _check_applicable(spec, L)
     tau = threshold.tau
-    if spec.kind == "tps":
-        covered = conformity_scores(spec, values, test.labels, None) <= tau
-        sizes = np.count_nonzero(1.0 - values <= tau, axis=1)
-    else:
-        label_scores = np.empty(n)
-        sizes = np.empty(n, dtype=np.intp)
-        u = _smoothing(spec, n, seed)
-        for b in _row_blocks(n, L):
-            label_scores[b], sizes[b] = _block_scores(spec, values[b], test.labels[b], u[b], tau)
-        covered = label_scores <= tau
+    label_scores, sizes = _blocked_scores(
+        spec, values, test.labels, _smoothing(spec, n, seed), tau
+    )
+    covered = label_scores <= tau
     hist = np.bincount(sizes, minlength=L + 1).astype(np.int64)
     hist.setflags(write=False)
     return CoverageReport(

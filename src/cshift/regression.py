@@ -39,6 +39,11 @@ HIDDEN_SIZES = (64, 64, 64)
 MODEL_MAGIC = b"CSHIFTMLP1"
 
 
+def _check_extractor(name: str) -> None:
+    if name not in EXTRACTORS:
+        raise ValueError(f"extractor must be one of {EXTRACTORS}, got {name!r}")
+
+
 class TrainingDivergedError(RuntimeError):
     """Gradient descent produced a non-finite loss."""
 
@@ -56,8 +61,7 @@ class FeatureVector:
             raise ValueError(f"feature vector must be 1-D and non-empty, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("feature vector has non-finite entries")
-        if self.extractor_id not in EXTRACTORS:
-            raise ValueError(f"extractor must be one of {EXTRACTORS}, got {self.extractor_id!r}")
+        _check_extractor(self.extractor_id)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -89,8 +93,7 @@ def extract_features(
     ``source_ref`` is required for ``dcr`` and ignored otherwise. Labels
     are never consulted.
     """
-    if extractor not in EXTRACTORS:
-        raise ValueError(f"extractor must be one of {EXTRACTORS}, got {extractor!r}")
+    _check_extractor(extractor)
     conf = top_confidences(data)
     if extractor == "acr":
         values = np.array([conf.mean()])
@@ -434,6 +437,7 @@ def load_model(path) -> MlpRegressor:
             raise ValueError("not a model file")
         kv = parse_kv(raw[len(MODEL_MAGIC) + 1 : end].decode().split("\n"), first_lineno=2)
         blob = raw[end + 1 :]
+        _check_extractor(kv["extractor"])
         if len(blob) != int(kv["blob_bytes"]):
             raise ValueError(f"blob has {len(blob)} bytes, header says {kv['blob_bytes']}")
         layer_sizes = tuple(int(s) for s in kv["layers"].split(","))

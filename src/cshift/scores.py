@@ -16,7 +16,11 @@ Memory: a binary load reads the file once and uses that buffer as the
 matrix without a copy, since its memory cannot change. A CSV table or a
 caller's array is copied once, so a matrix never shares memory a caller can
 write, and the caller's array stays writable. Labels follow the same rule.
-Validation adds no full-size temporaries unless an entry lies outside [0, 1].
+Validation finds the minimum, the maximum and the row sums in one pass over
+row blocks (:func:`cshift.util.map_row_blocks`, on every CPU of the
+process's affinity mask for a large matrix), with the same bits as a
+whole-matrix pass, and adds no full-size temporaries unless an entry lies
+outside [0, 1].
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import ceil_count, format_float
+from .util import BLOCK_ENTRIES, ceil_count, format_float, map_row_blocks
 
 ROW_SUM_TOL = 1e-4
 ENTRY_TOL = 1e-4
@@ -50,19 +54,36 @@ def _immutable(values: np.ndarray) -> bool:
     return isinstance(base, bytes)
 
 
+def _scan(values: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Minimum, maximum and row sums of ``values`` in one pass over its row
+    blocks. A NaN anywhere makes both the minimum and the maximum NaN."""
+    sums = np.empty(values.shape[0])
+
+    def block(rows):
+        part = values[rows]
+        part.sum(axis=1, out=sums[rows])
+        return part.min(), part.max()
+
+    lows, highs = zip(*map_row_blocks(block, *values.shape, BLOCK_ENTRIES))
+    # numpy's reductions propagate a NaN from any block; Python's min/max
+    # would keep whichever value comes first
+    return np.min(lows), np.max(highs), sums
+
+
 def _validated_scores(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 2:
         raise DataFormatError(
             f"score matrix must be 2-D with at least 1 row and 2 classes, got shape {values.shape}"
         )
-    # NaN fails both comparisons, so one min/max pass picks the path; the
+    # The result is C-contiguous and no caller can write it: anything but
+    # an immutable C-contiguous buffer is copied once, before the scan.
+    if not (_immutable(values) and values.flags.c_contiguous):
+        values = np.array(values, order="C")
+    # NaN fails both comparisons, so the scan's min/max picks the path; the
     # clip (which keeps -0.0) only runs when it would change an entry.
-    # Either way the result is C-contiguous and no caller can write it.
-    if values.min() >= 0.0 and values.max() <= 1.0:
-        if not (_immutable(values) and values.flags.c_contiguous):
-            values = np.array(values, order="C")
-    else:
+    low, high, sums = _scan(values)
+    if not (low >= 0.0 and high <= 1.0):
         if not np.all(np.isfinite(values)):
             row = int(np.argwhere(~np.all(np.isfinite(values), axis=1))[0, 0]) + 1
             raise DataFormatError(f"non-finite score at row {row}")
@@ -70,8 +91,9 @@ def _validated_scores(values: np.ndarray) -> np.ndarray:
         if bad.any():
             row = int(np.argwhere(bad.any(axis=1))[0, 0]) + 1
             raise DataFormatError(f"score outside [0, 1] beyond tolerance at row {row}")
-        values = np.clip(values, 0.0, 1.0, out=np.empty(values.shape))
-    sums = values.sum(axis=1)
+        out = values if values.flags.writeable else np.empty(values.shape)
+        values = np.clip(values, 0.0, 1.0, out=out)
+        sums = values.sum(axis=1)
     off = np.abs(sums - 1.0) > ROW_SUM_TOL
     if off.any():
         row = int(np.argmax(off)) + 1

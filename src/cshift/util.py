@@ -1,14 +1,19 @@
-"""Shared helpers: guarded order-statistic indices, seeded streams, and the
-one codec of every ``key=value`` record (threshold, sidecar, config, model
-header)."""
+"""Shared helpers: guarded order-statistic indices, seeded streams, the row
+blocks that every full-matrix pass runs over, and the one codec of every
+``key=value`` record (threshold, sidecar, config, model header)."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
+
+# Entries per pass over row blocks, shared by the blocks in flight at once:
+# 2 MB of float64 per block-sized temporary in all.
+BLOCK_ENTRIES = 1 << 18
 
 # Absolute snap tolerance for products like (1 - alpha) * (n + 1) that are
 # integers in exact arithmetic but may land a few ulp above one in floats.
@@ -43,6 +48,40 @@ def row_uniforms(seed: int, n: int) -> np.ndarray:
     """
     gen = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
     return gen.random(n)
+
+
+def worker_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` narrows it), else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_row_blocks(fn, n: int, n_cols: int, block_entries: int) -> list:
+    """``fn(rows)`` for consecutive row slices that cover ``range(n)``, with
+    the results in row order.
+
+    An ``n`` by ``n_cols`` matrix of at most ``block_entries`` entries is one
+    block, run in this thread. A larger one is cut into blocks of about
+    ``block_entries // W`` entries (at least one row each), run on ``W =
+    worker_count()`` threads, so the blocks in flight at once hold about
+    ``block_entries`` entries together. ``fn`` must write only its own
+    rows; blocks overlap where ``fn`` runs numpy code that releases the
+    interpreter lock.
+    """
+    if n * n_cols <= block_entries:
+        return [fn(slice(0, n))]
+    workers = worker_count()
+    step = max(1, block_entries // workers // n_cols)
+    blocks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    if workers == 1 or len(blocks) == 1:
+        return [fn(rows) for rows in blocks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def format_kv(pairs: dict) -> str:

@@ -770,6 +770,7 @@ def test_config_negative_value_gives_the_same_bytes_as_flags(tmp_path):
         ("model_out=m.bin", "unrecognized arguments: --model_out=m.bin"),
         ("seed=abc", "argument --seed: invalid int value: 'abc'"),
         ("predictor=bogus", "argument --predictor: invalid choice: 'bogus'"),
+        ("help=x", "argument -h/--help: ignored explicit argument 'x'"),
     ],
 )
 def test_config_unknown_key_bad_type_and_bad_choice_exit_2(tmp_path, capsys, line, message):
@@ -780,8 +781,16 @@ def test_config_unknown_key_bad_type_and_bad_choice_exit_2(tmp_path, capsys, lin
     cfg.write_text(f"cal={cal}\npredictor=tps\nalpha=0.1\nout={out}\n{line}\n")
     rc = main(["calibrate", "--config", str(cfg)])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {cfg}:5: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_bad_value_names_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# c\nseed=abc\n")
+    rc = main(["calibrate", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: argument --seed: invalid int value: 'abc'\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, softmax_rows
-from cshift import conformal
+from cshift import conformal, util
 from cshift.conformal import (
     Calibrator,
     CoverageReport,
@@ -304,14 +306,86 @@ def test_binary_load_and_aps_passes_stay_near_the_file_size(tmp_path):
     try:
         d = load_dataset(path)
         load_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        evaluate(APS, calibrate(APS, d, 0.1, seed=1), d, seed=2)
-        pass_peak = tracemalloc.get_traced_memory()[1]
+        pass_peaks = []
+        for spec in (APS, TPS):
+            tracemalloc.reset_peak()
+            evaluate(spec, calibrate(spec, d, 0.1, seed=1), d, seed=2)
+            pass_peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    # the loaded matrix is the file buffer itself; aps works in small row blocks
+    # the loaded matrix is the file buffer itself; aps and tps work in
+    # small row blocks
     assert load_peak <= 1.1 * size
-    assert pass_peak <= 1.5 * size
+    for pass_peak in pass_peaks:
+        assert pass_peak <= 1.5 * size
+
+
+def _label_ranks_reference(values, labels):
+    """The classes with a higher score plus the equal ones before the label."""
+    label_vals = values[np.arange(values.shape[0]), labels][:, None]
+    above = np.count_nonzero(values > label_vals, axis=1)
+    tied_before = (values == label_vals) & (np.arange(values.shape[1]) < labels[:, None])
+    return above + np.count_nonzero(tied_before, axis=1)
+
+
+@given(
+    n=st.integers(1, 30),
+    n_classes=st.integers(1, 12),
+    seed=st.integers(0, 10**6),
+    decimals=st.integers(0, 2),
+)
+def test_label_ranks_match_the_tie_definition(n, n_classes, seed, decimals):
+    rng = np.random.default_rng(seed)
+    # rounded scores tie often, signed zeros included; where a row has a
+    # tie, its label sits on one of the tied entries
+    values = np.round(softmax_rows(n, n_classes, seed % 9973), decimals)
+    values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
+    labels = rng.integers(0, n_classes, n)
+    for i in range(n):
+        _, inverse, counts = np.unique(values[i], return_inverse=True, return_counts=True)
+        tied = np.flatnonzero(counts[inverse] > 1)
+        if tied.size:
+            labels[i] = rng.choice(tied)
+    got = conformal._label_ranks(values, labels, conformal._descending(values))
+    np.testing.assert_array_equal(got, _label_ranks_reference(values, labels))
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_any_worker_count_gives_the_same_bits(monkeypatch, workers):
+    d = labeled(200, 9, seed=41)
+    u = row_uniforms(7, d.n)
+
+    def run():
+        out = []
+        for spec in (TPS, APS, PredictorSpec.raps(0.05, 2)):
+            out.append(conformity_scores(spec, d.scores.values, d.labels, u).tobytes())
+            thr = calibrate(spec, d, 0.1, seed=3)
+            rep = evaluate(spec, thr, d, seed=4)
+            out.append((thr.tau, rep.coverage, rep.avg_set_size, rep.median_set_size,
+                        rep.size_histogram.tobytes()))
+        return out
+
+    whole = run()  # 1800 entries: one block, in this thread
+    on_main = set()
+    kernel = conformal._block_scores
+
+    def spy(*args):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return kernel(*args)
+
+    monkeypatch.setattr(conformal, "_block_scores", spy)
+    monkeypatch.setattr(util, "worker_count", lambda: workers)
+    # blocks of 11 rows for one worker, 3 for three and 1 for eight; a
+    # short switch interval interleaves the threads' writes to the shared
+    # outputs, where a lost write would leave a row of np.empty
+    monkeypatch.setattr(conformal, "BLOCK_ENTRIES", 100)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run() == whole
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_main == {workers == 1}
 
 
 @given(n=st.integers(1, 30), seed=st.integers(0, 10**6))

@@ -345,6 +345,7 @@ def _header_line(data: bytes, key: bytes) -> tuple[int, int]:
         (b"blob_bytes", b"abc", "invalid literal for int() with base 10: 'abc'"),
         (b"blob_bytes", b"8", "header says 8"),
         (b"extractor", b"acr\xff", "can't decode byte 0xff"),
+        (b"extractor", b"zzz", "extractor must be one of"),
         (b"feat_mean", b"0.5,0.5", "feat_mean has 2 and feat_std 1 entries for 1 inputs"),
         (b"feat_std", b"", "could not convert string to float: ''"),
         (b"layers", b"1", "layers must be two or more positive sizes, got 1"),

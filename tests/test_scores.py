@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, softmax_rows, write_csv
+from cshift import scores, util
 from cshift.scores import (
     DataFormatError,
     LabeledDataset,
@@ -117,6 +118,39 @@ def test_non_finite_is_reported_before_an_earlier_range_error():
     v[2, 1] = np.nan
     with pytest.raises(DataFormatError, match=r"^non-finite score at row 3$"):
         ScoreMatrix(v)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "non-finite score"),
+        (np.inf, "non-finite score"),
+        (1.5, r"score outside \[0, 1\] beyond tolerance"),
+        (-0.5, r"score outside \[0, 1\] beyond tolerance"),
+    ],
+)
+def test_bad_entry_in_the_last_block_names_its_row(monkeypatch, workers, bad, message):
+    monkeypatch.setattr(util, "worker_count", lambda: workers)
+    # 160 entries in blocks of 16 rows for one worker, 5 rows for three
+    monkeypatch.setattr(scores, "BLOCK_ENTRIES", 64)
+    v = softmax_rows(40, 4, seed=3)
+    v[39, 2] = bad
+    with pytest.raises(DataFormatError, match=rf"^{message} at row 40$"):
+        ScoreMatrix(v)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_validation_gives_the_same_bits_in_any_blocks(monkeypatch, workers):
+    v = softmax_rows(40, 4, seed=5)
+    v[::3] *= 1.0 + 5e-5  # rows to renormalize
+    clipped = v.copy()
+    clipped[1] = [-5e-5, 0.5, 0.25, 0.25 + 5e-5]
+    arrays = [v, np.asfortranarray(v), v.astype(np.float32), clipped]
+    whole = [ScoreMatrix(a).values.tobytes() for a in arrays]
+    monkeypatch.setattr(util, "worker_count", lambda: workers)
+    monkeypatch.setattr(scores, "BLOCK_ENTRIES", 64)
+    assert [ScoreMatrix(a).values.tobytes() for a in arrays] == whole
 
 
 def test_caller_array_stays_writable_and_unshared():

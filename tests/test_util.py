@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import labeled
 from cshift.conformal import PredictorSpec, Threshold, load_threshold, save_threshold
 from cshift.regression import build_corpus, load_model, save_model, train
+from cshift import util
 from cshift.util import ceil_count, derive_seed, format_float, read_kv, row_uniforms, write_kv
 
 
@@ -119,3 +124,27 @@ def test_corrupted_files_load_or_fail_naming_the_file(intact_files, name, data):
         read(path)
     except ValueError as exc:
         assert str(path) in str(exc)
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # the pool module is imported only when a matrix spans several blocks
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, cshift.cli; print('concurrent.futures' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_row_blocks_cover_the_rows_in_order(monkeypatch, workers):
+    monkeypatch.setattr(util, "worker_count", lambda: workers)
+    span = lambda rows: (rows.start, rows.stop)  # noqa: E731
+    # at most block_entries entries: one block
+    assert util.map_row_blocks(span, 3, 4, 12) == [(0, 3)]
+    # more: blocks of block_entries // workers entries, at least one row
+    step = max(1, 12 // workers // 4)
+    want = [(start, min(start + step, 10)) for start in range(0, 10, step)]
+    assert util.map_row_blocks(span, 10, 4, 12) == want
