@@ -15,7 +15,6 @@ import numpy as np
 from cshift.conformal import PredictorSpec, calibrate
 from cshift.regression import (
     build_corpus,
-    extract_features,
     predict_tau,
     temperature_scale,
     train,
@@ -67,8 +66,7 @@ def main():
     for log_t in (-0.6, -0.2, 0.2, 0.5, 0.9):
         shifted = temperature_scale(source_values, math.exp(log_t))
         target = UnlabeledDataset(ScoreMatrix(shifted))
-        feature = extract_features(target, EXTRACTOR, BINS, source_ref=source)
-        tau_hat = predict_tau(model, feature)
+        tau_hat = predict_tau(model, target, source_ref=source)
         # the oracle cheats: it uses the labels deployment would not have
         revealed = LabeledDataset(ScoreMatrix(shifted), source.labels)
         tau_star = calibrate(spec, revealed, ALPHA, seed=0).tau

@@ -38,7 +38,6 @@ from .regression import (
     EXTRACTORS,
     TrainingDivergedError,
     build_corpus,
-    extract_features,
     predict_tau,
     save_model,
     train,
@@ -116,16 +115,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _predictor_from_args(args) -> PredictorSpec:
-    if args.predictor == "raps":
-        if args.lam is None or args.kreg is None:
-            raise ValueError("raps requires --lambda and --kreg")
-        return PredictorSpec.raps(args.lam, args.kreg)
-    if args.lam is not None or args.kreg is not None:
-        raise ValueError(f"--lambda/--kreg are only valid with raps, not {args.predictor}")
-    return PredictorSpec(args.predictor)
-
-
 def _load_labeled(path) -> LabeledDataset:
     ds = load_dataset(path)
     if not isinstance(ds, LabeledDataset):
@@ -137,7 +126,7 @@ def _load_labeled(path) -> LabeledDataset:
 
 
 def cmd_calibrate(args) -> int:
-    spec = _predictor_from_args(args)
+    spec = PredictorSpec(args.predictor, args.lam, args.kreg)
     cal = _load_labeled(args.cal)
     threshold = calibrate(spec, cal, args.alpha, derive_seed(args.seed, "calibrate"))
     save_threshold(threshold, args.out, spec=spec, method="none")
@@ -149,7 +138,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_recalibrate(args) -> int:
-    spec = _predictor_from_args(args)
+    spec = PredictorSpec(args.predictor, args.lam, args.kreg)
     alphas = parse_alpha_grid(args.alpha)
     source = _load_labeled(args.source)
     target = load_dataset(args.target)
@@ -179,8 +168,6 @@ def cmd_evaluate(args) -> int:
             if fh.readline().rstrip("\n") != EVAL_CSV_HEADER:
                 raise DataFormatError(f"{out} exists but its first line is not the report header")
     threshold, spec, method = load_threshold(args.threshold)
-    if spec is None:
-        raise ValueError(f"{args.threshold} does not record its predictor")
     test = _load_labeled(args.test)
     report = evaluate(spec, threshold, test, derive_seed(args.seed, "evaluate"))
     stats = [threshold.alpha, threshold.tau, report.coverage, report.avg_set_size]
@@ -195,7 +182,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    spec = _predictor_from_args(args)
+    spec = PredictorSpec(args.predictor, args.lam, args.kreg)
     cal = _load_labeled(args.cal)
     seed = derive_seed(args.seed, "corpus")
     corpus = build_corpus(cal, spec, args.alpha, args.shifts, args.extractor, args.bins, seed)
@@ -204,8 +191,7 @@ def cmd_baseline(args) -> int:
     print(f"corpus_size={corpus.size} final_loss={format_float(model.final_loss)}")
     if args.target is not None:
         target = load_dataset(args.target)
-        feature = extract_features(target, args.extractor, args.bins, source_ref=cal)
-        tau = predict_tau(model, feature)
+        tau = predict_tau(model, target, source_ref=cal)
         tag = f"baseline:{args.extractor}:alpha={format_float(args.alpha)}"
         threshold = Threshold(tau=tau, alpha=args.alpha, source_tag=tag)
         out = args.pred_out or str(args.model_out) + ".tau"
@@ -294,6 +280,8 @@ def _config_tokens(command: argparse.ArgumentParser, path) -> list[str]:
         token = f"--{key}={value}"
         action = command._option_string_actions.get(f"--{key}")
         try:
+            if key == "config":
+                raise ValueError("a config file may not set config")
             if action is None:
                 raise ValueError(f"unrecognized arguments: {token}")
             if action.nargs == 0:  # --help takes no value

@@ -25,7 +25,7 @@ same smoothing uniform for a given seed, so results do not depend on
 evaluation order.
 
 Scores and evaluation run over row blocks (:func:`cshift.util.map_row_blocks`):
-a matrix of more than ``BLOCK_ENTRIES`` entries is cut into blocks that run
+a matrix of more than ``util.BLOCK_ENTRIES`` entries is cut into blocks that run
 on every CPU of the process's affinity mask and share that one budget, so
 the working memory stays a few MB at any n and any CPU count. Each row is
 computed on its own and each block writes only its own rows, so the results
@@ -41,7 +41,6 @@ import numpy as np
 
 from .scores import LabeledDataset
 from .util import (
-    BLOCK_ENTRIES,
     ceil_count,
     format_float,
     map_row_blocks,
@@ -74,14 +73,14 @@ class PredictorSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "raps":
             if self.lam is None or self.k_reg is None:
-                raise ValueError("raps requires lam and k_reg")
+                raise ValueError("raps requires lambda and kreg")
             if not (math.isfinite(self.lam) and self.lam >= 0):
                 raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
             if self.k_reg < 0 or int(self.k_reg) != self.k_reg:
                 raise ValueError(f"k_reg must be a non-negative integer, got {self.k_reg}")
             object.__setattr__(self, "k_reg", int(self.k_reg))
         elif self.lam is not None or self.k_reg is not None:
-            raise ValueError(f"lam/k_reg are only valid for raps, not {self.kind}")
+            raise ValueError(f"lambda/kreg are only valid with raps, not {self.kind}")
 
     @classmethod
     def tps(cls) -> "PredictorSpec":
@@ -242,7 +241,7 @@ def _blocked_scores(
         if sizes is not None:
             sizes[rows] = got_sizes
 
-    map_row_blocks(block, n, L, BLOCK_ENTRIES)
+    map_row_blocks(block, n, L)
     return label_scores, sizes
 
 
@@ -363,21 +362,19 @@ def evaluate(
 # --- key-value serialization (consumed by the CLI; see FORMATS.md) ---
 
 
-def save_threshold(
-    threshold: Threshold, path, spec: PredictorSpec | None = None, method: str = "none"
-) -> None:
+def save_threshold(threshold: Threshold, path, spec: PredictorSpec, method: str = "none") -> None:
     pairs = {
         "tau": threshold.tau,
         "alpha": threshold.alpha,
         "source_tag": threshold.source_tag,
         "method": method,
     }
-    write_kv(path, pairs if spec is None else pairs | spec.to_kv())
+    write_kv(path, pairs | spec.to_kv())
 
 
-def load_threshold(path) -> tuple[Threshold, PredictorSpec | None, str]:
-    """Threshold, predictor (None when the file records none) and method of
-    a threshold file; every error names the file."""
+def load_threshold(path) -> tuple[Threshold, PredictorSpec, str]:
+    """Threshold, predictor and method of a threshold file; every error,
+    a missing ``predictor`` included, names the file."""
     kv = read_kv(path)
     with reading(path):
         threshold = Threshold(
@@ -385,5 +382,5 @@ def load_threshold(path) -> tuple[Threshold, PredictorSpec | None, str]:
             alpha=float(kv["alpha"]),
             source_tag=kv.get("source_tag", ""),
         )
-        spec = PredictorSpec.from_kv(kv) if "predictor" in kv else None
+        spec = PredictorSpec.from_kv(kv)
     return threshold, spec, kv.get("method", "none")

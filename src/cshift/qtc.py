@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import Calibrator, SaturationError, Threshold, max_tau
-from .scores import Dataset, ScoreMatrix
+from .scores import Dataset
 from .util import ceil_count, format_float, write_kv
 
 METHODS = ("qtc", "qtc-sc", "qtc-st")
@@ -46,38 +46,27 @@ class QtcEstimate:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
-def top_confidences(data) -> np.ndarray:
-    """Top confidence of every row of a dataset or raw score matrix, in row
-    order."""
-    if isinstance(data, ScoreMatrix):
-        values = data.values
-    elif hasattr(data, "scores"):
-        values = data.scores.values
-    else:
-        values = np.asarray(data, dtype=np.float64)
-    return values.max(axis=1)
+def top_confidences(data: Dataset) -> np.ndarray:
+    """Top confidence of every row of a dataset, in row order."""
+    return data.scores.values.max(axis=1)
 
 
-def _sorted_top(data) -> np.ndarray:
-    return (data if isinstance(data, ScoreMatrix) else data.scores).sorted_top
-
-
-def _count_below(data, q: float) -> int:
+def _count_below(data: Dataset, q: float) -> int:
     """Rows whose top confidence is strictly below q. Validated scores hold
     no NaN, so this equals ``count_nonzero(top_confidences(data) < q)``."""
-    return int(np.searchsorted(_sorted_top(data), q, side="left"))
+    return int(np.searchsorted(data.scores.sorted_top, q, side="left"))
 
 
-def quantile_q(data, c: float) -> float:
-    """Level-c confidence quantile of a dataset or :class:`ScoreMatrix`: the
-    ceil(c * n)-th smallest top confidence.
+def quantile_q(data: Dataset, c: float) -> float:
+    """Level-c confidence quantile of a dataset: the ceil(c * n)-th smallest
+    top confidence.
 
     ``c`` must lie in (0, 1]. Levels below 1/n fall back to the first order
     statistic with a warning.
     """
     if not 0.0 < c <= 1.0:
         raise ValueError(f"quantile level must lie in (0, 1], got {c}")
-    s = _sorted_top(data)
+    s = data.scores.sorted_top
     n = s.size
     if c * n < 1.0 - 1e-9:
         warnings.warn(

@@ -48,28 +48,6 @@ class TrainingDivergedError(RuntimeError):
     """Gradient descent produced a non-finite loss."""
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """One extracted summary of a score matrix."""
-
-    values: np.ndarray
-    extractor_id: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError(f"feature vector must be 1-D and non-empty, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature vector has non-finite entries")
-        _check_extractor(self.extractor_id)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def d(self) -> int:
-        return self.values.size
-
-
 def confidence_histogram(confidences: np.ndarray, bins: int) -> np.ndarray:
     """Normalized histogram of confidences over equal bins of [0, 1].
 
@@ -87,8 +65,9 @@ def extract_features(
     extractor: str,
     bins: int = 10,
     source_ref: Dataset | None = None,
-) -> FeatureVector:
-    """Summarize a dataset's scores for threshold regression.
+) -> np.ndarray:
+    """Summarize a dataset's scores for threshold regression, as a 1-D
+    float64 array of the extractor's d entries.
 
     ``source_ref`` is required for ``dcr`` and ignored otherwise. Labels
     are never consulted.
@@ -125,7 +104,7 @@ def extract_features(
                 f"pcr: classes {empty} never predicted; using 1/L for them",
                 stacklevel=2,
             )
-    return FeatureVector(values, extractor)
+    return values
 
 
 # --- synthetic shift family ---
@@ -238,7 +217,7 @@ def build_corpus(
         target = threshold.tau
         if extractor == "dcr":
             target -= offset_base
-        feature_rows.append(feature.values)
+        feature_rows.append(feature)
         targets.append(target)
     if not feature_rows:
         raise ValueError("empty corpus: every entry's calibration saturated")
@@ -260,7 +239,6 @@ def build_corpus(
 class MlpRegressor:
     """Fully-connected ReLU regressor with stored standardization stats."""
 
-    layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     feat_mean: np.ndarray
@@ -271,6 +249,10 @@ class MlpRegressor:
     n_classes: int
     offset_base: float | None = None
     final_loss: float | None = None
+
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
     @property
     def d(self) -> int:
@@ -290,14 +272,21 @@ def init_parameters(
     return weights, biases
 
 
+def _forward(
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The input and each hidden layer's activations, and the (m,) outputs."""
+    activations = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    return activations, (activations[-1] @ weights[-1] + biases[-1])[:, 0]
+
+
 def mlp_forward(
     weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
 ) -> np.ndarray:
     """Forward pass on already-standardized inputs; returns (m,) outputs."""
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return (h @ weights[-1] + biases[-1])[:, 0]
+    return _forward(weights, biases, x)[1]
 
 
 def loss_and_gradients(
@@ -308,12 +297,7 @@ def loss_and_gradients(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean squared error and its gradients via backpropagation."""
     m = x.shape[0]
-    activations = [x]
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        activations.append(h)
-    out = (h @ weights[-1] + biases[-1])[:, 0]
+    activations, out = _forward(weights, biases, x)
     residual = out - targets
     loss = float(np.mean(residual**2))
     # d loss / d out
@@ -355,11 +339,10 @@ def train(
             w -= learning_rate * gw
         for b, gb in zip(biases, grads_b):
             b -= learning_rate * gb
-    final_loss, _, _ = loss_and_gradients(weights, biases, x, corpus.targets)
+    final_loss = float(np.mean((mlp_forward(weights, biases, x) - corpus.targets) ** 2))
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(f"non-finite loss at epoch {epochs}")
     return MlpRegressor(
-        layer_sizes=layer_sizes,
         weights=weights,
         biases=biases,
         feat_mean=feat_mean,
@@ -369,23 +352,25 @@ def train(
         alpha=corpus.alpha,
         n_classes=corpus.n_classes,
         offset_base=corpus.offset_base,
-        final_loss=float(final_loss),
+        final_loss=final_loss,
     )
 
 
-def predict_tau(model: MlpRegressor, feature: FeatureVector) -> float:
-    """Predicted threshold for one feature vector, clamped to the valid range.
+def predict_tau(model: MlpRegressor, target: Dataset, source_ref: Dataset | None = None) -> float:
+    """Predicted threshold for a target's scores, clamped to the valid range.
 
-    For ``dcr`` models the stored offset base is added back before
-    clamping.
+    The features come from the model's own extractor; ``chr`` has the
+    model's input size d as its bin count and ``chr-minus`` d + 1.
+    ``source_ref`` is required for ``dcr`` models, whose stored offset base
+    is added back before clamping. A target whose features have another
+    size than the model's input (a ``pcr`` model given another class count)
+    is rejected.
     """
-    if feature.extractor_id != model.extractor_id:
-        raise ValueError(
-            f"feature extractor {feature.extractor_id!r} does not match model {model.extractor_id!r}"
-        )
-    if feature.d != model.d:
-        raise ValueError(f"feature dimension {feature.d} does not match model input {model.d}")
-    x = ((feature.values - model.feat_mean) / model.feat_std)[None, :]
+    bins = model.d + 1 if model.extractor_id == "chr-minus" else model.d
+    feature = extract_features(target, model.extractor_id, bins, source_ref)
+    if feature.size != model.d:
+        raise ValueError(f"feature dimension {feature.size} does not match model input {model.d}")
+    x = ((feature - model.feat_mean) / model.feat_std)[None, :]
     out = float(mlp_forward(model.weights, model.biases, x)[0])
     if model.offset_base is not None:
         out += model.offset_base
@@ -460,7 +445,6 @@ def load_model(path) -> MlpRegressor:
         if offset != flat.size:
             raise ValueError("weight blob size does not match layer sizes")
         return MlpRegressor(
-            layer_sizes=layer_sizes,
             weights=weights,
             biases=biases,
             feat_mean=feat_mean,

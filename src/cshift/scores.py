@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import BLOCK_ENTRIES, ceil_count, format_float, map_row_blocks
+from .util import format_float, map_row_blocks
 
 ROW_SUM_TOL = 1e-4
 ENTRY_TOL = 1e-4
@@ -64,7 +64,7 @@ def _scan(values: np.ndarray) -> tuple[float, float, np.ndarray]:
         part.sum(axis=1, out=sums[rows])
         return part.min(), part.max()
 
-    lows, highs = zip(*map_row_blocks(block, *values.shape, BLOCK_ENTRIES))
+    lows, highs = zip(*map_row_blocks(block, *values.shape))
     # numpy's reductions propagate a NaN from any block; Python's min/max
     # would keep whichever value comes first
     return np.min(lows), np.max(highs), sums
@@ -190,43 +190,27 @@ class UnlabeledDataset:
 Dataset = LabeledDataset | UnlabeledDataset
 
 
-def _sniff_format(path: Path) -> str:
+def load_dataset(path) -> Dataset:
+    """Load a dataset from ``path``: binary when the file starts with the
+    binary magic, CSV otherwise.
+
+    Labeled when the file carries labels; a CSV whose label column is all
+    -1 loads as unlabeled. Mixing labeled and unlabeled rows in one CSV is
+    an error. Every format error, a byte that is not UTF-8 in a CSV
+    included, raises :class:`DataFormatError` with a message that starts
+    with ``<path>: ``.
+    """
     try:
         with open(path, "rb") as fh:
-            head = fh.read(len(BINARY_MAGIC))
+            binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
+        return _load_binary(path) if binary else _load_csv(path)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    return "binary" if head == BINARY_MAGIC else "csv"
+    except ValueError as exc:  # DataFormatError and UnicodeDecodeError too
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def load_dataset(path, format: str | None = None) -> Dataset:
-    """Load a dataset from ``path``.
-
-    Parameters
-    ----------
-    path : str or Path
-        File to read.
-    format : {"csv", "binary", None}
-        ``None`` sniffs the binary magic and falls back to CSV.
-
-    Returns
-    -------
-    LabeledDataset or UnlabeledDataset
-        Labeled when the file carries labels; a CSV whose label column is
-        all -1 loads as unlabeled. Mixing labeled and unlabeled rows in one
-        CSV is an error.
-    """
-    path = Path(path)
-    if format is None:
-        format = _sniff_format(path)
-    if format == "csv":
-        return _load_csv(path)
-    if format == "binary":
-        return _load_binary(path)
-    raise DataFormatError(f"unknown format {format!r}")
-
-
-def _load_csv(path: Path) -> Dataset:
+def _load_csv(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         cols = header.split(",")
@@ -238,9 +222,9 @@ def _load_csv(path: Path) -> Dataset:
         try:
             table = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as exc:
-            raise DataFormatError(f"unparseable CSV body in {path}: {exc}") from exc
+            raise DataFormatError(f"unparseable CSV body: {exc}") from exc
     if table.size == 0:
-        raise DataFormatError(f"{path} has no data rows")
+        raise DataFormatError("no data rows")
     if table.shape[1] != L + 1:
         raise DataFormatError(
             f"expected {L + 1} columns, found {table.shape[1]} at row 1"
@@ -262,23 +246,20 @@ def _load_csv(path: Path) -> Dataset:
     return LabeledDataset(scores, labels)
 
 
-def _load_binary(path: Path) -> Dataset:
+def _load_binary(path) -> Dataset:
+    """Read a file whose first bytes are :data:`BINARY_MAGIC`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head_fmt = "<8sQQB"
     head_size = struct.calcsize(head_fmt)
     if len(blob) < head_size:
-        raise DataFormatError(f"{path} too short for binary header")
-    magic, n, L, has_labels = struct.unpack_from(head_fmt, blob)
-    if magic != BINARY_MAGIC:
-        raise DataFormatError(f"bad magic {magic!r} in {path}")
+        raise DataFormatError("too short for binary header")
+    _, n, L, has_labels = struct.unpack_from(head_fmt, blob)
     if has_labels not in (0, 1):
-        raise DataFormatError(f"bad has_labels byte {has_labels} in {path}")
+        raise DataFormatError(f"bad has_labels byte {has_labels}")
     need = head_size + 8 * n * L + (8 * n if has_labels else 0)
     if len(blob) != need:
-        raise DataFormatError(
-            f"{path} has {len(blob)} bytes, expected {need} for n={n} L={L}"
-        )
+        raise DataFormatError(f"has {len(blob)} bytes, expected {need} for n={n} L={L}")
     values = np.frombuffer(
         blob, dtype="<f8", count=n * L, offset=head_size
     ).reshape(n, L)
@@ -289,24 +270,17 @@ def _load_binary(path: Path) -> Dataset:
     return LabeledDataset(scores, labels)
 
 
-def save_dataset(dataset: Dataset, path, format: str | None = None) -> None:
-    """Write ``dataset`` to ``path`` in CSV or binary form.
-
-    ``format=None`` picks binary for a ``.bin`` suffix and CSV otherwise.
-    Binary round-trips bit-exactly; CSV round-trips within 1e-12.
+def save_dataset(dataset: Dataset, path) -> None:
+    """Write ``dataset`` to ``path``: binary for a ``.bin`` suffix, CSV
+    otherwise. Binary round-trips bit-exactly; CSV round-trips within 1e-12.
     """
-    path = Path(path)
-    if format is None:
-        format = "binary" if path.suffix == ".bin" else "csv"
-    if format == "csv":
-        _save_csv(dataset, path)
-    elif format == "binary":
+    if Path(path).suffix == ".bin":
         _save_binary(dataset, path)
     else:
-        raise DataFormatError(f"unknown format {format!r}")
+        _save_csv(dataset, path)
 
 
-def _save_csv(dataset: Dataset, path: Path) -> None:
+def _save_csv(dataset: Dataset, path) -> None:
     values = dataset.scores.values
     labels = (
         dataset.labels
@@ -319,7 +293,7 @@ def _save_csv(dataset: Dataset, path: Path) -> None:
             fh.write(str(labels[i]) + "," + ",".join(format_float(v) for v in values[i]) + "\n")
 
 
-def _save_binary(dataset: Dataset, path: Path) -> None:
+def _save_binary(dataset: Dataset, path) -> None:
     has_labels = isinstance(dataset, LabeledDataset)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<8sQQB", BINARY_MAGIC, dataset.n, dataset.L, int(has_labels)))
@@ -327,25 +301,3 @@ def _save_binary(dataset: Dataset, path: Path) -> None:
         if has_labels:
             fh.write(np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes())
 
-
-def split(dataset: LabeledDataset, fraction: float, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    """Deterministic uniform partition into two non-empty labeled parts.
-
-    The first part receives ``ceil(fraction * n)`` rows. Raises
-    ``ValueError`` when either part would be empty.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    n = dataset.n
-    k = ceil_count(fraction * n)
-    if k < 1 or n - k < 1:
-        raise ValueError(
-            f"split of {n} rows at fraction {fraction} leaves an empty part"
-        )
-    perm = np.random.default_rng(seed).permutation(n)
-    first = np.sort(perm[:k])
-    second = np.sort(perm[k:])
-    return (
-        LabeledDataset(ScoreMatrix(dataset.scores.values[first]), dataset.labels[first]),
-        LabeledDataset(ScoreMatrix(dataset.scores.values[second]), dataset.labels[second]),
-    )

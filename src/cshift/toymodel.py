@@ -73,9 +73,6 @@ class ToySampleBatch:
     x_sp: np.ndarray
     y: np.ndarray
 
-    def __len__(self) -> int:
-        return self.y.shape[0]
-
 
 def sample(params: ToyModelParams, n: int, seed: int) -> ToySampleBatch:
     """Draw n labeled samples from the model."""
@@ -236,17 +233,16 @@ def run_theorem_trial(
     n: int,
     delta: float,
     seed: int,
-    beta_oracle: float | None = None,
-    oracle_n_mc: int = 10**6,
+    beta_oracle: float,
 ) -> TheoremTrialReport:
-    """Draw fresh source/target sets of size n, estimate beta, check the bound.
+    """Draw fresh source/target sets of size n, estimate beta, check the
+    bound against the ground-truth ``beta_oracle`` (from
+    :func:`oracle_beta`, computed once for all trials).
 
     Also recalibrates a top-score predictor on the source with the
     estimated beta and reports its coverage on a fresh target evaluation
-    set of size n. ``beta_oracle`` may carry a precomputed ground-truth
-    value; otherwise it is estimated here at ``oracle_n_mc`` draws. The
-    caller checks alpha against the error rates once, with
-    :func:`check_error_rates`.
+    set of size n. The caller checks alpha against the error rates once,
+    with :func:`check_error_rates`.
     """
     source_ds = to_dataset(sample(params_source, n, derive_seed(seed, "trial-source")), clf)
     target_ds = UnlabeledDataset(
@@ -256,10 +252,6 @@ def run_theorem_trial(
     threshold, est = recalibrate(
         Calibrator(spec, source_ds, derive_seed(seed, "recal")), target_ds, alpha, "qtc"
     )
-    if beta_oracle is None:
-        beta_oracle = oracle_beta(
-            params_source, params_target, clf, alpha, oracle_n_mc, derive_seed(seed, "oracle")
-        )
     bound = theorem_bound(params_source, params_target, clf, n, delta)
     eval_ds = to_dataset(sample(params_target, n, derive_seed(seed, "trial-eval")), clf)
     report = evaluate(spec, threshold, eval_ds, derive_seed(seed, "eval"))

@@ -59,22 +59,22 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def map_row_blocks(fn, n: int, n_cols: int, block_entries: int) -> list:
+def map_row_blocks(fn, n: int, n_cols: int) -> list:
     """``fn(rows)`` for consecutive row slices that cover ``range(n)``, with
     the results in row order.
 
-    An ``n`` by ``n_cols`` matrix of at most ``block_entries`` entries is one
-    block, run in this thread. A larger one is cut into blocks of about
-    ``block_entries // W`` entries (at least one row each), run on ``W =
-    worker_count()`` threads, so the blocks in flight at once hold about
-    ``block_entries`` entries together. ``fn`` must write only its own
-    rows; blocks overlap where ``fn`` runs numpy code that releases the
-    interpreter lock.
+    The budget is :data:`BLOCK_ENTRIES`, read at each call. An ``n`` by
+    ``n_cols`` matrix of at most that many entries is one block, run in this
+    thread. A larger one is cut into blocks of about ``BLOCK_ENTRIES // W``
+    entries (at least one row each), run on ``W = worker_count()`` threads,
+    so the blocks in flight at once hold about ``BLOCK_ENTRIES`` entries
+    together. ``fn`` must write only its own rows; blocks overlap where
+    ``fn`` runs numpy code that releases the interpreter lock.
     """
-    if n * n_cols <= block_entries:
+    if n * n_cols <= BLOCK_ENTRIES:
         return [fn(slice(0, n))]
     workers = worker_count()
-    step = max(1, block_entries // workers // n_cols)
+    step = max(1, BLOCK_ENTRIES // workers // n_cols)
     blocks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
     if workers == 1 or len(blocks) == 1:
         return [fn(rows) for rows in blocks]

@@ -193,7 +193,7 @@ def test_criterion_6_network_gradients_and_histogram_features():
         feat = extract_features(
             UnlabeledDataset(ScoreMatrix(values)), "chr", bins=int(rng.integers(2, 16))
         )
-        assert feat.values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert feat.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_criterion_7_imagenet_scores_pass_through(tmp_path):

@@ -7,12 +7,15 @@ the library readers they are meant to feed.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import sample_labels, softmax_rows, write_csv
+from conftest import labeled, sample_labels, softmax_rows, write_csv
 from cshift.cli import (
     EVAL_CSV_HEADER,
     MAX_ALPHA_GRID_POINTS,
@@ -20,7 +23,8 @@ from cshift.cli import (
     main,
     parse_alpha_grid,
 )
-from cshift.conformal import load_threshold
+from cshift.conformal import PredictorSpec, Threshold, load_threshold, save_threshold
+from cshift.scores import DataFormatError, LabeledDataset, load_dataset, save_dataset
 from cshift.util import read_kv
 
 
@@ -130,11 +134,11 @@ def test_raps_flags_only_valid_with_raps(tmp_path, capsys):
 
     rc = main(base + ["--predictor", "tps", "--lambda", "0.1"])
     assert rc == 2
-    assert "only valid with raps" in capsys.readouterr().err
+    assert "lambda/kreg are only valid with raps, not tps" in capsys.readouterr().err
 
     rc = main(base + ["--predictor", "raps"])
     assert rc == 2
-    assert "raps requires --lambda and --kreg" in capsys.readouterr().err
+    assert "raps requires lambda and kreg" in capsys.readouterr().err
 
     rc = main(base + ["--predictor", "raps", "--lambda", "0.1", "--kreg", "2"])
     assert rc == 0
@@ -339,19 +343,11 @@ def test_evaluate_rejects_threshold_without_predictor(tmp_path, capsys):
     thr.write_text("tau=0.5\nalpha=0.1\nsource_tag=manual\nmethod=none\n")
     test_file = tmp_path / "test.csv"
     _cal_csv(test_file, n=20)
-    rc = main(
-        [
-            "evaluate",
-            "--test",
-            str(test_file),
-            "--threshold",
-            str(thr),
-            "--out",
-            str(tmp_path / "report.csv"),
-        ]
-    )
+    out = tmp_path / "report.csv"
+    rc = main(["evaluate", "--test", str(test_file), "--threshold", str(thr), "--out", str(out)])
     assert rc == 2
-    assert "does not record its predictor" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {thr} missing key 'predictor'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["lambda", "kreg"])
@@ -407,6 +403,51 @@ def test_malformed_config_line_names_the_file(tmp_path, capsys):
     assert rc == 2
     assert f"error: {cfg}: malformed key=value line 2: 'xyz'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bad_target_score_names_the_target_file(tmp_path, capsys):
+    src = tmp_path / "src.csv"
+    _cal_csv(src)
+    tgt = tmp_path / "tgt.csv"
+    v = softmax_rows(5, 5, seed=9)
+    v[2, 1] = math.nan
+    write_csv(tgt, v)
+    out = tmp_path / "thr.txt"
+    argv = ["--source", str(src), "--target", str(tgt), "--predictor", "tps", "--alpha", "0.1"]
+    assert main(["recalibrate", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {tgt}: non-finite score at row 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+@given(data=st.data())
+def test_truncated_or_flipped_dataset_loads_or_names_the_file(tmp_path_factory, suffix, data):
+    # every load either succeeds or fails as DataFormatError naming the
+    # file first; evaluate then returns 0 or 2, raising nothing
+    work = tmp_path_factory.mktemp("fuzz")
+    good = work / f"good{suffix}"
+    save_dataset(labeled(6, 3, seed=1), good)
+    raw = good.read_bytes()
+    corrupt = bytearray(raw[: data.draw(st.integers(0, len(raw)), label="cut")])
+    if corrupt:
+        flip = st.tuples(st.integers(0, len(corrupt) - 1), st.integers(1, 255))
+        for at, mask in data.draw(st.lists(flip, max_size=3), label="flips"):
+            corrupt[at] ^= mask
+    path = work / f"bad{suffix}"
+    path.write_bytes(bytes(corrupt))
+    try:
+        loaded = load_dataset(path)
+    except DataFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        loaded = None
+    thr = work / "thr.txt"
+    save_threshold(Threshold(tau=0.5, alpha=0.1), thr, PredictorSpec.tps())
+    argv = ["evaluate", "--test", str(path), "--threshold", str(thr), "--out", str(work / "r.csv")]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(argv)
+    assert rc == (0 if isinstance(loaded, LabeledDataset) else 2)
+    if rc == 2:
+        assert err.getvalue().startswith(f"error: {path}")
 
 
 def test_non_finite_lambda_and_tau_exit_2_and_write_nothing(tmp_path, capsys):
@@ -771,6 +812,7 @@ def test_config_negative_value_gives_the_same_bytes_as_flags(tmp_path):
         ("seed=abc", "argument --seed: invalid int value: 'abc'"),
         ("predictor=bogus", "argument --predictor: invalid choice: 'bogus'"),
         ("help=x", "argument -h/--help: ignored explicit argument 'x'"),
+        ("config=other.cfg", "a config file may not set config"),
     ],
 )
 def test_config_unknown_key_bad_type_and_bad_choice_exit_2(tmp_path, capsys, line, message):

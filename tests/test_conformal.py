@@ -268,15 +268,15 @@ def test_conformity_scores_match_argsort_reference_bitwise(
     labels = rng.integers(0, n_classes, n)
     u = {"zero": np.zeros(n), "one": np.ones(n)}.get(u_kind, rng.random(n))
     # blocks of block_rows rows (one row for 0), mostly with a partial last block
-    saved = conformal.BLOCK_ENTRIES
-    conformal.BLOCK_ENTRIES = block_rows * n_classes
+    saved = util.BLOCK_ENTRIES
+    util.BLOCK_ENTRIES = block_rows * n_classes
     try:
         for spec in (APS, PredictorSpec.raps(0.37, 0), PredictorSpec.raps(0.1, min(2, n_classes))):
             got = conformity_scores(spec, values, labels, u)
             want = _argsort_reference(spec, values, labels, u)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     finally:
-        conformal.BLOCK_ENTRIES = saved
+        util.BLOCK_ENTRIES = saved
 
 
 def test_evaluate_is_independent_of_the_row_blocks(monkeypatch):
@@ -285,7 +285,7 @@ def test_evaluate_is_independent_of_the_row_blocks(monkeypatch):
         thr = calibrate(spec, d, 0.2, seed=3)
         whole = evaluate(spec, thr, d, seed=4)
         for block_rows in (1, 3, 7, 49):
-            monkeypatch.setattr(conformal, "BLOCK_ENTRIES", block_rows * 7)
+            monkeypatch.setattr(util, "BLOCK_ENTRIES", block_rows * 7)
             blocked = evaluate(spec, thr, d, seed=4)
             assert blocked.coverage == whole.coverage
             assert blocked.avg_set_size == whole.avg_set_size
@@ -378,7 +378,7 @@ def test_any_worker_count_gives_the_same_bits(monkeypatch, workers):
     # blocks of 11 rows for one worker, 3 for three and 1 for eight; a
     # short switch interval interleaves the threads' writes to the shared
     # outputs, where a lost write would leave a row of np.empty
-    monkeypatch.setattr(conformal, "BLOCK_ENTRIES", 100)
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 100)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

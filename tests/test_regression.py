@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from conftest import labeled, softmax_rows, unlabeled
 from cshift.conformal import PredictorSpec, calibrate
 from cshift.regression import (
-    FeatureVector,
     MlpRegressor,
     TrainingDivergedError,
     build_corpus,
@@ -34,14 +33,14 @@ def _unlabeled_rows(rows):
 
 def test_acr_hand_example():
     f = extract_features(_unlabeled_rows([[0.9, 0.1], [0.7, 0.3]]), "acr")
-    assert f.values.tolist() == [pytest.approx(0.8)]
-    assert f.extractor_id == "acr" and f.d == 1
+    assert f.tolist() == [pytest.approx(0.8)]
+    assert f.dtype == np.float64 and f.shape == (1,)
 
 
 def test_dcr_self_difference_is_zero():
     d = unlabeled(9, 3, seed=1)
     f = extract_features(d, "dcr", source_ref=d)
-    assert f.values[0] == 0.0
+    assert f[0] == 0.0
 
 
 def test_dcr_requires_reference():
@@ -58,10 +57,10 @@ def test_chr_hand_example():
         ]
     )
     f = extract_features(d, "chr", bins=2)
-    np.testing.assert_allclose(f.values, [1 / 3, 2 / 3])
+    np.testing.assert_allclose(f, [1 / 3, 2 / 3])
     fm = extract_features(d, "chr-minus", bins=2)
-    np.testing.assert_allclose(fm.values, [1 / 3])
-    assert fm.d == 1
+    np.testing.assert_allclose(fm, [1 / 3])
+    assert fm.shape == (1,)
 
 
 def test_chr_edge_goes_to_upper_bin():
@@ -87,8 +86,8 @@ def test_pcr_per_class_means_with_empty_fallback():
     )
     with pytest.warns(UserWarning, match="never predicted"):
         f = extract_features(d, "pcr")
-    np.testing.assert_allclose(f.values, [0.6, 0.6, 1 / 3])
-    assert f.d == 3
+    np.testing.assert_allclose(f, [0.6, 0.6, 1 / 3])
+    assert f.shape == (3,)
 
 
 def test_unknown_extractor_rejected():
@@ -100,9 +99,9 @@ def test_unknown_extractor_rejected():
 def test_chr_sums_to_one(seed, bins):
     d = unlabeled(17, 4, seed=seed % 997)
     f = extract_features(d, "chr", bins=bins)
-    assert f.values.sum() == pytest.approx(1.0)
+    assert f.sum() == pytest.approx(1.0)
     fm = extract_features(d, "chr-minus", bins=bins)
-    np.testing.assert_array_equal(fm.values, f.values[:-1])
+    np.testing.assert_array_equal(fm, f[:-1])
 
 
 @given(seed=st.integers(0, 10**6))
@@ -115,7 +114,7 @@ def test_extractors_ignore_row_order(seed):
     for extractor in ("acr", "dcr", "chr", "chr-minus", "pcr"):
         fa = extract_features(a, extractor, bins=5, source_ref=ref)
         fb = extract_features(b, extractor, bins=5, source_ref=ref)
-        np.testing.assert_allclose(fa.values, fb.values, atol=1e-15)
+        np.testing.assert_allclose(fa, fb, atol=1e-15)
 
 
 def test_temperature_scale_identity_and_flattening():
@@ -205,8 +204,7 @@ def test_single_entry_corpus_interpolates():
     corpus = build_corpus(d, TPS, 0.2, n_shifts=1, extractor="acr", seed=2)
     model = train(corpus, epochs=4000, learning_rate=1e-2, seed=0)
     assert model.final_loss <= 1e-6
-    f = extract_features(d, "acr")
-    assert predict_tau(model, f) == pytest.approx(corpus.targets[0], abs=1e-3)
+    assert predict_tau(model, d) == pytest.approx(corpus.targets[0], abs=1e-3)
 
 
 def test_duplicated_corpus_trains_identically():
@@ -261,7 +259,6 @@ def test_zero_weight_model_outputs_bias():
     biases = [np.zeros(b) for b in sizes[1:]]
     biases[-1][0] = 0.42
     model = MlpRegressor(
-        layer_sizes=sizes,
         weights=weights,
         biases=biases,
         feat_mean=np.zeros(1),
@@ -273,22 +270,34 @@ def test_zero_weight_model_outputs_bias():
         offset_base=None,
         final_loss=0.0,
     )
-    f = FeatureVector(np.array([0.7]), "acr")
-    assert predict_tau(model, f) == pytest.approx(0.42)
+    assert model.layer_sizes == sizes
+    target = _unlabeled_rows([[0.7, 0.3]])
+    assert predict_tau(model, target) == pytest.approx(0.42)
     biases[-1][0] = 7.5
-    assert predict_tau(model, f) == 1.0  # clamped to the tps maximum
+    assert predict_tau(model, target) == 1.0  # clamped to the tps maximum
     biases[-1][0] = -3.0
-    assert predict_tau(model, f) == 0.0
+    assert predict_tau(model, target) == 0.0
 
 
+@pytest.mark.parametrize("extractor", ["acr", "dcr", "chr", "chr-minus", "pcr"])
+def test_predict_uses_the_models_extractor_and_bins(extractor):
+    source = labeled(120, 4, seed=19)
+    corpus = build_corpus(source, TPS, 0.1, n_shifts=3, extractor=extractor, bins=6, seed=0)
+    model = train(corpus, epochs=20, learning_rate=1e-3, seed=0)
+    target = unlabeled(50, 4, seed=23)
+    feature = extract_features(target, extractor, 6, source_ref=source)
+    x = ((feature - model.feat_mean) / model.feat_std)[None, :]
+    out = float(mlp_forward(model.weights, model.biases, x)[0]) + (model.offset_base or 0.0)
+    assert predict_tau(model, target, source_ref=source) == np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:pcr")
 def test_predict_rejects_mismatches():
     d = labeled(90, 4, seed=19)
-    corpus = build_corpus(d, TPS, 0.1, n_shifts=2, extractor="acr", seed=0)
+    corpus = build_corpus(d, TPS, 0.1, n_shifts=2, extractor="pcr", seed=0)
     model = train(corpus, epochs=20, learning_rate=1e-3, seed=0)
-    with pytest.raises(ValueError, match="extractor"):
-        predict_tau(model, FeatureVector(np.array([0.1]), "dcr"))
-    with pytest.raises(ValueError, match="dimension"):
-        predict_tau(model, FeatureVector(np.array([0.1, 0.2]), "acr"))
+    with pytest.raises(ValueError, match="dimension 5 does not match model input 4"):
+        predict_tau(model, unlabeled(30, 5, seed=24))
 
 
 def test_model_file_round_trip(tmp_path):
@@ -304,8 +313,8 @@ def test_model_file_round_trip(tmp_path):
     assert back.final_loss == model.final_loss
     for wa, wb in zip(model.weights, back.weights):
         np.testing.assert_array_equal(wa, wb)
-    f = extract_features(unlabeled(30, 5, seed=21), "chr", bins=6)
-    assert predict_tau(back, f) == predict_tau(model, f)
+    target = unlabeled(30, 5, seed=21)
+    assert predict_tau(back, target) == predict_tau(model, target)
 
 
 def test_model_file_rejects_truncated_blob(tmp_path):

@@ -11,7 +11,6 @@ from cshift.scores import (
     UnlabeledDataset,
     load_dataset,
     save_dataset,
-    split,
 )
 
 
@@ -133,7 +132,7 @@ def test_non_finite_is_reported_before_an_earlier_range_error():
 def test_bad_entry_in_the_last_block_names_its_row(monkeypatch, workers, bad, message):
     monkeypatch.setattr(util, "worker_count", lambda: workers)
     # 160 entries in blocks of 16 rows for one worker, 5 rows for three
-    monkeypatch.setattr(scores, "BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 64)
     v = softmax_rows(40, 4, seed=3)
     v[39, 2] = bad
     with pytest.raises(DataFormatError, match=rf"^{message} at row 40$"):
@@ -149,7 +148,7 @@ def test_validation_gives_the_same_bits_in_any_blocks(monkeypatch, workers):
     arrays = [v, np.asfortranarray(v), v.astype(np.float32), clipped]
     whole = [ScoreMatrix(a).values.tobytes() for a in arrays]
     monkeypatch.setattr(util, "worker_count", lambda: workers)
-    monkeypatch.setattr(scores, "BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 64)
     assert [ScoreMatrix(a).values.tobytes() for a in arrays] == whole
 
 
@@ -214,8 +213,9 @@ def test_binary_unlabeled_round_trip(tmp_path):
 def test_binary_magic_and_truncation(tmp_path):
     bad = tmp_path / "x.bin"
     bad.write_bytes(b"NOTMAGIC" + b"\0" * 24)
-    with pytest.raises(DataFormatError, match="bad magic"):
-        load_dataset(bad, format="binary")
+    # without the magic a file is read as CSV, whatever its suffix
+    with pytest.raises(DataFormatError, match="bad CSV header"):
+        load_dataset(bad)
     d = labeled(4, 3, seed=1)
     path = tmp_path / "d.bin"
     save_dataset(d, path)
@@ -227,7 +227,7 @@ def test_binary_magic_and_truncation(tmp_path):
 def test_csv_round_trip_exact(tmp_path):
     d = labeled(11, 5, seed=21)
     path = tmp_path / "d.csv"
-    save_dataset(d, path, format="csv")
+    save_dataset(d, path)
     back = load_dataset(path)
     np.testing.assert_array_equal(back.scores.values, d.scores.values)
     np.testing.assert_array_equal(back.labels, d.labels)
@@ -236,66 +236,17 @@ def test_csv_round_trip_exact(tmp_path):
 def test_format_sniffing_ignores_suffix(tmp_path):
     d = labeled(3, 2, seed=5)
     path = tmp_path / "weird.csv"
-    save_dataset(d, path, format="binary")
+    save_dataset(d, tmp_path / "d.bin")
+    (tmp_path / "d.bin").rename(path)
     back = load_dataset(path)
     assert back.scores.values.tobytes() == d.scores.values.tobytes()
-
-
-def test_split_sizes_and_disjointness():
-    d = labeled(10, 3, seed=2)
-    a, b = split(d, 0.5, seed=7)
-    assert (a.n, b.n) == (5, 5)
-    rows = np.vstack([a.scores.values, b.scores.values])
-    combined = {tuple(r) for r in rows}
-    assert len(combined) == 10
-    assert combined == {tuple(r) for r in d.scores.values}
-
-
-def test_split_is_deterministic():
-    d = labeled(20, 3, seed=2)
-    a1, b1 = split(d, 0.3, seed=11)
-    a2, b2 = split(d, 0.3, seed=11)
-    np.testing.assert_array_equal(a1.scores.values, a2.scores.values)
-    np.testing.assert_array_equal(b1.labels, b2.labels)
-
-
-def test_split_rejects_empty_complement():
-    d = labeled(2, 2, seed=4)
-    with pytest.raises(ValueError, match="empty part"):
-        split(d, 0.9, seed=0)
-
-
-def test_split_keeps_labels_with_rows():
-    d = labeled(30, 4, seed=8)
-    a, _ = split(d, 0.4, seed=1)
-    lookup = {tuple(r): lab for r, lab in zip(d.scores.values, d.labels)}
-    for r, lab in zip(a.scores.values, a.labels):
-        assert lookup[tuple(r)] == lab
-
-
-@given(
-    n=st.integers(2, 40),
-    n_classes=st.integers(2, 6),
-    seed=st.integers(0, 2**32 - 1),
-    fraction=st.floats(0.05, 0.95),
-)
-def test_split_partition_property(n, n_classes, seed, fraction):
-    d = labeled(n, n_classes, seed=seed % 1000)
-    try:
-        a, b = split(d, fraction, seed)
-    except ValueError:
-        return
-    assert a.n + b.n == n
-    assert a.n >= 1 and b.n >= 1
-    merged = sorted(map(tuple, np.vstack([a.scores.values, b.scores.values])))
-    assert merged == sorted(map(tuple, d.scores.values))
 
 
 @given(n=st.integers(1, 25), n_classes=st.integers(2, 5), seed=st.integers(0, 10**6))
 def test_csv_save_load_round_trip_property(n, n_classes, seed, tmp_path_factory):
     d = labeled(n, n_classes, seed=seed % 997)
     path = tmp_path_factory.mktemp("rt") / "d.csv"
-    save_dataset(d, path, format="csv")
+    save_dataset(d, path)
     back = load_dataset(path)
     np.testing.assert_array_equal(back.scores.values, d.scores.values)
 

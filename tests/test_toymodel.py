@@ -19,6 +19,7 @@ from cshift.toymodel import (
     theorem_bound,
     to_dataset,
 )
+from cshift.util import derive_seed
 
 SRC = ToyModelParams(gamma=0.05, c=1.0, p=0.9)
 TGT = ToyModelParams(gamma=0.05, c=1.0, p=0.7)
@@ -185,7 +186,9 @@ def test_theorem_bound_formula():
 
 
 def test_trial_no_shift():
-    rep = run_theorem_trial(SRC, SRC, CLF, alpha=0.02, n=5000, delta=0.1, seed=0)
+    # ground truth as `cshift simulate --seed 0` computes it
+    beta = oracle_beta(SRC, SRC, CLF, 0.02, 10**6, derive_seed(0, "oracle"))
+    rep = run_theorem_trial(SRC, SRC, CLF, alpha=0.02, n=5000, delta=0.1, seed=0, beta_oracle=beta)
     assert abs(rep.beta_qtc - 0.02) <= 0.02
     assert not rep.violated
     assert abs(rep.beta_qtc - rep.beta_true) <= rep.bound

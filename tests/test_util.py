@@ -141,10 +141,11 @@ def test_importing_the_cli_loads_no_thread_pool():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_row_blocks_cover_the_rows_in_order(monkeypatch, workers):
     monkeypatch.setattr(util, "worker_count", lambda: workers)
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 12)
     span = lambda rows: (rows.start, rows.stop)  # noqa: E731
-    # at most block_entries entries: one block
-    assert util.map_row_blocks(span, 3, 4, 12) == [(0, 3)]
-    # more: blocks of block_entries // workers entries, at least one row
+    # at most BLOCK_ENTRIES entries: one block
+    assert util.map_row_blocks(span, 3, 4) == [(0, 3)]
+    # more: blocks of BLOCK_ENTRIES // workers entries, at least one row
     step = max(1, 12 // workers // 4)
     want = [(start, min(start + step, 10)) for start in range(0, 10, step)]
-    assert util.map_row_blocks(span, 10, 4, 12) == want
+    assert util.map_row_blocks(span, 10, 4) == want
