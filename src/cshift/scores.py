@@ -12,10 +12,16 @@ Two file formats are supported (see FORMATS.md):
   row. A file must be entirely labeled or entirely unlabeled.
 * A little-endian binary container with magic ``CSHIFT01``.
 
-Memory: a binary load reads the file once and uses that buffer as the
-matrix without a copy, since its memory cannot change. A CSV table or a
-caller's array is copied once, so a matrix never shares memory a caller can
-write, and the caller's array stays writable. Labels follow the same rule.
+Memory: a binary load maps the file read-only, and the mapping is the
+matrix, without a copy. :func:`save_dataset` never rewrites a file in place:
+it writes a sibling file and renames it over the destination, so a live
+dataset keeps the old file's bytes. Another program must not rewrite a
+binary file in place while a dataset maps it: a truncated mapping kills the
+process with SIGBUS, and changed bytes change the matrix. Each live binary
+dataset holds one file descriptor, that of its mapping. A CSV table or a
+caller's array, a writable mapping included, is copied once, so a matrix
+never shares memory a caller can write, and the caller's array stays
+writable. Labels follow the same rule.
 Validation finds the minimum, the maximum and the row sums in one pass over
 row blocks (:func:`cshift.util.map_row_blocks`, on every CPU of the
 process's affinity mask for a large matrix), with the same bits as a
@@ -25,7 +31,12 @@ outside [0, 1].
 
 from __future__ import annotations
 
+import io
+import mmap
+import os
 import struct
+import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,11 +57,16 @@ class DataFormatError(ValueError):
 
 
 def _immutable(values: np.ndarray) -> bool:
-    """True when the array's memory belongs to an immutable ``bytes`` object,
-    as for ``np.frombuffer`` over a file read; such memory cannot change."""
+    """True when no caller can write the array's memory: it belongs to a
+    ``bytes`` object, or to a read-only mapping, as for ``np.frombuffer``
+    over a binary load's mapping."""
     base = values
     while isinstance(base, np.ndarray):
         base = base.base
+    if isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap):
+        # a read-only view may still sit on a writable mapping
+        with memoryview(base.obj) as whole:
+            return whole.readonly
     return isinstance(base, bytes)
 
 
@@ -205,7 +221,7 @@ def load_dataset(path) -> Dataset:
             binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
         return _load_binary(path) if binary else _load_csv(path)
     except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        raise DataFormatError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # DataFormatError and UnicodeDecodeError too
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -220,7 +236,10 @@ def _load_csv(path) -> Dataset:
             )
         L = len(cols) - 1
         try:
-            table = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+            with warnings.catch_warnings():
+                # an empty body is reported below as an error
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as exc:
             raise DataFormatError(f"unparseable CSV body: {exc}") from exc
     if table.size == 0:
@@ -233,6 +252,12 @@ def _load_csv(path) -> Dataset:
     if not np.all(raw_labels == np.floor(raw_labels)):
         row = int(np.argmax(raw_labels != np.floor(raw_labels))) + 1
         raise DataFormatError(f"non-integer label at row {row}")
+    # before the cast, which would turn 1e300 or inf into an unrelated int
+    bad = (raw_labels < -1) | (raw_labels > L - 1)
+    if bad.any():
+        row = int(np.argmax(bad)) + 1
+        label = format_float(raw_labels[row - 1]).removesuffix(".0")
+        raise DataFormatError(f"label {label} outside [0, {L - 1}] at row {row}")
     labels = raw_labels.astype(np.int64)
     scores = ScoreMatrix(table[:, 1:])
     unlabeled = labels == -1
@@ -247,9 +272,10 @@ def _load_csv(path) -> Dataset:
 
 
 def _load_binary(path) -> Dataset:
-    """Read a file whose first bytes are :data:`BINARY_MAGIC`."""
+    """Map a file whose first bytes are :data:`BINARY_MAGIC`; the matrix and
+    labels are read-only views of the mapping."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     head_fmt = "<8sQQB"
     head_size = struct.calcsize(head_fmt)
     if len(blob) < head_size:
@@ -273,31 +299,47 @@ def _load_binary(path) -> Dataset:
 def save_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` to ``path``: binary for a ``.bin`` suffix, CSV
     otherwise. Binary round-trips bit-exactly; CSV round-trips within 1e-12.
+
+    The bytes go to a new sibling file, which then replaces ``path`` in one
+    rename, so a dataset that maps the old file keeps its values and a
+    failed save leaves the old file as it was.
     """
-    if Path(path).suffix == ".bin":
-        _save_binary(dataset, path)
-    else:
-        _save_csv(dataset, path)
+    path = Path(path)
+    write = _save_binary if path.suffix == ".bin" else _save_csv
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with fh:
+            write(dataset, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def _save_csv(dataset: Dataset, path) -> None:
+def _save_csv(dataset: Dataset, fh) -> None:
     values = dataset.scores.values
     labels = (
         dataset.labels
         if isinstance(dataset, LabeledDataset)
         else np.full(dataset.n, -1, dtype=np.int64)
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("label," + ",".join(f"c{i}" for i in range(dataset.L)) + "\n")
-        for i in range(dataset.n):
-            fh.write(str(labels[i]) + "," + ",".join(format_float(v) for v in values[i]) + "\n")
+    text = io.TextIOWrapper(fh, encoding="utf-8")
+    text.write("label," + ",".join(f"c{i}" for i in range(dataset.L)) + "\n")
+    for i in range(dataset.n):
+        text.write(str(labels[i]) + "," + ",".join(format_float(v) for v in values[i]) + "\n")
+    text.detach()  # flushes; the caller closes fh
 
 
-def _save_binary(dataset: Dataset, path) -> None:
+def _save_binary(dataset: Dataset, fh) -> None:
     has_labels = isinstance(dataset, LabeledDataset)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<8sQQB", BINARY_MAGIC, dataset.n, dataset.L, int(has_labels)))
-        fh.write(np.ascontiguousarray(dataset.scores.values, dtype="<f8").tobytes())
-        if has_labels:
-            fh.write(np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes())
+    fh.write(struct.pack("<8sQQB", BINARY_MAGIC, dataset.n, dataset.L, int(has_labels)))
+    # the arrays' own buffers, without a bytes copy
+    fh.write(memoryview(np.ascontiguousarray(dataset.scores.values, dtype="<f8")).cast("B"))
+    if has_labels:
+        fh.write(memoryview(np.ascontiguousarray(dataset.labels, dtype="<i8")).cast("B"))
 

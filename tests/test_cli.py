@@ -112,6 +112,25 @@ def test_missing_input_exits_2_and_names_the_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_missing_input_message_starts_with_the_path_once(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    out = tmp_path / "thr.txt"
+    rc = main(["calibrate", "--predictor", "tps", "--alpha", "0.1", "--cal", str(missing), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_header_only_csv_exits_2_with_only_the_error(tmp_path, capsys):
+    empty = tmp_path / "e.csv"
+    empty.write_text("label,c0,c1\n")
+    out = tmp_path / "thr.txt"
+    rc = main(["calibrate", "--predictor", "tps", "--alpha", "0.1", "--cal", str(empty), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {empty}: no data rows\n"
+    assert not out.exists()
+
+
 def test_calibrate_saturation_writes_threshold_then_exits_3(tmp_path, capsys):
     cal = tmp_path / "tiny.csv"
     _cal_csv(cal, n=3)  # k = ceil(0.9 * 4) = 4 > 3

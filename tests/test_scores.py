@@ -1,3 +1,11 @@
+import mmap
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -74,6 +82,27 @@ def test_bad_header_error(tmp_path):
 def test_missing_file_error(tmp_path):
     with pytest.raises(DataFormatError, match="nope.csv"):
         load_dataset(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("name, reason", [("nope.csv", "No such file or directory"), ("", "Is a directory")])
+def test_unreadable_file_error_starts_with_the_path_once(tmp_path, name, reason):
+    path = tmp_path / name
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "label, shown",
+    [("1e300", "1e+300"), ("inf", "inf"), ("-inf", "-inf"), ("-2", "-2")],
+)
+def test_label_outside_the_classes_quotes_the_file(tmp_path, label, shown):
+    path = _write(tmp_path, f"label,c0,c1\n0,0.5,0.5\n{label},0.5,0.5\n", "big.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+    assert str(err.value) == f"{path}: label {shown} outside [0, 1] at row 2"
 
 
 def test_tolerated_deviations_are_repaired(tmp_path):
@@ -174,9 +203,117 @@ def test_binary_load_keeps_the_label_buffer(tmp_path):
     path = tmp_path / "d.bin"
     save_dataset(labeled(6, 3, seed=4), path)
     ds = load_dataset(path)
-    # the labels are a view of the file buffer, not a copy of it
-    assert isinstance(ds.labels.base, bytes)
+    # the labels are a view of the file's mapping, not a copy of it
+    assert isinstance(ds.labels.base.obj, mmap.mmap)
     assert not ds.labels.flags.writeable
+
+
+def _mapping(array):
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base
+
+
+def test_binary_load_is_a_read_only_view_of_a_read_only_mapping(tmp_path):
+    path = tmp_path / "d.bin"
+    save_dataset(labeled(2000, 200, seed=6), path)
+    size = path.stat().st_size
+    load_dataset(path)  # imports and first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for array in (ds.scores.values, ds.labels):
+        assert not array.flags.writeable
+        view = _mapping(array)
+        assert isinstance(view, memoryview) and view.readonly
+        assert isinstance(view.obj, mmap.mmap)
+        with memoryview(view.obj) as whole:
+            assert whole.readonly
+    # validation's row sums and their masks are all that grow with the file
+    assert peak <= 0.1 * size
+
+
+@pytest.mark.parametrize("access", [mmap.ACCESS_WRITE, mmap.ACCESS_COPY])
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_a_writable_mapping_is_copied(tmp_path, access, read_only_view):
+    v = softmax_rows(4, 3, seed=8)
+    path = tmp_path / "raw"
+    path.write_bytes(v.tobytes())
+    with open(path, "r+b") as fh:
+        mapping = mmap.mmap(fh.fileno(), 0, access=access)
+    buffer = memoryview(mapping).toreadonly() if read_only_view else mapping
+    m = ScoreMatrix(np.frombuffer(buffer).reshape(v.shape))
+    assert _mapping(m.values) is not buffer
+    mapping[:8] = np.float64(0.0).tobytes()
+    np.testing.assert_array_equal(m.values, v)
+
+
+def test_saving_over_a_mapped_file_keeps_the_live_dataset(tmp_path):
+    # a file rewritten in place under its mapping kills the process with
+    # SIGBUS, so the check runs in a child
+    code = """
+import sys
+import numpy as np
+from conftest import labeled
+from cshift.scores import load_dataset, save_dataset
+
+path = sys.argv[1]
+save_dataset(labeled(300, 7, seed=1), path)
+live = load_dataset(path)
+before = (live.scores.values.tobytes(), live.labels.tobytes())
+save_dataset(labeled(20, 3, seed=2), path)
+assert (live.scores.values.tobytes(), live.labels.tobytes()) == before
+assert load_dataset(path).n == 20
+print("kept")
+"""
+    here = Path(__file__).resolve().parent
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "d.bin")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (run.returncode, run.stdout) == (0, "kept\n"), run.stderr
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+def test_a_failed_save_keeps_the_old_file_and_leaves_no_temporary(monkeypatch, tmp_path, suffix, error):
+    path = tmp_path / f"d{suffix}"
+    save_dataset(labeled(5, 3, seed=1), path)
+    old = path.read_bytes()
+
+    def fail(dataset, fh):
+        fh.write(b"partial")
+        raise error
+
+    monkeypatch.setattr(scores, "_save_binary" if suffix == ".bin" else "_save_csv", fail)
+    with pytest.raises(type(error)):
+        save_dataset(labeled(9, 3, seed=2), path)
+    assert path.read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_a_save_into_a_missing_directory_names_the_destination(tmp_path):
+    path = tmp_path / "nodir" / "d.bin"
+    with pytest.raises(FileNotFoundError) as err:
+        save_dataset(labeled(3, 2, seed=1), path)
+    assert err.value.filename == str(path)
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_a_saved_file_has_the_mode_of_a_plain_open(tmp_path, suffix):
+    old = os.umask(0o022)
+    try:
+        save_dataset(labeled(3, 2, seed=1), tmp_path / f"d{suffix}")
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / f"d{suffix}").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 @pytest.mark.parametrize("clipped_row", [False, True])
