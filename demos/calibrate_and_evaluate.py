@@ -57,7 +57,7 @@ def main():
             cal = LabeledDataset(ScoreMatrix(values[perm[:half]]), labels[perm[:half]])
             test = LabeledDataset(ScoreMatrix(values[perm[half:]]), labels[perm[half:]])
             threshold = calibrate(spec, cal, ALPHA, derive_seed(split, "cal"))
-            report = evaluate(spec, threshold, test, derive_seed(split, "eval"))
+            report = evaluate(threshold, test, derive_seed(split, "eval"))
             if first_tau is None:
                 first_tau = threshold.tau
             coverages.append(report.coverage)

@@ -56,14 +56,14 @@ def main():
     print(f"aiming for coverage {1 - ALPHA} on the target\n")
 
     plain = calibrate(spec, source, ALPHA, seed=1)
-    base = evaluate(spec, plain, target_revealed, seed=3)
+    base = evaluate(plain, target_revealed, seed=3)
     print(f"{'method':<8} {'tau':>8} {'coverage':>9} {'gap':>8} {'avg |set|':>10}")
     print(f"{'none':<8} {plain.tau:>8.4f} {base.coverage:>9.4f} "
           f"{abs(base.coverage - (1 - ALPHA)):>8.4f} {base.avg_set_size:>10.2f}")
     source_cal = Calibrator(spec, source, seed=2)
     for method in METHODS:
         threshold, _ = recalibrate(source_cal, target_hidden, ALPHA, method)
-        report = evaluate(spec, threshold, target_revealed, seed=3)
+        report = evaluate(threshold, target_revealed, seed=3)
         gap = abs(report.coverage - (1 - ALPHA))
         print(f"{method:<8} {threshold.tau:>8.4f} {report.coverage:>9.4f} "
               f"{gap:>8.4f} {report.avg_set_size:>10.2f}")

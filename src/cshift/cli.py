@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .conformal import (
@@ -47,7 +49,6 @@ from .toymodel import (
     PreconditionError,
     ToyClassifier,
     ToyModelParams,
-    check_error_rates,
     oracle_beta,
     run_theorem_trial,
 )
@@ -57,6 +58,12 @@ EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_s
 
 # a grid is materialised as a list and recalibrated point by point
 MAX_ALPHA_GRID_POINTS = 10_000
+
+# Largest --n and --nmc, which size every draw: at 10**7 the Monte Carlo
+# oracle peaks near 0.7 GB and one trial near 1.4 GB (see README)
+MAX_DRAWS = 10**7
+# Largest --bins, the width of each corpus histogram and network input
+MAX_BINS = 10**4
 
 
 def parse_alpha_grid(text: str) -> list[float]:
@@ -103,8 +110,9 @@ def level(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
-    """An integer >= 1, as an argparse ``type=``. A non-integer gets the
+def positive_int(text: str, limit: float = math.inf) -> int:
+    """An integer from 1 to ``limit``, as an argparse ``type=`` (bind
+    ``limit`` with :func:`functools.partial`). A non-integer gets the
     message of ``type=int``."""
     try:
         value = int(text)
@@ -112,6 +120,8 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    if value > limit:
+        raise argparse.ArgumentTypeError(f"must be an integer <= {limit}, got {value}")
     return value
 
 
@@ -129,7 +139,7 @@ def cmd_calibrate(args) -> int:
     spec = PredictorSpec(args.predictor, args.lam, args.kreg)
     cal = _load_labeled(args.cal)
     threshold = calibrate(spec, cal, args.alpha, derive_seed(args.seed, "calibrate"))
-    save_threshold(threshold, args.out, spec=spec, method="none")
+    save_threshold(threshold, args.out)
     print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
     if threshold.is_saturated:
         print("warning: calibration saturated", file=sys.stderr)
@@ -145,7 +155,7 @@ def cmd_recalibrate(args) -> int:
     calibrator = Calibrator(spec, source, derive_seed(args.seed, "recalibrate"))
     if len(alphas) == 1:
         threshold, est = recalibrate(calibrator, target, alphas[0], args.method)
-        save_threshold(threshold, args.out, spec=spec, method=args.method)
+        save_threshold(threshold, args.out)
         save_estimate(est, str(args.out) + ".qtc")
         print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
         return 0
@@ -167,12 +177,18 @@ def cmd_evaluate(args) -> int:
         with open(out, "r", encoding="utf-8", errors="replace") as fh:
             if fh.readline().rstrip("\n") != EVAL_CSV_HEADER:
                 raise DataFormatError(f"{out} exists but its first line is not the report header")
-    threshold, spec, method = load_threshold(args.threshold)
+        with open(out, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            # a row appended after a last line without its newline would join it
+            if fh.read(1) != b"\n":
+                raise DataFormatError(f"{out} does not end with a newline")
+    threshold = load_threshold(args.threshold)
     test = _load_labeled(args.test)
-    report = evaluate(spec, threshold, test, derive_seed(args.seed, "evaluate"))
+    report = evaluate(threshold, test, derive_seed(args.seed, "evaluate"))
     stats = [threshold.alpha, threshold.tau, report.coverage, report.avg_set_size]
     fields = map(format_float, [*stats, report.median_set_size])
-    row = ",".join([method, spec.kind, *fields, str(report.n_eval), str(args.seed)])
+    labels = [threshold.method, threshold.spec.kind]
+    row = ",".join([*labels, *fields, str(report.n_eval), str(args.seed)])
     with open(out, "a", encoding="utf-8") as fh:
         if fresh:
             fh.write(EVAL_CSV_HEADER + "\n")
@@ -193,9 +209,9 @@ def cmd_baseline(args) -> int:
         target = load_dataset(args.target)
         tau = predict_tau(model, target, source_ref=cal)
         tag = f"baseline:{args.extractor}:alpha={format_float(args.alpha)}"
-        threshold = Threshold(tau=tau, alpha=args.alpha, source_tag=tag)
-        out = args.pred_out or str(args.model_out) + ".tau"
-        save_threshold(threshold, out, spec=spec, method=f"baseline-{args.extractor}")
+        method = f"baseline-{args.extractor}"
+        threshold = Threshold(tau=tau, alpha=args.alpha, spec=spec, source_tag=tag, method=method)
+        save_threshold(threshold, args.pred_out or str(args.model_out) + ".tau")
         print(f"predicted_tau={format_float(tau)}")
     return 0
 
@@ -204,7 +220,6 @@ def cmd_simulate(args) -> int:
     src = ToyModelParams(gamma=args.gamma, c=args.c, p=args.psrc)
     tgt = ToyModelParams(gamma=args.gamma, c=args.c, p=args.ptgt)
     clf = ToyClassifier(w_inv=args.winv, w_sp=args.wsp)
-    check_error_rates(src, tgt, clf, args.alpha, args.nmc, args.seed)
     beta = oracle_beta(src, tgt, clf, args.alpha, args.nmc, derive_seed(args.seed, "oracle"))
     lines = [
         "trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
@@ -348,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_defaulted(
         p,
         [
-            ("--bins", int, 10, "chr/chr-minus histogram bins"),
+            ("--bins", partial(positive_int, limit=MAX_BINS), 10, "chr/chr-minus histogram bins"),
             ("--shifts", int, 90, "synthetic shift count incl. identity"),
-            ("--epochs", int, 5000, "training epochs"),
+            ("--epochs", positive_int, 5000, "training epochs"),
             ("--lr", float, 1e-3, "learning rate"),
         ],
     )
@@ -363,16 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         [
             ("--trials", positive_int, 100, "trial count"),
-            ("--n", int, 10000, "rows per trial"),
+            ("--n", partial(positive_int, limit=MAX_DRAWS), 10000, "rows per trial"),
             ("--alpha", level, "0.02", "target miscoverage level"),
-            ("--delta", float, 0.1, "failure probability of the bound"),
+            ("--delta", level, 0.1, "failure probability of the bound"),
             ("--psrc", float, 0.9, "source spurious agreement rate"),
             ("--ptgt", float, 0.7, "target spurious agreement rate"),
             ("--winv", float, 1.0, "invariant-feature weight"),
             ("--wsp", float, 0.5, "spurious-feature weight"),
             ("--gamma", float, 0.05, "lower end of the invariant feature's magnitude"),
             ("--c", float, 1.0, "upper end of the invariant feature's magnitude"),
-            ("--nmc", int, 10**6, "Monte Carlo draws for oracle quantities"),
+            ("--nmc", partial(positive_int, limit=MAX_DRAWS), 10**6,
+             "Monte Carlo draws for oracle quantities"),
         ],
     )
     p.add_argument("--out", required=True, help="trial csv to write")

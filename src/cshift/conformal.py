@@ -118,15 +118,19 @@ def max_tau(spec: PredictorSpec, n_classes: int) -> float:
 
 @dataclass(frozen=True)
 class Threshold:
-    """A calibrated threshold with the level it was calibrated at.
+    """A calibrated threshold, the level it was calibrated at and the
+    predictor whose conformity score it thresholds: a threshold file.
 
     ``source_tag`` records provenance; a saturated calibration appends
-    ``:saturated`` to it.
+    ``:saturated`` to it. ``method`` is what produced the threshold:
+    ``none``, a recalibration method or ``baseline-<extractor>``.
     """
 
     tau: float
     alpha: float
+    spec: PredictorSpec
     source_tag: str = ""
+    method: str = "none"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -315,14 +319,16 @@ class Calibrator:
         tag = f"calibrate:{spec.kind}:n={n}:alpha={format_float(alpha)}"
         if k > n:
             return Threshold(
-                tau=max_tau(spec, self.cal.L), alpha=alpha, source_tag=tag + ":saturated"
+                tau=max_tau(spec, self.cal.L), alpha=alpha, spec=spec, source_tag=tag + ":saturated"
             )
         if self._sorted_scores is None:
             u = _smoothing(spec, n, self.seed)
             self._sorted_scores = np.sort(
                 conformity_scores(spec, self.cal.scores.values, self.cal.labels, u)
             )
-        return Threshold(tau=float(self._sorted_scores[k - 1]), alpha=alpha, source_tag=tag)
+        return Threshold(
+            tau=float(self._sorted_scores[k - 1]), alpha=alpha, spec=spec, source_tag=tag
+        )
 
 
 def calibrate(spec: PredictorSpec, cal: LabeledDataset, alpha: float, seed: int = 0) -> Threshold:
@@ -331,19 +337,18 @@ def calibrate(spec: PredictorSpec, cal: LabeledDataset, alpha: float, seed: int 
     return Calibrator(spec, cal, seed).threshold(alpha)
 
 
-def evaluate(
-    spec: PredictorSpec, threshold: Threshold, test: LabeledDataset, seed: int = 0
-) -> CoverageReport:
-    """Coverage and set-size statistics of a threshold on a labeled test set.
+def evaluate(threshold: Threshold, test: LabeledDataset, seed: int = 0) -> CoverageReport:
+    """Coverage and set-size statistics of a threshold, under its own
+    predictor, on a labeled test set.
 
     Deterministic for a given seed; rows are aggregated in index order.
     Coverage and set sizes come from one set of per-rank scores, so a row's
     label is covered exactly when it is in the row's counted set.
     """
+    spec, tau = threshold.spec, threshold.tau
     values = test.scores.values
     n, L = values.shape
     _check_applicable(spec, L)
-    tau = threshold.tau
     label_scores, sizes = _blocked_scores(
         spec, values, test.labels, _smoothing(spec, n, seed), tau
     )
@@ -362,25 +367,25 @@ def evaluate(
 # --- key-value serialization (consumed by the CLI; see FORMATS.md) ---
 
 
-def save_threshold(threshold: Threshold, path, spec: PredictorSpec, method: str = "none") -> None:
+def save_threshold(threshold: Threshold, path) -> None:
     pairs = {
         "tau": threshold.tau,
         "alpha": threshold.alpha,
         "source_tag": threshold.source_tag,
-        "method": method,
+        "method": threshold.method,
     }
-    write_kv(path, pairs | spec.to_kv())
+    write_kv(path, pairs | threshold.spec.to_kv())
 
 
-def load_threshold(path) -> tuple[Threshold, PredictorSpec, str]:
-    """Threshold, predictor and method of a threshold file; every error,
-    a missing ``predictor`` included, names the file."""
+def load_threshold(path) -> Threshold:
+    """The threshold a file records, its predictor and method included;
+    every error, a missing ``predictor`` included, names the file."""
     kv = read_kv(path)
     with reading(path):
-        threshold = Threshold(
+        return Threshold(
             tau=float(kv["tau"]),
             alpha=float(kv["alpha"]),
+            spec=PredictorSpec.from_kv(kv),
             source_tag=kv.get("source_tag", ""),
+            method=kv.get("method", "none"),
         )
-        spec = PredictorSpec.from_kv(kv)
-    return threshold, spec, kv.get("method", "none")

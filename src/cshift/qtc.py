@@ -16,7 +16,7 @@ quantile are strict (``<``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,7 +150,8 @@ def recalibrate(
     ``qtc`` and ``qtc-sc`` estimate a level beta, clamp it to
     [1/(n+1), 1 - 1/(n+1)] so the follow-up calibration cannot saturate,
     and calibrate on the source at beta. ``qtc-st`` returns the shifted
-    threshold directly, with alpha recorded for provenance. One
+    threshold directly, with alpha recorded for provenance. The threshold
+    carries the calibrator's predictor and ``method``. One
     :class:`~cshift.conformal.Calibrator` serves any number of levels.
     """
     if method not in METHODS:
@@ -158,7 +159,7 @@ def recalibrate(
     if method == "qtc-st":
         est = estimate_tau_qtc_st(source, target, alpha)
         tag = f"recalibrate:qtc-st:alpha={format_float(alpha)}"
-        return Threshold(tau=est.value, alpha=alpha, source_tag=tag), est
+        return Threshold(est.value, alpha, spec=source.spec, source_tag=tag, method=method), est
     if method == "qtc":
         est = estimate_beta_qtc(source.cal, target, alpha)
     else:
@@ -171,7 +172,7 @@ def recalibrate(
         f"recalibrate:{method}:alpha={format_float(alpha)}"
         f":beta={format_float(beta)}:{base.source_tag}"
     )
-    return Threshold(tau=base.tau, alpha=base.alpha, source_tag=tag), est
+    return replace(base, source_tag=tag, method=method), est
 
 
 def save_estimate(estimate: QtcEstimate, path) -> None:

@@ -16,7 +16,9 @@ truth for the deviation bound
     |beta_qtc - beta| <= sqrt(2 * log(16 / delta) / (n * c_sp)),
 
 where c_sp = (1 - p_target) * (1 - p_source)^2 when w_sp > 0 and
-c_sp = p_target * p_source^2 otherwise.
+c_sp = p_target * p_source^2 otherwise. The oracles also check that alpha
+is reachable: it must lie below 0.9 of the error rate of each of their
+draws, or they raise :class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -127,22 +129,14 @@ def classifier_error_rate(
     return float(np.count_nonzero(miss) / n_mc)
 
 
-def check_error_rates(
-    params_source: ToyModelParams,
-    params_target: ToyModelParams,
-    clf: ToyClassifier,
-    alpha: float,
-    n_mc: int = 10**6,
-    seed: int = 0,
-) -> None:
+def _check_error_rate(alpha: float, miss: np.ndarray, name: str) -> None:
     """Raise :class:`PreconditionError` unless alpha lies below 0.9 of the
-    Monte Carlo error rate on both source and target (10% safety margin)."""
-    for name, params in (("source", params_source), ("target", params_target)):
-        eps = classifier_error_rate(params, clf, n_mc, derive_seed(seed, f"eps-{name}"))
-        if alpha >= 0.9 * eps:
-            raise PreconditionError(
-                f"alpha={alpha:g} must be below 0.9 * estimated {name} error rate {eps:g}"
-            )
+    error rate of a Monte Carlo draw (10% safety margin on the estimate)."""
+    eps = np.count_nonzero(miss) / miss.size
+    if alpha >= 0.9 * eps:
+        raise PreconditionError(
+            f"alpha={alpha:g} must be below 0.9 * estimated {name} error rate {eps:g}"
+        )
 
 
 def oracle_tau(
@@ -156,19 +150,14 @@ def oracle_tau(
 
     Monte Carlo realization: the ceil(alpha * n_mc)-th largest top
     confidence among misclassified draws. Requires alpha below 0.9 of
-    the estimated error rate; as alpha approaches it, the threshold
-    falls toward 1/2.
+    the draw's error rate; as alpha approaches it, the threshold falls
+    toward 1/2.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     miss, confidence = _mc_events(params_target, clf, n_mc, seed)
+    _check_error_rate(alpha, miss, "target")
     wrong_conf = confidence[miss]
-    eps_hat = wrong_conf.size / n_mc
-    # 10% safety margin on the Monte Carlo error-rate estimate
-    if alpha >= 0.9 * eps_hat:
-        raise PreconditionError(
-            f"alpha={alpha:g} is not below 0.9 of the estimated error rate {eps_hat:g}"
-        )
     k = max(1, ceil_count(alpha * n_mc))
     return float(np.partition(wrong_conf, wrong_conf.size - k)[wrong_conf.size - k])
 
@@ -181,11 +170,16 @@ def oracle_beta(
     n_mc: int = 10**7,
     seed: int = 0,
 ) -> float:
-    """Source probability of the miscoverage event at the target's oracle tau."""
+    """Source probability of the miscoverage event at the target's oracle tau.
+
+    Raises :class:`PreconditionError` unless alpha lies below 0.9 of the
+    error rate of the target draw and then of the source draw.
+    """
     tau = oracle_tau(params_target, clf, alpha, n_mc, derive_seed(seed, "oracle-tau"))
     miss, confidence = _mc_events(
         params_source, clf, n_mc, derive_seed(seed, "oracle-beta")
     )
+    _check_error_rate(alpha, miss, "source")
     return float(np.count_nonzero(miss & (confidence >= tau)) / n_mc)
 
 
@@ -241,20 +235,18 @@ def run_theorem_trial(
 
     Also recalibrates a top-score predictor on the source with the
     estimated beta and reports its coverage on a fresh target evaluation
-    set of size n. The caller checks alpha against the error rates once,
-    with :func:`check_error_rates`.
+    set of size n. The caller checks alpha against the error rates once:
+    :func:`oracle_beta` does so on its own draws.
     """
     source_ds = to_dataset(sample(params_source, n, derive_seed(seed, "trial-source")), clf)
     target_ds = UnlabeledDataset(
         to_dataset(sample(params_target, n, derive_seed(seed, "trial-target")), clf).scores
     )
-    spec = PredictorSpec.tps()
-    threshold, est = recalibrate(
-        Calibrator(spec, source_ds, derive_seed(seed, "recal")), target_ds, alpha, "qtc"
-    )
+    calibrator = Calibrator(PredictorSpec.tps(), source_ds, derive_seed(seed, "recal"))
+    threshold, est = recalibrate(calibrator, target_ds, alpha, "qtc")
     bound = theorem_bound(params_source, params_target, clf, n, delta)
     eval_ds = to_dataset(sample(params_target, n, derive_seed(seed, "trial-eval")), clf)
-    report = evaluate(spec, threshold, eval_ds, derive_seed(seed, "eval"))
+    report = evaluate(threshold, eval_ds, derive_seed(seed, "eval"))
     return TheoremTrialReport(
         beta_true=float(beta_oracle),
         beta_qtc=est.value,

@@ -47,7 +47,7 @@ def test_criterion_1_split_coverage_mean_lands_in_sandwich():
         test = LabeledDataset(ScoreMatrix(pool_values[perm[2000:]]), pool_labels[perm[2000:]])
         for i, spec in enumerate(specs):
             threshold = calibrate(spec, cal, 0.1, derive_seed(split, "cal"))
-            report = evaluate(spec, threshold, test, derive_seed(split, "eval"))
+            report = evaluate(threshold, test, derive_seed(split, "eval"))
             totals[i] += report.coverage
     elapsed = time.monotonic() - started
     for spec, total in zip(specs, totals):
@@ -132,8 +132,8 @@ def test_criterion_5_temperature_shift_gap_is_at_least_halved():
     spec = PredictorSpec.tps()
     plain = calibrate(spec, source, alpha, seed=1)
     shifted, _ = recalibrate(Calibrator(spec, source, seed=2), target_unlabeled, alpha, "qtc")
-    gap_plain = abs(evaluate(spec, plain, target_labeled, seed=3).coverage - (1 - alpha))
-    gap_qtc = abs(evaluate(spec, shifted, target_labeled, seed=3).coverage - (1 - alpha))
+    gap_plain = abs(evaluate(plain, target_labeled, seed=3).coverage - (1 - alpha))
+    gap_qtc = abs(evaluate(shifted, target_labeled, seed=3).coverage - (1 - alpha))
     # the flattened scores must open a real gap for the ratio to mean anything
     assert gap_plain >= 0.02, f"shift produced no gap to close: {gap_plain}"
     assert gap_qtc <= 0.5 * gap_plain, f"gap {gap_plain} only reduced to {gap_qtc}"

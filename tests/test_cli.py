@@ -86,9 +86,9 @@ def test_calibrate_writes_threshold(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("tau=")
     assert "alpha=0.1" in printed
-    threshold, spec, method = load_threshold(out)
-    assert spec.kind == "tps"
-    assert method == "none"
+    threshold = load_threshold(out)
+    assert threshold.spec.kind == "tps"
+    assert threshold.method == "none"
     assert 0.0 < threshold.tau <= 1.0
     assert not threshold.is_saturated
 
@@ -140,7 +140,7 @@ def test_calibrate_saturation_writes_threshold_then_exits_3(tmp_path, capsys):
     )
     assert rc == 3
     assert "saturated" in capsys.readouterr().err
-    threshold, _, _ = load_threshold(out)
+    threshold = load_threshold(out)
     assert threshold.is_saturated
     assert threshold.tau == 1.0
 
@@ -161,7 +161,7 @@ def test_raps_flags_only_valid_with_raps(tmp_path, capsys):
 
     rc = main(base + ["--predictor", "raps", "--lambda", "0.1", "--kreg", "2"])
     assert rc == 0
-    _, spec, _ = load_threshold(out)
+    spec = load_threshold(out).spec
     assert spec.kind == "raps"
     assert spec.lam == 0.1
     assert spec.k_reg == 2
@@ -199,9 +199,9 @@ def test_recalibrate_writes_threshold_and_estimate_sidecar(tmp_path):
         ]
     )
     assert rc == 0
-    threshold, spec, method = load_threshold(out)
-    assert method == "qtc"
-    assert spec.kind == "tps"
+    threshold = load_threshold(out)
+    assert threshold.method == "qtc"
+    assert threshold.spec.kind == "tps"
     assert 0.0 < threshold.tau <= 1.0
     est = read_kv(str(out) + ".qtc")
     assert est["method"] == "qtc"
@@ -322,6 +322,18 @@ def test_evaluate_rejects_a_report_with_another_header(tmp_path, capsys):
     assert rc == 2
     assert str(out) in capsys.readouterr().err
     assert out.read_text() == "method,predictor,alpha\nqtc,tps,0.1\n"
+
+
+def test_evaluate_rejects_a_report_without_a_final_newline(tmp_path, capsys):
+    cal, thr = _calibrated_threshold(tmp_path)
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", "--test", str(cal), "--threshold", str(thr), "--out", str(out)]) == 0
+    unterminated = out.read_bytes().rstrip(b"\n")
+    out.write_bytes(unterminated)
+    rc = main(["evaluate", "--test", str(cal), "--threshold", str(thr), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {out} does not end with a newline\n"
+    assert out.read_bytes() == unterminated
 
 
 def test_evaluate_writes_the_header_into_an_empty_report(tmp_path):
@@ -460,7 +472,7 @@ def test_truncated_or_flipped_dataset_loads_or_names_the_file(tmp_path_factory, 
         assert str(exc).startswith(f"{path}: ")
         loaded = None
     thr = work / "thr.txt"
-    save_threshold(Threshold(tau=0.5, alpha=0.1), thr, PredictorSpec.tps())
+    save_threshold(Threshold(tau=0.5, alpha=0.1, spec=PredictorSpec.tps()), thr)
     argv = ["evaluate", "--test", str(path), "--threshold", str(thr), "--out", str(work / "r.csv")]
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = main(argv)
@@ -525,9 +537,9 @@ def test_baseline_trains_saves_and_predicts(tmp_path, capsys):
     assert "corpus_size=" in printed
     assert "predicted_tau=" in printed
     assert model_out.exists()
-    threshold, spec, method = load_threshold(pred_out)
-    assert method == "baseline-chr"
-    assert spec.kind == "tps"
+    threshold = load_threshold(pred_out)
+    assert threshold.method == "baseline-chr"
+    assert threshold.spec.kind == "tps"
     assert 0.0 <= threshold.tau <= 1.0
 
 
@@ -696,9 +708,9 @@ def test_config_supplies_defaults_but_flags_win(tmp_path):
     out = tmp_path / "b.txt"
     rc = main(["calibrate", "--config", str(cfg), "--alpha", "0.1", "--out", str(out)])
     assert rc == 0
-    threshold, spec, _ = load_threshold(out)
+    threshold = load_threshold(out)
     assert threshold.alpha == 0.1
-    assert spec.kind == "tps"
+    assert threshold.spec.kind == "tps"
     assert not unused.exists()
 
 
@@ -710,7 +722,7 @@ def test_config_accepts_raps_penalty_keys(tmp_path):
     cfg.write_text(f"cal={cal}\npredictor=raps\nlambda=0.1\nkreg=2\nalpha=0.1\nout={out}\n")
     rc = main(["calibrate", "--config", str(cfg)])
     assert rc == 0
-    _, spec, _ = load_threshold(out)
+    spec = load_threshold(out).spec
     assert spec.kind == "raps"
     assert spec.lam == 0.1
     assert spec.k_reg == 2
@@ -869,6 +881,16 @@ def test_config_bad_value_names_the_file_and_line(tmp_path, capsys):
          "argument --alpha: invalid level value: '0.01:0.03:0.01'"),
         (["calibrate", "--alpha", "0.05:0.2:0.05"], "argument --alpha: invalid level value: '0.05:0.2:0.05'"),
         (["baseline", "--alpha", "1.5"], "argument --alpha: invalid level value: '1.5'"),
+        (["simulate", "--out", "o", "--nmc", "100000000000"],
+         "argument --nmc: must be an integer <= 10000000, got 100000000000"),
+        (["simulate", "--out", "o", "--n", "100000000000"],
+         "argument --n: must be an integer <= 10000000, got 100000000000"),
+        (["simulate", "--out", "o", "--n", "0"], "argument --n: must be an integer >= 1, got 0"),
+        (["baseline", "--bins", "10000000000"],
+         "argument --bins: must be an integer <= 10000, got 10000000000"),
+        (["baseline", "--bins", "0"], "argument --bins: must be an integer >= 1, got 0"),
+        (["baseline", "--epochs", "-5"], "argument --epochs: must be an integer >= 1, got -5"),
+        (["simulate", "--out", "o", "--delta", "0"], "argument --delta: invalid level value: '0'"),
     ],
 )
 def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):

@@ -126,9 +126,9 @@ def test_raps_saturation_uses_penalized_maximum():
 
 def test_threshold_range_validation():
     with pytest.raises(ValueError):
-        Threshold(tau=-0.1, alpha=0.1, source_tag="x")
+        Threshold(tau=-0.1, alpha=0.1, spec=TPS, source_tag="x")
     with pytest.raises(ValueError):
-        Threshold(tau=0.5, alpha=1.0, source_tag="x")
+        Threshold(tau=0.5, alpha=1.0, spec=TPS, source_tag="x")
 
 
 def test_predictor_spec_validation():
@@ -150,8 +150,10 @@ def test_raps_kreg_must_fit_class_count():
 
 def test_evaluate_saturated_threshold_covers_everything():
     d = labeled(50, 4, seed=6)
-    thr = Threshold(tau=1.0, alpha=0.05, source_tag="calibrate:tps:n=4:alpha=0.05:saturated")
-    rep = evaluate(TPS, thr, d, seed=0)
+    thr = Threshold(
+        tau=1.0, alpha=0.05, spec=TPS, source_tag="calibrate:tps:n=4:alpha=0.05:saturated"
+    )
+    rep = evaluate(thr, d, seed=0)
     assert rep.coverage == 1.0
     assert rep.avg_set_size == pytest.approx(4.0)
     assert rep.size_histogram[4] == 50
@@ -168,7 +170,7 @@ def test_empirical_calibration_on_the_calibration_set():
             if thr.is_saturated:
                 continue
             k = int(np.ceil((1 - alpha) * (n + 1)))
-            rep = evaluate(spec, thr, d, seed=21)
+            rep = evaluate(thr, d, seed=21)
             assert rep.coverage == pytest.approx(k / n)
 
 
@@ -183,7 +185,7 @@ def test_size_histogram_counts_prediction_sets():
         for spec in (TPS, APS, RAPS):
             # same seed on both sides, so tau equals some row's own score
             thr = calibrate(spec, data, 0.2, seed=7)
-            rep = evaluate(spec, thr, data, seed=7)
+            rep = evaluate(thr, data, seed=7)
             sizes = [len(prediction_set(spec, row, u[i], thr.tau)) for i, row in enumerate(values)]
             np.testing.assert_array_equal(rep.size_histogram, np.bincount(sizes, minlength=6))
 
@@ -191,7 +193,7 @@ def test_size_histogram_counts_prediction_sets():
 def test_coverage_report_accounting():
     d = labeled(120, 5, seed=3)
     thr = calibrate(APS, d, 0.2, seed=4)
-    rep = evaluate(APS, thr, d, seed=5)
+    rep = evaluate(thr, d, seed=5)
     assert rep.n_eval == 120
     assert int(rep.size_histogram.sum()) == 120
     sizes = np.arange(rep.size_histogram.size)
@@ -283,10 +285,10 @@ def test_evaluate_is_independent_of_the_row_blocks(monkeypatch):
     d = labeled(50, 7, seed=31)
     for spec in (APS, PredictorSpec.raps(0.05, 2)):
         thr = calibrate(spec, d, 0.2, seed=3)
-        whole = evaluate(spec, thr, d, seed=4)
+        whole = evaluate(thr, d, seed=4)
         for block_rows in (1, 3, 7, 49):
             monkeypatch.setattr(util, "BLOCK_ENTRIES", block_rows * 7)
-            blocked = evaluate(spec, thr, d, seed=4)
+            blocked = evaluate(thr, d, seed=4)
             assert blocked.coverage == whole.coverage
             assert blocked.avg_set_size == whole.avg_set_size
             assert blocked.median_set_size == whole.median_set_size
@@ -301,7 +303,7 @@ def test_binary_load_and_aps_passes_stay_near_the_file_size(tmp_path):
     # the first calls import numpy's lazily loaded random modules; keep that
     # one-time cost out of the measurement
     small = labeled(4, 3, seed=0)
-    evaluate(APS, calibrate(APS, small, 0.1), small)
+    evaluate(calibrate(APS, small, 0.1), small)
     tracemalloc.start()
     try:
         d = load_dataset(path)
@@ -309,7 +311,7 @@ def test_binary_load_and_aps_passes_stay_near_the_file_size(tmp_path):
         pass_peaks = []
         for spec in (APS, TPS):
             tracemalloc.reset_peak()
-            evaluate(spec, calibrate(spec, d, 0.1, seed=1), d, seed=2)
+            evaluate(calibrate(spec, d, 0.1, seed=1), d, seed=2)
             pass_peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -360,7 +362,7 @@ def test_any_worker_count_gives_the_same_bits(monkeypatch, workers):
         for spec in (TPS, APS, PredictorSpec.raps(0.05, 2)):
             out.append(conformity_scores(spec, d.scores.values, d.labels, u).tobytes())
             thr = calibrate(spec, d, 0.1, seed=3)
-            rep = evaluate(spec, thr, d, seed=4)
+            rep = evaluate(thr, d, seed=4)
             out.append((thr.tau, rep.coverage, rep.avg_set_size, rep.median_set_size,
                         rep.size_histogram.tobytes()))
         return out
@@ -422,10 +424,21 @@ def test_threshold_file_round_trip(tmp_path):
     d = labeled(30, 4, seed=5)
     thr = calibrate(RAPS, d, 0.15, seed=8)
     path = tmp_path / "thr.txt"
-    save_threshold(thr, path, spec=RAPS, method="none")
-    back, spec, method = load_threshold(path)
+    save_threshold(thr, path)
+    back = load_threshold(path)
     assert back.tau == thr.tau
     assert back.alpha == thr.alpha
     assert back.source_tag == thr.source_tag
-    assert spec == RAPS
-    assert method == "none"
+    assert back.spec == RAPS
+    assert back.method == "none"
+
+
+@pytest.mark.parametrize("method", ["none", "qtc", "qtc-sc", "qtc-st", "baseline-chr"])
+@pytest.mark.parametrize("spec", [TPS, APS, RAPS], ids=lambda spec: spec.kind)
+def test_threshold_file_round_trip_keeps_predictor_and_method(tmp_path, spec, method):
+    thr = Threshold(
+        tau=0.1 + 1 / 3, alpha=0.07, spec=spec, source_tag=f"{method}:alpha=0.07", method=method
+    )
+    path = tmp_path / "thr.txt"
+    save_threshold(thr, path)
+    assert load_threshold(path) == thr

@@ -8,7 +8,6 @@ from cshift.toymodel import (
     ToyClassifier,
     ToyModelParams,
     ToySampleBatch,
-    check_error_rates,
     classifier_error_rate,
     classify,
     oracle_beta,
@@ -205,5 +204,11 @@ def test_trial_uses_supplied_oracle_and_is_deterministic():
 
 def test_trial_precondition_rejects_large_alpha():
     with pytest.raises(PreconditionError):
-        check_error_rates(SRC, TGT, CLF, alpha=0.045, n_mc=10**5, seed=0)
+        oracle_beta(SRC, TGT, CLF, alpha=0.045, n_mc=10**5, seed=0)
+
+
+@pytest.mark.parametrize("alpha, name", [(0.045, "source"), (0.2, "target")])
+def test_oracle_beta_names_the_distribution_whose_error_rate_is_too_low(alpha, name):
+    with pytest.raises(PreconditionError, match=f"must be below 0.9 \\* estimated {name} error rate"):
+        oracle_beta(SRC, TGT, CLF, alpha=alpha, n_mc=10**5, seed=0)
 

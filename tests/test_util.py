@@ -95,7 +95,7 @@ def intact_files(tmp_path_factory):
     """Bytes of one threshold, config and model file, each with its reader."""
     d = tmp_path_factory.mktemp("intact")
     save_threshold(
-        Threshold(0.93, 0.1, "calibrate:raps:n=100:alpha=0.1"), d / "thr", PredictorSpec.raps(0.1, 2)
+        Threshold(0.93, 0.1, PredictorSpec.raps(0.1, 2), "calibrate:raps:n=100:alpha=0.1"), d / "thr"
     )
     (d / "cfg").write_text("# run\ncal=cal.csv\npredictor=raps\nlambda=0.1\nkreg=2\nalpha=0.1\n")
     corpus = build_corpus(labeled(100, 3, seed=22), PredictorSpec.tps(), 0.2, 2, "acr", seed=1)
