@@ -125,6 +125,21 @@ def positive_int(text: str, limit: float = math.inf) -> int:
     return value
 
 
+def _finite(text: str, above: float = -math.inf) -> float:
+    """A finite number greater than ``above``, as an argparse ``type=``
+    (bind ``above`` with :func:`functools.partial`). A non-number gets the
+    message of ``type=float``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    if value <= above:
+        raise argparse.ArgumentTypeError(f"must be a number > {above:g}, got {text}")
+    return value
+
+
 def _load_labeled(path) -> LabeledDataset:
     ds = load_dataset(path)
     if not isinstance(ds, LabeledDataset):
@@ -366,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--bins", partial(positive_int, limit=MAX_BINS), 10, "chr/chr-minus histogram bins"),
             ("--shifts", int, 90, "synthetic shift count incl. identity"),
             ("--epochs", positive_int, 5000, "training epochs"),
-            ("--lr", float, 1e-3, "learning rate"),
+            ("--lr", partial(_finite, above=0.0), 1e-3, "learning rate"),
         ],
     )
     p.add_argument("--model-out", required=True, help="model file to write")
@@ -381,12 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
             ("--n", partial(positive_int, limit=MAX_DRAWS), 10000, "rows per trial"),
             ("--alpha", level, "0.02", "target miscoverage level"),
             ("--delta", level, 0.1, "failure probability of the bound"),
-            ("--psrc", float, 0.9, "source spurious agreement rate"),
-            ("--ptgt", float, 0.7, "target spurious agreement rate"),
-            ("--winv", float, 1.0, "invariant-feature weight"),
-            ("--wsp", float, 0.5, "spurious-feature weight"),
-            ("--gamma", float, 0.05, "lower end of the invariant feature's magnitude"),
-            ("--c", float, 1.0, "upper end of the invariant feature's magnitude"),
+            ("--psrc", _finite, 0.9, "source spurious agreement rate"),
+            ("--ptgt", _finite, 0.7, "target spurious agreement rate"),
+            ("--winv", _finite, 1.0, "invariant-feature weight"),
+            ("--wsp", _finite, 0.5, "spurious-feature weight"),
+            ("--gamma", _finite, 0.05, "lower end of the invariant feature's magnitude"),
+            ("--c", _finite, 1.0, "upper end of the invariant feature's magnitude"),
             ("--nmc", partial(positive_int, limit=MAX_DRAWS), 10**6,
              "Monte Carlo draws for oracle quantities"),
         ],

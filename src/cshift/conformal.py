@@ -30,6 +30,14 @@ on every CPU of the process's affinity mask and share that one budget, so
 the working memory stays a few MB at any n and any CPU count. Each row is
 computed on its own and each block writes only its own rows, so the results
 are the same bits as one pass over the whole matrix, whatever the blocks.
+
+When only label scores are wanted (:func:`conformity_scores`, and through
+it calibration), a row whose label is its unique maximum is not sorted:
+the label has rank 0, and the rank-0 entry depends on the label's value
+alone, so :func:`_rank_entry_values` on that one value gives the same bits
+as on the sorted row. A block gathers only its other rows, ties at the top
+included, and sorts those; the gathered copy is at most one block.
+Evaluation sorts every row, since set sizes need every rank.
 """
 
 from __future__ import annotations
@@ -206,6 +214,16 @@ def _label_ranks(values: np.ndarray, labels: np.ndarray, sorted_vals: np.ndarray
     return ranks
 
 
+def _ranked_entries(
+    spec: PredictorSpec, values: np.ndarray, labels: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's :func:`_rank_entry_values` and its label's
+    :func:`_label_ranks`, from one sort of the rows."""
+    sorted_vals = _descending(values)
+    ranks = _label_ranks(values, labels, sorted_vals)
+    return _rank_entry_values(spec, sorted_vals, u), ranks
+
+
 def _block_scores(
     spec: PredictorSpec,
     values: np.ndarray,
@@ -215,14 +233,24 @@ def _block_scores(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One row block: each row's label score and, when ``tau`` is given, its
     set size at tau. The block's full-size temporaries are freed on return."""
+    rows = np.arange(values.shape[0])
     if spec.kind == "tps":
-        label_scores = 1.0 - values[np.arange(values.shape[0]), labels]
+        label_scores = 1.0 - values[rows, labels]
         return label_scores, None if tau is None else np.count_nonzero(1.0 - values <= tau, axis=1)
-    sorted_vals = _descending(values)
-    ranks = _label_ranks(values, labels, sorted_vals)
-    entry = _rank_entry_values(spec, sorted_vals, u)
-    sizes = None if tau is None else np.count_nonzero(entry <= tau, axis=1)
-    return entry[np.arange(ranks.size), ranks], sizes
+    if tau is not None:
+        entry, ranks = _ranked_entries(spec, values, labels, u)
+        return entry[rows, ranks], np.count_nonzero(entry <= tau, axis=1)
+    # A label that is its row's unique maximum has rank 0, and the rank-0
+    # entry depends on that value alone, so only the other rows are sorted.
+    label_vals = values[rows, labels]
+    top = np.count_nonzero(values >= label_vals[:, None], axis=1) == 1
+    label_scores = np.empty(rows.size)
+    label_scores[top] = _rank_entry_values(spec, label_vals[top][:, None], u[top])[:, 0]
+    rest = np.flatnonzero(~top)
+    if rest.size:
+        entry, ranks = _ranked_entries(spec, values[rest], labels[rest], u[rest])
+        label_scores[rest] = entry[np.arange(rest.size), ranks]
+    return label_scores, None
 
 
 def _blocked_scores(

@@ -47,8 +47,8 @@ class ToyModelParams:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < self.c:
-            raise ValueError(f"need c > gamma >= 0, got gamma={self.gamma} c={self.c}")
+        if not (0.0 <= self.gamma < self.c and math.isfinite(self.c)):
+            raise ValueError(f"need finite c > gamma >= 0, got gamma={self.gamma} c={self.c}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
@@ -61,10 +61,10 @@ class ToyClassifier:
     w_sp: float
 
     def __post_init__(self):
-        if self.w_inv <= 0.0:
-            raise ValueError(f"w_inv must be > 0, got {self.w_inv}")
-        if self.w_sp == 0.0:
-            raise ValueError("w_sp must be nonzero")
+        if not (math.isfinite(self.w_inv) and self.w_inv > 0.0):
+            raise ValueError(f"w_inv must be finite and > 0, got {self.w_inv}")
+        if not math.isfinite(self.w_sp) or self.w_sp == 0.0:
+            raise ValueError(f"w_sp must be finite and nonzero, got {self.w_sp}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -599,6 +599,16 @@ def test_baseline_divergent_training_exits_4(tmp_path, capsys):
 # --- simulate ---
 
 
+@pytest.mark.parametrize("flag", ["psrc", "ptgt", "winv", "wsp", "gamma", "c"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_float_flags_must_be_finite(tmp_path, capsys, flag, value):
+    out = tmp_path / "trials.csv"
+    argv = ["simulate", "--trials", "1", "--n", "500", "--nmc", "20000", "--out", str(out)]
+    assert main([*argv, f"--{flag}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: argument --{flag}: must be a finite number, got {value}\n"
+    assert not out.exists()
+
+
 def test_simulate_alpha_at_error_rate_exits_5(tmp_path, capsys):
     out = tmp_path / "trials.csv"
     rc = main(
@@ -891,6 +901,9 @@ def test_config_bad_value_names_the_file_and_line(tmp_path, capsys):
         (["baseline", "--bins", "0"], "argument --bins: must be an integer >= 1, got 0"),
         (["baseline", "--epochs", "-5"], "argument --epochs: must be an integer >= 1, got -5"),
         (["simulate", "--out", "o", "--delta", "0"], "argument --delta: invalid level value: '0'"),
+        (["baseline", "--lr", "0"], "argument --lr: must be a number > 0, got 0"),
+        (["baseline", "--lr=-1"], "argument --lr: must be a number > 0, got -1"),
+        (["baseline", "--lr", "inf"], "argument --lr: must be a finite number, got inf"),
     ],
 )
 def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):

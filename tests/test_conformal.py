@@ -281,6 +281,77 @@ def test_conformity_scores_match_argsort_reference_bitwise(
         util.BLOCK_ENTRIES = saved
 
 
+def _place_labels(values, placements, rng):
+    """A label per row where its placement says: the row's unique maximum,
+    tied at the maximum with a lower- or a higher-index class, or second."""
+    n, L = values.shape
+    labels = np.empty(n, dtype=np.int64)
+    for i, where in enumerate(placements):
+        order = np.argsort(-values[i], kind="stable")
+        if where == "top":
+            values[i, order[0]] = 1.0  # beats every softmax entry of L >= 2
+            labels[i] = order[0]
+        elif where == "second":
+            values[i, order[0]] = 1.0
+            labels[i] = order[1]
+        else:
+            label, other = sorted(rng.choice(L, 2, replace=False))
+            if where == "tied-lower":
+                label, other = other, label
+            values[i, [label, other]] = 1.0
+            labels[i] = label
+    return labels
+
+
+@given(
+    placements=st.lists(
+        st.sampled_from(["top", "tied-lower", "tied-higher", "second"]), min_size=1, max_size=25
+    ),
+    n_classes=st.integers(2, 9),
+    seed=st.integers(0, 10**6),
+    u_kind=st.sampled_from(["zero", "one", "random"]),
+    k_reg=st.integers(1, 9),
+    block_rows=st.integers(0, 4),
+)
+def test_top_label_shortcut_matches_argsort_reference_bitwise(
+    placements, n_classes, seed, u_kind, k_reg, block_rows
+):
+    rng = np.random.default_rng(seed)
+    n = len(placements)
+    values = softmax_rows(n, n_classes, seed % 9973)
+    labels = _place_labels(values, placements, rng)
+    u = {"zero": np.zeros(n), "one": np.ones(n)}.get(u_kind, rng.random(n))
+    saved = util.BLOCK_ENTRIES
+    util.BLOCK_ENTRIES = block_rows * n_classes
+    try:
+        for spec in (APS, PredictorSpec.raps(0.37, 0), PredictorSpec.raps(0.1, min(k_reg, n_classes))):
+            got = conformity_scores(spec, values, labels, u)
+            want = _argsort_reference(spec, values, labels, u)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    finally:
+        util.BLOCK_ENTRIES = saved
+
+
+def test_only_rows_whose_label_is_not_the_unique_top_are_sorted(monkeypatch):
+    values = softmax_rows(40, 6, seed=17)
+    top = values.argmax(axis=1)
+    sorted_rows = []
+    descending = conformal._descending
+
+    def counting(block):
+        sorted_rows.append(block.shape[0])
+        return descending(block)
+
+    monkeypatch.setattr(conformal, "_descending", counting)
+    u = row_uniforms(2, 40)
+    for spec in (APS, PredictorSpec.raps(0.05, 2)):
+        sorted_rows.clear()
+        conformity_scores(spec, values, top, u)
+        assert sum(sorted_rows) == 0
+        conformity_scores(spec, values, (top + 1) % 6, u)
+        assert sum(sorted_rows) == 40
+
+
 def test_evaluate_is_independent_of_the_row_blocks(monkeypatch):
     d = labeled(50, 7, seed=31)
     for spec in (APS, PredictorSpec.raps(0.05, 2)):

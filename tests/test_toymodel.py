@@ -54,6 +54,16 @@ def test_param_validation():
         ToyClassifier(w_inv=1.0, w_sp=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ToyModelParams(gamma=0.05, c=bad, p=0.9)
+    with pytest.raises(ValueError, match="finite"):
+        ToyClassifier(w_inv=bad, w_sp=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        ToyClassifier(w_inv=1.0, w_sp=bad)
+
+
 def test_sample_degenerate_agreement():
     b1 = sample(ToyModelParams(0.05, 1.0, 1.0), 500, seed=0)
     np.testing.assert_array_equal(b1.x_sp, b1.y)
