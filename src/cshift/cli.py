@@ -140,6 +140,15 @@ def _finite(text: str, above: float = -math.inf) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    """A number in [0, 1], as an argparse ``type=``. A non-number or a
+    non-finite one gets the message of :func:`_finite`."""
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text}")
+    return value
+
+
 def _load_labeled(path) -> LabeledDataset:
     ds = load_dataset(path)
     if not isinstance(ds, LabeledDataset):
@@ -396,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("--n", partial(positive_int, limit=MAX_DRAWS), 10000, "rows per trial"),
             ("--alpha", level, "0.02", "target miscoverage level"),
             ("--delta", level, 0.1, "failure probability of the bound"),
-            ("--psrc", _finite, 0.9, "source spurious agreement rate"),
-            ("--ptgt", _finite, 0.7, "target spurious agreement rate"),
+            ("--psrc", _probability, 0.9, "source spurious agreement rate"),
+            ("--ptgt", _probability, 0.7, "target spurious agreement rate"),
             ("--winv", _finite, 1.0, "invariant-feature weight"),
             ("--wsp", _finite, 0.5, "spurious-feature weight"),
             ("--gamma", _finite, 0.05, "lower end of the invariant feature's magnitude"),

@@ -331,15 +331,19 @@ def train(
     x = (corpus.features - feat_mean) / feat_std
     layer_sizes = (corpus.d, *HIDDEN_SIZES, 1)
     weights, biases = init_parameters(layer_sizes, seed)
-    for epoch in range(epochs):
-        loss, grads_w, grads_b = loss_and_gradients(weights, biases, x, corpus.targets)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-        for w, gw in zip(weights, grads_w):
-            w -= learning_rate * gw
-        for b, gb in zip(biases, grads_b):
-            b -= learning_rate * gb
-    final_loss = float(np.mean((mlp_forward(weights, biases, x) - corpus.targets) ** 2))
+    # a step size too large for the data overflows the activations to inf
+    # and then NaN; the finite-loss checks report that as divergence, so
+    # numpy's own overflow and invalid-value warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            loss, grads_w, grads_b = loss_and_gradients(weights, biases, x, corpus.targets)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            for w, gw in zip(weights, grads_w):
+                w -= learning_rate * gw
+            for b, gb in zip(biases, grads_b):
+                b -= learning_rate * gb
+        final_loss = float(np.mean((mlp_forward(weights, biases, x) - corpus.targets) ** 2))
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(f"non-finite loss at epoch {epochs}")
     return MlpRegressor(

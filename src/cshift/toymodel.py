@@ -19,6 +19,14 @@ where c_sp = (1 - p_target) * (1 - p_source)^2 when w_sp > 0 and
 c_sp = p_target * p_source^2 otherwise. The oracles also check that alpha
 is reachable: it must lie below 0.9 of the error rate of each of their
 draws, or they raise :class:`PreconditionError`.
+
+Draws and scores are built in place: :func:`sample` holds three arrays of
+n entries (y, x_inv, x_sp), :func:`classify` writes into its (n, 2) result
+and leaves the batch as it was, and an oracle's private draw is consumed,
+its logit and then its top confidence overwriting x_inv. The random stream
+and the float operations are those of the direct formulas, so every value
+keeps its bits. A logit that overflows to +-inf is a saturated score,
+exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -81,27 +89,55 @@ def sample(params: ToyModelParams, n: int, seed: int) -> ToySampleBatch:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    y = rng.integers(0, 2, size=n) * 2 - 1
-    x_inv = y * rng.uniform(params.gamma, params.c, size=n)
-    agree = rng.random(n) < params.p
-    x_sp = np.where(agree, y, -y).astype(np.float64)
+    y = rng.integers(0, 2, size=n)
+    y *= 2
+    y -= 1
+    x_inv = rng.uniform(params.gamma, params.c, size=n)
+    x_inv *= y
+    # the uniforms that decide agreement (u < p), then the feature, share
+    # one buffer
+    x_sp = rng.random(n)
+    flip = x_sp >= params.p
+    np.copyto(x_sp, y)
+    np.negative(x_sp, out=x_sp, where=flip)
     return ToySampleBatch(x_inv=x_inv, x_sp=x_sp, y=y)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _logit(
+    clf: ToyClassifier, batch: ToySampleBatch, out: np.ndarray, spare: np.ndarray
+) -> np.ndarray:
+    """z = w_inv * x_inv + w_sp * x_sp into ``out``; ``spare`` receives
+    w_sp * x_sp. Either may be the batch's own array of that feature."""
+    # a huge finite weight or c overflows w_inv * x_inv to +-inf: a saturated
+    # logit, whose sigmoid is exactly 0 or 1. No NaN can arise, since
+    # w_sp * x_sp is finite, so the overflow is not an error.
+    with np.errstate(over="ignore"):
+        np.multiply(batch.x_inv, clf.w_inv, out=out)
+        return np.add(out, np.multiply(batch.x_sp, clf.w_sp, out=spare), out=out)
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigma(z) into ``out``, which is ``z`` itself or does not overlap it;
+    ``z`` is overwritten. With e = exp(-|z|) this is 1/(1+e) for z >= 0
+    and e/(1+e) otherwise: the same bits as 1/(1+exp(-z)) and
+    exp(z)/(1+exp(z)), since -z and z are then both exactly -|z|."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    denom = np.add(e, 1.0, out=None if out is z else out)
+    np.divide(1.0, denom, out=out, where=pos)
+    np.divide(e, denom, out=out, where=np.logical_not(pos, out=pos))
     return out
 
 
 def classify(clf: ToyClassifier, batch: ToySampleBatch) -> np.ndarray:
     """(n, 2) score rows [P(y=-1), P(y=+1)] under the logistic classifier."""
-    z = clf.w_inv * batch.x_inv + clf.w_sp * batch.x_sp
-    p1 = _sigmoid(z)
-    return np.column_stack([1.0 - p1, p1])
+    scores = np.empty((batch.x_inv.size, 2))
+    # z is contiguous: some numpy versions take another exp kernel, with
+    # other last bits, for a strided output
+    z = _logit(clf, batch, np.empty(batch.x_inv.size), scores[:, 0])
+    _sigmoid(z, out=scores[:, 1])
+    np.subtract(1.0, scores[:, 1], out=scores[:, 0])
+    return scores
 
 
 def to_dataset(batch: ToySampleBatch, clf: ToyClassifier) -> LabeledDataset:
@@ -112,13 +148,18 @@ def to_dataset(batch: ToySampleBatch, clf: ToyClassifier) -> LabeledDataset:
 def _mc_events(
     params: ToyModelParams, clf: ToyClassifier, n_mc: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(misclassified, top_confidence) arrays for a Monte Carlo draw."""
+    """(misclassified, top_confidence) arrays for a Monte Carlo draw.
+
+    The draw is private, so it is consumed in place: the logit and then
+    the confidence go into its x_inv buffer."""
     batch = sample(params, n_mc, seed)
-    z = clf.w_inv * batch.x_inv + clf.w_sp * batch.x_sp
-    predicted = np.where(z > 0, 1, -1)
-    miss = predicted != batch.y
-    confidence = _sigmoid(np.abs(z))
-    return miss, confidence
+    z = _logit(clf, batch, batch.x_inv, batch.x_sp)
+    y = batch.y
+    del batch  # frees x_sp, then y once miss is known
+    # the prediction is +1 exactly where z > 0
+    miss = (z > 0) != (y > 0)
+    del y
+    return miss, _sigmoid(np.abs(z, out=z), out=z)
 
 
 def classifier_error_rate(

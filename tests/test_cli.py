@@ -11,6 +11,7 @@ import contextlib
 import io
 import math
 import time
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -567,7 +568,6 @@ def test_baseline_zero_shifts_exits_2(tmp_path, capsys):
     assert "empty corpus" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_baseline_divergent_training_exits_4(tmp_path, capsys):
     cal = tmp_path / "cal.csv"
     _cal_csv(cal, n=100, n_classes=4, seed=17)
@@ -616,6 +616,34 @@ def test_simulate_alpha_at_error_rate_exits_5(tmp_path, capsys):
     )
     assert rc == 5
     assert "must be below" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_saturated_logit_exits_5_without_warnings(tmp_path, capsys):
+    # w_inv * x_inv overflows to inf: a score of exactly 0 or 1, not an error
+    out = tmp_path / "trials.csv"
+    argv = ["simulate", "--winv", "1e308", "--c", "1e308", "--trials", "1", "--n", "500",
+            "--nmc", "20000", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 5
+    assert capsys.readouterr().err == (
+        "error: alpha=0.02 must be below 0.9 * estimated target error rate 0\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_probabilities_are_checked_at_parse_time(tmp_path, capsys):
+    args = build_parser().parse_args(["simulate", "--out", "o", "--psrc", "0", "--ptgt", "1"])
+    assert (args.psrc, args.ptgt) == (0.0, 1.0)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("trials=1\nptgt=1.5\n")
+    out = tmp_path / "trials.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: argument --ptgt: must be a number in [0, 1], got 1.5\n"
+    )
     assert not out.exists()
 
 
@@ -904,6 +932,10 @@ def test_config_bad_value_names_the_file_and_line(tmp_path, capsys):
         (["baseline", "--lr", "0"], "argument --lr: must be a number > 0, got 0"),
         (["baseline", "--lr=-1"], "argument --lr: must be a number > 0, got -1"),
         (["baseline", "--lr", "inf"], "argument --lr: must be a finite number, got inf"),
+        (["simulate", "--out", "o", "--psrc", "1.5"],
+         "argument --psrc: must be a number in [0, 1], got 1.5"),
+        (["simulate", "--out", "o", "--ptgt=-0.1"],
+         "argument --ptgt: must be a number in [0, 1], got -0.1"),
     ],
 )
 def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):

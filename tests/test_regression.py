@@ -237,7 +237,6 @@ def test_loss_decreases_across_checkpoints():
     assert losses[0] >= losses[1] >= losses[2]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_divergence_names_epoch():
     d = labeled(100, 4, seed=17)
     corpus = build_corpus(d, TPS, 0.1, n_shifts=4, extractor="acr", seed=1)

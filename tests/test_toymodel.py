@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cshift.toymodel import (
     PreconditionError,
+    _mc_events,
+    _sigmoid,
     ToyClassifier,
     ToyModelParams,
     ToySampleBatch,
@@ -222,3 +227,114 @@ def test_oracle_beta_names_the_distribution_whose_error_rate_is_too_low(alpha, n
     with pytest.raises(PreconditionError, match=f"must be below 0.9 \\* estimated {name} error rate"):
         oracle_beta(SRC, TGT, CLF, alpha=alpha, n_mc=10**5, seed=0)
 
+
+
+# --- the in-place draw and score path against today's direct formulas ---
+
+
+def _sample_reference(params, n, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n) * 2 - 1
+    x_inv = y * rng.uniform(params.gamma, params.c, size=n)
+    agree = rng.random(n) < params.p
+    x_sp = np.where(agree, y, -y).astype(np.float64)
+    return x_inv, x_sp, y
+
+
+def _sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _logit_reference(clf, x_inv, x_sp):
+    with np.errstate(over="ignore"):
+        return clf.w_inv * x_inv + clf.w_sp * x_sp
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# magnitudes from subnormal to near overflow, signed zeros and both signs
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_weights = st.one_of(
+    st.floats(1e-300, 1e300), st.sampled_from([1e-320, 0.5, 1.0, 3.0, 1e308])
+)
+_params = st.builds(
+    lambda gamma, width, p: ToyModelParams(gamma, gamma + width, p),
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    st.one_of(st.floats(1e-6, 1e3), st.just(1e308)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+_classifiers = st.builds(
+    lambda w_inv, w_sp, negate: ToyClassifier(w_inv, -w_sp if negate else w_sp),
+    _weights,
+    _weights,
+    st.booleans(),
+)
+
+
+@given(z=st.lists(st.one_of(_reals, st.sampled_from([0.0, -0.0, np.inf, -np.inf])), min_size=1))
+def test_sigmoid_matches_the_two_branch_formula(z):
+    z = np.array(z)
+    expected = _sigmoid_reference(z)
+    assert _same_bits(_sigmoid(z.copy(), out=np.empty_like(z)), expected)
+    assert _same_bits(_sigmoid(z.copy(), out=z), expected)
+
+
+@given(params=_params, n=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_sample_matches_the_direct_draw(params, n, seed):
+    batch = sample(params, n, seed)
+    x_inv, x_sp, y = _sample_reference(params, n, seed)
+    assert _same_bits(batch.x_inv, x_inv)
+    assert _same_bits(batch.x_sp, x_sp)
+    assert _same_bits(batch.y, y)
+
+
+@given(
+    clf=_classifiers,
+    rows=st.lists(st.tuples(_reals, st.sampled_from([-1.0, 1.0])), min_size=1, max_size=60),
+)
+def test_classify_matches_the_direct_formula_and_keeps_its_batch(clf, rows):
+    x_inv, x_sp = (np.array(col) for col in zip(*rows))
+    batch = _batch(x_inv, x_sp, x_sp.astype(np.int64))
+    before = [a.copy() for a in (batch.x_inv, batch.x_sp, batch.y)]
+    p1 = _sigmoid_reference(_logit_reference(clf, x_inv, x_sp))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = classify(clf, batch)
+    assert _same_bits(scores, np.column_stack([1.0 - p1, p1]))
+    for kept, now in zip(before, (batch.x_inv, batch.x_sp, batch.y)):
+        assert _same_bits(kept, now)
+
+
+@given(params=_params, clf=_classifiers, n=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_mc_events_match_the_direct_formula(params, clf, n, seed):
+    x_inv, x_sp, y = _sample_reference(params, n, seed)
+    z = _logit_reference(clf, x_inv, x_sp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        miss, confidence = _mc_events(params, clf, n, seed)
+    assert _same_bits(miss, np.where(z > 0, 1, -1) != y)
+    assert _same_bits(confidence, _sigmoid_reference(np.abs(z)))
+
+
+def test_mc_events_peak_stays_near_three_draw_arrays():
+    n_mc = 200_000
+    # the first call imports numpy's lazily loaded random modules; keep that
+    # one-time cost out of the measurement
+    _mc_events(SRC, CLF, 10, seed=0)
+    tracemalloc.start()
+    try:
+        _mc_events(SRC, CLF, n_mc, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # y, x_inv and x_sp of the draw plus a few bool masks; the direct
+    # formulas held about 9 draw-sized arrays at once
+    assert peak <= 4 * 8 * n_mc
