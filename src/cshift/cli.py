@@ -60,10 +60,13 @@ EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_s
 MAX_ALPHA_GRID_POINTS = 10_000
 
 # Largest --n and --nmc, which size every draw: at 10**7 the Monte Carlo
-# oracle peaks near 0.7 GB and one trial near 1.4 GB (see README)
+# oracle peaks near 0.3 GB and one trial near 1.1 GB (see README)
 MAX_DRAWS = 10**7
 # Largest --bins, the width of each corpus histogram and network input
 MAX_BINS = 10**4
+# Largest --shifts, the corpus size and so the row count of every layer
+# buffer in training
+MAX_SHIFTS = 10**3
 
 
 def parse_alpha_grid(text: str) -> list[float]:
@@ -388,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         [
             ("--bins", partial(positive_int, limit=MAX_BINS), 10, "chr/chr-minus histogram bins"),
-            ("--shifts", int, 90, "synthetic shift count incl. identity"),
+            ("--shifts", partial(positive_int, limit=MAX_SHIFTS), 90,
+             "synthetic shift count incl. identity"),
             ("--epochs", positive_int, 5000, "training epochs"),
             ("--lr", partial(_finite, above=0.0), 1e-3, "learning rate"),
         ],

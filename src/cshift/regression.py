@@ -16,12 +16,14 @@ label-preserving Dirichlet jitter. Feature extractors:
   class; a class never predicted contributes 1/L with a warning (d = L).
 
 The network is fixed at [d, 64, 64, 64, 1] with ReLU hidden layers and is
-trained by full-batch gradient descent on the mean squared error. Features
+trained by full-batch gradient descent on the mean squared error, over one
+flat parameter vector and layer buffers allocated once per call. Features
 are standardized per coordinate; the statistics are stored in the model.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +32,7 @@ import numpy as np
 from .conformal import PredictorSpec, calibrate, max_tau
 from .qtc import top_confidences
 from .scores import Dataset, LabeledDataset, ScoreMatrix
-from .util import derive_seed, format_float, format_kv, parse_kv, reading
+from .util import derive_seed, format_float, format_kv, parse_kv, reading, replacing
 
 EXTRACTORS = ("acr", "dcr", "chr", "chr-minus", "pcr")
 
@@ -48,7 +50,7 @@ class TrainingDivergedError(RuntimeError):
     """Gradient descent produced a non-finite loss."""
 
 
-def confidence_histogram(confidences: np.ndarray, bins: int) -> np.ndarray:
+def _confidence_histogram(confidences: np.ndarray, bins: int) -> np.ndarray:
     """Normalized histogram of confidences over equal bins of [0, 1].
 
     Interior edges belong to the upper bin; the last bin includes 1.
@@ -83,7 +85,7 @@ def extract_features(
     elif extractor in ("chr", "chr-minus"):
         if bins < 2:
             raise ValueError(f"{extractor} needs bins >= 2, got {bins}")
-        values = confidence_histogram(conf, bins)
+        values = _confidence_histogram(conf, bins)
         if extractor == "chr-minus":
             values = values[:-1]
     else:  # pcr
@@ -118,7 +120,7 @@ def temperature_scale(values: np.ndarray, temperature: float) -> np.ndarray:
     return powered / powered.sum(axis=1, keepdims=True)
 
 
-def dirichlet_jitter(
+def _dirichlet_jitter(
     values: np.ndarray, concentration: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Resample each row from a Dirichlet centered on it.
@@ -144,8 +146,8 @@ def synthetic_shift(
     """One shifted copy: temperature scaling then Dirichlet jitter."""
     rng = np.random.default_rng(seed)
     shifted = temperature_scale(source.scores.values, float(np.exp(log_temperature)))
-    shifted = dirichlet_jitter(shifted, concentration, rng)
-    return LabeledDataset(ScoreMatrix(shifted), source.labels)
+    shifted = _dirichlet_jitter(shifted, concentration, rng)
+    return LabeledDataset(ScoreMatrix._adopt(shifted), source.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,57 +261,116 @@ class MlpRegressor:
         return self.layer_sizes[0]
 
 
-def init_parameters(
-    layer_sizes: tuple[int, ...], seed: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Uniform [-a, a] weights with a = sqrt(6 / (fan_in + fan_out)); zero biases."""
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
+def _n_parameters(layer_sizes: tuple[int, ...]) -> int:
+    pairs = zip(layer_sizes[:-1], layer_sizes[1:])
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in pairs)
+
+
+def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):
+    """Each layer's weight matrix and bias as views of ``flat``, laid out
+    as in the model file: layer by layer, W (fan_in x fan_out) then b."""
+    if flat.size != _n_parameters(layer_sizes):
+        raise ValueError("weight blob size does not match layer sizes")
+    weights, biases, offset = [], [], 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
     return weights, biases
 
 
-def _forward(
-    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The input and each hidden layer's activations, and the (m,) outputs."""
-    activations = [x]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
-    return activations, (activations[-1] @ weights[-1] + biases[-1])[:, 0]
+class _Network:
+    """The MLP's parameters, gradients and layer buffers for one batch of
+    inputs, each allocated once.
+
+    ``theta`` holds every weight and bias in the model file's layout and
+    ``grad`` their gradients in the same layout; ``weights``/``biases`` and
+    ``grad_w``/``grad_b`` are per-layer views of them. A forward or
+    backward pass only writes into these arrays, so a training loop
+    allocates no array of its own.
+    """
+
+    def __init__(self, layer_sizes: tuple[int, ...], x: np.ndarray):
+        m = x.shape[0]
+        self.m = m
+        self.theta = np.empty(_n_parameters(layer_sizes))
+        self.grad = np.empty_like(self.theta)
+        self.weights, self.biases = _layer_views(self.theta, layer_sizes)
+        self.grad_w, self.grad_b = _layer_views(self.grad, layer_sizes)
+        self.weights_t = [w.T for w in self.weights]
+        hidden = layer_sizes[1:-1]
+        # each hidden layer's activations: the pre-activation, rectified
+        # in place
+        self.acts = [np.empty((m, k)) for k in hidden]
+        self.masks = [np.empty((m, k), dtype=bool) for k in hidden]
+        self.inputs = [x, *self.acts]
+        self.inputs_t = [a.T for a in self.inputs]
+        # d loss / d pre-activation of each layer, the output layer's last
+        self.deltas = [np.empty((m, k)) for k in layer_sizes[1:]]
+        self.out = np.empty((m, layer_sizes[-1]))
+        self.residual = np.empty(m)
+        self.square = np.empty(m)
+        # (m,) views of the single-output columns
+        self.out_column = self.out[:, 0]
+        self.delta_column = self.deltas[-1][:, 0]
+
+    def forward(self) -> np.ndarray:
+        """The (m,) outputs; fills each hidden layer's activations and its
+        ReLU mask ``a > 0``."""
+        for a, w, b, h, mask in zip(self.inputs, self.weights, self.biases, self.acts, self.masks):
+            np.matmul(a, w, out=h)
+            h += b
+            np.maximum(h, 0.0, out=h)
+            np.greater(h, 0.0, out=mask)
+        np.matmul(self.inputs[-1], self.weights[-1], out=self.out)
+        self.out += self.biases[-1]
+        return self.out_column
+
+    def loss(self, targets: np.ndarray) -> float:
+        """Mean squared error of a forward pass; leaves the residual."""
+        np.subtract(self.forward(), targets, out=self.residual)
+        # np.mean's own arithmetic: a pairwise sum, then one division
+        return float(np.add.reduce(np.square(self.residual, out=self.square))) / self.m
+
+    def backprop(self, targets: np.ndarray) -> float:
+        """The loss, with its gradient written into ``grad``."""
+        loss = self.loss(targets)
+        deltas, masks = self.deltas, self.masks
+        # d loss / d out
+        np.multiply(self.residual, 2.0 / self.m, out=self.delta_column)
+        for layer in range(len(deltas) - 1, -1, -1):
+            delta = deltas[layer]
+            np.matmul(self.inputs_t[layer], delta, out=self.grad_w[layer])
+            np.add.reduce(delta, axis=0, out=self.grad_b[layer])
+            if layer > 0:
+                below = deltas[layer - 1]
+                np.matmul(delta, self.weights_t[layer], out=below)
+                # a multiply, not a masked store, so -0.0 and NaN keep their bits
+                below *= masks[layer - 1]
+        return loss
 
 
-def mlp_forward(
+def _init_parameters(net: _Network, seed: int) -> None:
+    """Uniform [-a, a] weights with a = sqrt(6 / (fan_in + fan_out)), drawn
+    layer by layer; zero biases."""
+    rng = np.random.default_rng(seed)
+    for w, b in zip(net.weights, net.biases):
+        fan_in, fan_out = w.shape
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        w[...] = rng.uniform(-a, a, size=(fan_in, fan_out))
+        b[...] = 0.0
+
+
+def _mlp_forward(
     weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
 ) -> np.ndarray:
     """Forward pass on already-standardized inputs; returns (m,) outputs."""
-    return _forward(weights, biases, x)[1]
-
-
-def loss_and_gradients(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    x: np.ndarray,
-    targets: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean squared error and its gradients via backpropagation."""
-    m = x.shape[0]
-    activations, out = _forward(weights, biases, x)
-    residual = out - targets
-    loss = float(np.mean(residual**2))
-    # d loss / d out
-    delta = (2.0 / m) * residual[:, None]
-    grads_w = [np.empty_like(w) for w in weights]
-    grads_b = [np.empty_like(b) for b in biases]
-    for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
-    return loss, grads_w, grads_b
+    layer_sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
+    net = _Network(layer_sizes, np.ascontiguousarray(x, dtype=np.float64))
+    for dst, src in zip(net.weights + net.biases, weights + biases):
+        dst[...] = src
+    return net.forward()
 
 
 def train(
@@ -321,7 +382,8 @@ def train(
     """Full-batch gradient descent on the corpus.
 
     Deterministic for a given seed. Raises ``TrainingDivergedError`` naming
-    the epoch if the loss stops being finite.
+    the epoch if the loss stops being finite. The parameters are one flat
+    vector and each step is ``theta -= learning_rate * grad``.
     """
     if corpus.size < 1:
         raise ValueError("corpus is empty")
@@ -329,26 +391,25 @@ def train(
     feat_std = corpus.features.std(axis=0)
     feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
     x = (corpus.features - feat_mean) / feat_std
-    layer_sizes = (corpus.d, *HIDDEN_SIZES, 1)
-    weights, biases = init_parameters(layer_sizes, seed)
+    net = _Network((corpus.d, *HIDDEN_SIZES, 1), x)
+    _init_parameters(net, seed)
+    targets, theta, grad = corpus.targets, net.theta, net.grad
     # a step size too large for the data overflows the activations to inf
     # and then NaN; the finite-loss checks report that as divergence, so
     # numpy's own overflow and invalid-value warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            loss, grads_w, grads_b = loss_and_gradients(weights, biases, x, corpus.targets)
-            if not np.isfinite(loss):
+            if not math.isfinite(net.backprop(targets)):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            for w, gw in zip(weights, grads_w):
-                w -= learning_rate * gw
-            for b, gb in zip(biases, grads_b):
-                b -= learning_rate * gb
-        final_loss = float(np.mean((mlp_forward(weights, biases, x) - corpus.targets) ** 2))
-    if not np.isfinite(final_loss):
+            # the multiply, then the subtract, of w -= learning_rate * gw
+            grad *= learning_rate
+            theta -= grad
+        final_loss = net.loss(targets)
+    if not math.isfinite(final_loss):
         raise TrainingDivergedError(f"non-finite loss at epoch {epochs}")
     return MlpRegressor(
-        weights=weights,
-        biases=biases,
+        weights=net.weights,
+        biases=net.biases,
         feat_mean=feat_mean,
         feat_std=feat_std,
         extractor_id=corpus.extractor_id,
@@ -375,7 +436,7 @@ def predict_tau(model: MlpRegressor, target: Dataset, source_ref: Dataset | None
     if feature.size != model.d:
         raise ValueError(f"feature dimension {feature.size} does not match model input {model.d}")
     x = ((feature - model.feat_mean) / model.feat_std)[None, :]
-    out = float(mlp_forward(model.weights, model.biases, x)[0])
+    out = float(_mlp_forward(model.weights, model.biases, x)[0])
     if model.offset_base is not None:
         out += model.offset_base
     return float(np.clip(out, 0.0, max_tau(model.spec, model.n_classes)))
@@ -393,11 +454,10 @@ def _optional(text: str) -> float | None:
 
 
 def save_model(model: MlpRegressor, path) -> None:
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for w, b in zip(model.weights, model.biases)
-        for arr in (w, b)
-    )
+    """Write a model file. As for datasets, the bytes go to a new sibling
+    file that then replaces ``path``, so a failed save leaves an existing
+    file as it was."""
+    arrays = [arr for w, b in zip(model.weights, model.biases) for arr in (w, b)]
     header = {
         "layers": ",".join(map(str, model.layer_sizes)),
         "extractor": model.extractor_id,
@@ -408,10 +468,12 @@ def save_model(model: MlpRegressor, path) -> None:
         "final_loss": "none" if model.final_loss is None else float(model.final_loss),
         "feat_mean": _floats(model.feat_mean),
         "feat_std": _floats(model.feat_std),
-        "blob_bytes": len(blob),
+        "blob_bytes": 8 * sum(arr.size for arr in arrays),
     }
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC + b"\n" + format_kv(header).encode() + blob)
+    with replacing(path) as fh:
+        fh.write(MODEL_MAGIC + b"\n" + format_kv(header).encode())
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_model(path) -> MlpRegressor:
@@ -439,15 +501,8 @@ def load_model(path) -> MlpRegressor:
                 f"feat_mean has {feat_mean.size} and feat_std {feat_std.size} entries "
                 f"for {layer_sizes[0]} inputs"
             )
-        flat = np.frombuffer(blob, dtype="<f8")
-        weights, biases, offset = [], [], 0
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out).copy())
-            offset += fan_in * fan_out
-            biases.append(flat[offset : offset + fan_out].copy())
-            offset += fan_out
-        if offset != flat.size:
-            raise ValueError("weight blob size does not match layer sizes")
+        flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        weights, biases = _layer_views(flat, layer_sizes)
         return MlpRegressor(
             weights=weights,
             biases=biases,

@@ -21,29 +21,30 @@ process with SIGBUS, and changed bytes change the matrix. Each live binary
 dataset holds one file descriptor, that of its mapping. A CSV table or a
 caller's array, a writable mapping included, is copied once, so a matrix
 never shares memory a caller can write, and the caller's array stays
-writable. Labels follow the same rule.
-Validation finds the minimum, the maximum and the row sums in one pass over
-row blocks (:func:`cshift.util.map_row_blocks`, on every CPU of the
-process's affinity mask for a large matrix), with the same bits as a
-whole-matrix pass, and adds no full-size temporaries unless an entry lies
-outside [0, 1].
+writable. Labels follow the same rule. An array that the library has just
+built for a dataset (``ScoreMatrix._adopt``, ``LabeledDataset._adopt``) is
+validated the same way and kept without the copy.
+Validation finds the minimum, the maximum, the row sums and the largest
+row-sum deviation in one pass over row blocks
+(:func:`cshift.util.map_row_blocks`, on every CPU of the process's
+affinity mask for a large matrix), with the same bits as a whole-matrix
+pass, and adds no full-size temporaries unless an entry lies outside
+[0, 1] or a row sum is off by more than 1e-12.
 """
 
 from __future__ import annotations
 
 import io
 import mmap
-import os
 import struct
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .util import format_float, map_row_blocks
+from .util import format_float, map_row_blocks, replacing
 
 ROW_SUM_TOL = 1e-4
 ENTRY_TOL = 1e-4
@@ -70,35 +71,37 @@ def _immutable(values: np.ndarray) -> bool:
     return isinstance(base, bytes)
 
 
-def _scan(values: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Minimum, maximum and row sums of ``values`` in one pass over its row
-    blocks. A NaN anywhere makes both the minimum and the maximum NaN."""
+def _scan(values: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+    """Minimum, maximum, row sums and largest ``|row sum - 1|`` of
+    ``values`` in one pass over its row blocks. A NaN anywhere makes both
+    the minimum and the maximum NaN."""
     sums = np.empty(values.shape[0])
 
     def block(rows):
         part = values[rows]
-        part.sum(axis=1, out=sums[rows])
-        return part.min(), part.max()
+        part_sums = part.sum(axis=1, out=sums[rows])
+        return part.min(), part.max(), np.abs(part_sums - 1.0).max()
 
-    lows, highs = zip(*map_row_blocks(block, *values.shape))
+    lows, highs, offs = zip(*map_row_blocks(block, *values.shape))
     # numpy's reductions propagate a NaN from any block; Python's min/max
     # would keep whichever value comes first
-    return np.min(lows), np.max(highs), sums
+    return np.min(lows), np.max(highs), sums, np.max(offs)
 
 
-def _validated_scores(values: np.ndarray) -> np.ndarray:
+def _validated_scores(values: np.ndarray, adopt: bool = False) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 2:
         raise DataFormatError(
             f"score matrix must be 2-D with at least 1 row and 2 classes, got shape {values.shape}"
         )
     # The result is C-contiguous and no caller can write it: anything but
-    # an immutable C-contiguous buffer is copied once, before the scan.
-    if not (_immutable(values) and values.flags.c_contiguous):
+    # an immutable or adopted C-contiguous buffer is copied once, before
+    # the scan.
+    if not (values.flags.c_contiguous and (adopt or _immutable(values))):
         values = np.array(values, order="C")
     # NaN fails both comparisons, so the scan's min/max picks the path; the
     # clip (which keeps -0.0) only runs when it would change an entry.
-    low, high, sums = _scan(values)
+    low, high, sums, worst = _scan(values)
     if not (low >= 0.0 and high <= 1.0):
         if not np.all(np.isfinite(values)):
             row = int(np.argwhere(~np.all(np.isfinite(values), axis=1))[0, 0]) + 1
@@ -110,16 +113,19 @@ def _validated_scores(values: np.ndarray) -> np.ndarray:
         out = values if values.flags.writeable else np.empty(values.shape)
         values = np.clip(values, 0.0, 1.0, out=out)
         sums = values.sum(axis=1)
-    off = np.abs(sums - 1.0) > ROW_SUM_TOL
-    if off.any():
-        row = int(np.argmax(off)) + 1
-        raise DataFormatError(
-            f"row sum {sums[row - 1]:g} exceeds tolerance at row {row}"
-        )
-    # Renormalize only rows outside the strict tolerance so that matrices
-    # which already satisfy it round-trip bit-exactly.
-    loose = np.abs(sums - 1.0) > RENORM_TOL
-    if loose.any():
+        worst = np.abs(sums - 1.0).max()
+    # Row deviations are only materialized when some row is off by more
+    # than the strict tolerance. Only those rows are renormalized, so
+    # matrices which already satisfy it round-trip bit-exactly.
+    if worst > RENORM_TOL:
+        deviation = np.abs(sums - 1.0)
+        off = deviation > ROW_SUM_TOL
+        if off.any():
+            row = int(np.argmax(off)) + 1
+            raise DataFormatError(
+                f"row sum {sums[row - 1]:g} exceeds tolerance at row {row}"
+            )
+        loose = deviation > RENORM_TOL
         if not values.flags.writeable:
             values = values.copy()
         values[loose] /= sums[loose, None]
@@ -135,6 +141,15 @@ class ScoreMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _validated_scores(self.values))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> ScoreMatrix:
+        """A matrix over ``values``, a C-contiguous float64 array that the
+        library has just built and no one else holds: validated like any
+        other, but not copied. ``values`` becomes read-only."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "values", _validated_scores(values, adopt=True))
+        return matrix
 
     @property
     def n(self) -> int:
@@ -153,6 +168,27 @@ class ScoreMatrix:
         return top
 
 
+def _validated_labels(labels: np.ndarray, scores: ScoreMatrix, adopt: bool = False) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1 or labels.shape[0] != scores.n:
+        raise DataFormatError(
+            f"labels must be 1-D of length {scores.n}, got shape {labels.shape}"
+        )
+    bad = (labels < 0) | (labels >= scores.L)
+    if bad.any():
+        row = int(np.argmax(bad)) + 1
+        raise DataFormatError(
+            f"label {labels[row - 1]} outside [0, {scores.L - 1}] at row {row}"
+        )
+    # as for scores: a binary load's immutable buffer or an adopted array
+    # is kept, anything else is copied once, so the caller's array stays
+    # writable
+    if not (labels.flags.c_contiguous and (adopt or _immutable(labels))):
+        labels = np.array(labels, order="C")
+    labels.setflags(write=False)
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Score matrix plus one true class label per row."""
@@ -161,23 +197,17 @@ class LabeledDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != self.scores.n:
-            raise DataFormatError(
-                f"labels must be 1-D of length {self.scores.n}, got shape {labels.shape}"
-            )
-        bad = (labels < 0) | (labels >= self.scores.L)
-        if bad.any():
-            row = int(np.argmax(bad)) + 1
-            raise DataFormatError(
-                f"label {labels[row - 1]} outside [0, {self.scores.L - 1}] at row {row}"
-            )
-        # as for scores: a binary load's immutable buffer is kept, anything
-        # else is copied once, so the caller's array stays writable
-        if not (_immutable(labels) and labels.flags.c_contiguous):
-            labels = np.array(labels, order="C")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _validated_labels(self.labels, self.scores))
+
+    @classmethod
+    def _adopt(cls, scores: ScoreMatrix, labels: np.ndarray) -> LabeledDataset:
+        """A dataset over ``labels``, an int64 array that the library has
+        just built and no one else holds: validated like any other, but not
+        copied. ``labels`` becomes read-only."""
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "scores", scores)
+        object.__setattr__(dataset, "labels", _validated_labels(labels, scores, adopt=True))
+        return dataset
 
     @property
     def n(self) -> int:
@@ -304,21 +334,9 @@ def save_dataset(dataset: Dataset, path) -> None:
     rename, so a dataset that maps the old file keeps its values and a
     failed save leaves the old file as it was.
     """
-    path = Path(path)
-    write = _save_binary if path.suffix == ".bin" else _save_csv
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        fh = open(tmp, "xb")
-    except OSError as exc:  # name the file the caller asked for
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    try:
-        with fh:
-            write(dataset, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
+    write = _save_binary if Path(path).suffix == ".bin" else _save_csv
+    with replacing(path) as fh:
+        write(dataset, fh)
 
 
 def _save_csv(dataset: Dataset, fh) -> None:

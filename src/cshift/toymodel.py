@@ -141,8 +141,12 @@ def classify(clf: ToyClassifier, batch: ToySampleBatch) -> np.ndarray:
 
 
 def to_dataset(batch: ToySampleBatch, clf: ToyClassifier) -> LabeledDataset:
-    """Score the batch and map labels y=-1 -> 0, y=+1 -> 1."""
-    return LabeledDataset(ScoreMatrix(classify(clf, batch)), (batch.y + 1) // 2)
+    """Score the batch and map labels y=-1 -> 0, y=+1 -> 1. The dataset
+    takes over both fresh arrays instead of copying them."""
+    scores = ScoreMatrix._adopt(classify(clf, batch))
+    labels = batch.y + 1
+    labels //= 2
+    return LabeledDataset._adopt(scores, labels)
 
 
 def _mc_events(

@@ -1,13 +1,15 @@
 """Shared helpers: guarded order-statistic indices, seeded streams, the row
-blocks that every full-matrix pass runs over, and the one codec of every
-``key=value`` record (threshold, sidecar, config, model header)."""
+blocks that every full-matrix pass runs over, the one codec of every
+``key=value`` record (threshold, sidecar, config, model header), and the
+sibling-and-rename write of dataset and model files."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from pathlib import Path
 
 import numpy as np
 
@@ -118,6 +120,28 @@ def reading(path):
         raise ValueError(f"{path} missing key {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def replacing(path):
+    """A new sibling file of ``path``, open for binary writing, that
+    replaces ``path`` in one rename when the block ends without an error.
+    On an error it is deleted, and ``path`` keeps its old bytes; a reader
+    that maps the old file keeps them too."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_kv(path, pairs: dict) -> None:

@@ -21,9 +21,9 @@ from cshift.cli import main
 from cshift.conformal import Calibrator, PredictorSpec, calibrate, evaluate
 from cshift.qtc import estimate_beta_qtc, estimate_beta_qtc_sc, recalibrate
 from cshift.regression import (
+    _init_parameters,
+    _Network,
     extract_features,
-    init_parameters,
-    loss_and_gradients,
     temperature_scale,
 )
 from cshift.regression import build_corpus, train
@@ -145,37 +145,35 @@ def test_criterion_6_network_gradients_and_histogram_features():
     # zero-init biases behind a dead unit put a pre-activation exactly at
     # 0, where the subgradient and the difference quotient disagree
     step = 1e-5
-    weights, biases = init_parameters((3, 4, 4, 4, 1), seed=61)
-    x = y = None
+    net = y = None
     for data_seed in range(60, 120):
         rng = np.random.default_rng(data_seed)
-        cand_x = rng.standard_normal((5, 3))
+        # the kernel that train runs, over one flat parameter vector
+        cand = _Network((3, 4, 4, 4, 1), rng.standard_normal((5, 3)))
+        _init_parameters(cand, seed=61)
         margin = math.inf
-        h = cand_x
-        for w, b in zip(weights[:-1], biases[:-1]):
+        h = cand.inputs[0]
+        for w, b in zip(cand.weights[:-1], cand.biases[:-1]):
             z = h @ w + b
             margin = min(margin, float(np.min(np.abs(z))))
             h = np.maximum(z, 0.0)
         if margin > 1000 * step:
-            x = cand_x
+            net = cand
             y = rng.standard_normal(5)
             break
-    assert x is not None, "no kink-free probe point in the scanned seeds"
-    _, grads_w, grads_b = loss_and_gradients(weights, biases, x, y)
+    assert net is not None, "no kink-free probe point in the scanned seeds"
+    net.backprop(y)
+    grad = net.grad.copy()
     worst = 0.0
-    for params, grads in ((weights, grads_w), (biases, grads_b)):
-        for p, g in zip(params, grads):
-            flat = p.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                up, _, _ = loss_and_gradients(weights, biases, x, y)
-                flat[idx] = orig - step
-                down, _, _ = loss_and_gradients(weights, biases, x, y)
-                flat[idx] = orig
-                fd = (up - down) / (2 * step)
-                ga = g.ravel()[idx]
-                worst = max(worst, abs(fd - ga) / max(abs(fd), abs(ga), 1e-8))
+    for idx in range(net.theta.size):
+        orig = net.theta[idx]
+        net.theta[idx] = orig + step
+        up = net.backprop(y)
+        net.theta[idx] = orig - step
+        down = net.backprop(y)
+        net.theta[idx] = orig
+        fd = (up - down) / (2 * step)
+        worst = max(worst, abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8))
     assert worst <= 1e-4
 
     # a single-entry corpus must be driven to interpolation

@@ -565,7 +565,9 @@ def test_baseline_zero_shifts_exits_2(tmp_path, capsys):
         ]
     )
     assert rc == 2
-    assert "empty corpus" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "error: argument --shifts: must be an integer >= 1, got 0\n"
+    )
 
 
 def test_baseline_divergent_training_exits_4(tmp_path, capsys):
@@ -936,6 +938,9 @@ def test_config_bad_value_names_the_file_and_line(tmp_path, capsys):
          "argument --psrc: must be a number in [0, 1], got 1.5"),
         (["simulate", "--out", "o", "--ptgt=-0.1"],
          "argument --ptgt: must be a number in [0, 1], got -0.1"),
+        (["baseline", "--shifts", "1001"], "argument --shifts: must be an integer <= 1000, got 1001"),
+        (["baseline", "--shifts", "-2"], "argument --shifts: must be an integer >= 1, got -2"),
+        (["baseline", "--shifts", "9.5"], "argument --shifts: invalid int value: '9.5'"),
     ],
 )
 def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):

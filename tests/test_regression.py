@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import labeled, softmax_rows, unlabeled
 from cshift.conformal import PredictorSpec, calibrate
 from cshift.regression import (
+    HIDDEN_SIZES,
     MlpRegressor,
+    RegressionCorpus,
     TrainingDivergedError,
+    _confidence_histogram,
+    _dirichlet_jitter,
+    _init_parameters,
+    _mlp_forward,
+    _Network,
     build_corpus,
-    confidence_histogram,
-    dirichlet_jitter,
     extract_features,
-    init_parameters,
     load_model,
-    loss_and_gradients,
-    mlp_forward,
     predict_tau,
     save_model,
     synthetic_shift,
@@ -64,9 +66,9 @@ def test_chr_hand_example():
 
 
 def test_chr_edge_goes_to_upper_bin():
-    assert confidence_histogram(np.array([0.5]), 2).tolist() == [0.0, 1.0]
-    assert confidence_histogram(np.array([1.0]), 2).tolist() == [0.0, 1.0]
-    assert confidence_histogram(np.array([0.49999]), 2).tolist() == [1.0, 0.0]
+    assert _confidence_histogram(np.array([0.5]), 2).tolist() == [0.0, 1.0]
+    assert _confidence_histogram(np.array([1.0]), 2).tolist() == [0.0, 1.0]
+    assert _confidence_histogram(np.array([0.49999]), 2).tolist() == [1.0, 0.0]
 
 
 def test_chr_requires_two_bins():
@@ -128,11 +130,11 @@ def test_temperature_scale_identity_and_flattening():
 
 def test_dirichlet_jitter_properties():
     v = softmax_rows(10, 3, seed=8)
-    out = dirichlet_jitter(v, 50.0, np.random.default_rng(0))
+    out = _dirichlet_jitter(v, 50.0, np.random.default_rng(0))
     assert out.shape == v.shape
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(out >= 0)
-    again = dirichlet_jitter(v, 50.0, np.random.default_rng(0))
+    again = _dirichlet_jitter(v, 50.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out, again)
 
 
@@ -174,29 +176,45 @@ def test_corpus_drops_saturated_entries():
 
 
 def test_gradient_check_against_central_differences():
+    # the kernel that train runs, on one flat parameter vector
     rng = np.random.default_rng(0)
-    layer_sizes = (3, 4, 4, 4, 1)
-    weights, biases = init_parameters(layer_sizes, seed=1)
     x = rng.standard_normal((3, 3))
     y = rng.standard_normal(3)
-    _, grads_w, grads_b = loss_and_gradients(weights, biases, x, y)
+    net = _Network((3, 4, 4, 4, 1), x)
+    _init_parameters(net, seed=1)
+    net.backprop(y)
+    grad = net.grad.copy()
     step = 1e-5
     worst = 0.0
-    for params, grads in ((weights, grads_w), (biases, grads_b)):
-        for p, g in zip(params, grads):
-            flat = p.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                up, _, _ = loss_and_gradients(weights, biases, x, y)
-                flat[idx] = orig - step
-                down, _, _ = loss_and_gradients(weights, biases, x, y)
-                flat[idx] = orig
-                fd = (up - down) / (2 * step)
-                ga = g.ravel()[idx]
-                scale = max(abs(fd), abs(ga), 1e-8)
-                worst = max(worst, abs(fd - ga) / scale)
+    for idx in range(net.theta.size):
+        orig = net.theta[idx]
+        net.theta[idx] = orig + step
+        up = net.backprop(y)
+        net.theta[idx] = orig - step
+        down = net.backprop(y)
+        net.theta[idx] = orig
+        fd = (up - down) / (2 * step)
+        scale = max(abs(fd), abs(grad[idx]), 1e-8)
+        worst = max(worst, abs(fd - grad[idx]) / scale)
     assert worst <= 1e-4
+
+
+def test_relu_gate_is_a_multiply_that_keeps_negative_zeros():
+    # a dead unit's delta is its upstream value times 0.0, so -0.0 where
+    # that value is negative; a masked store would write +0.0 there
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((9, 3))
+    net = _Network((3, 4, 4, 4, 1), x)
+    _init_parameters(net, seed=2)
+    net.backprop(rng.standard_normal(9))
+    negative_zeros = 0
+    for layer in (1, 2, 3):
+        dead = net.acts[layer - 1] <= 0.0
+        upstream = net.deltas[layer] @ net.weights[layer].T
+        gated = net.deltas[layer - 1]
+        assert gated.tobytes() == (upstream * ~dead).tobytes()
+        negative_zeros += int(np.count_nonzero(np.signbit(gated[dead])))
+    assert negative_zeros > 0
 
 
 def test_single_entry_corpus_interpolates():
@@ -286,7 +304,7 @@ def test_predict_uses_the_models_extractor_and_bins(extractor):
     target = unlabeled(50, 4, seed=23)
     feature = extract_features(target, extractor, 6, source_ref=source)
     x = ((feature - model.feat_mean) / model.feat_std)[None, :]
-    out = float(mlp_forward(model.weights, model.biases, x)[0]) + (model.offset_base or 0.0)
+    out = float(_mlp_forward(model.weights, model.biases, x)[0]) + (model.offset_base or 0.0)
     assert predict_tau(model, target, source_ref=source) == np.clip(out, 0.0, 1.0)
 
 
@@ -358,6 +376,7 @@ def _header_line(data: bytes, key: bytes) -> tuple[int, int]:
         (b"feat_std", b"", "could not convert string to float: ''"),
         (b"layers", b"1", "layers must be two or more positive sizes, got 1"),
         (b"layers", b"1,-64,64,64,1", "layers must be two or more positive sizes"),
+        (b"layers", b"1,64,64,64,2", "weight blob size does not match layer sizes"),
     ],
 )
 def test_model_file_errors_name_the_file(tmp_path, key, value, message):
@@ -377,7 +396,149 @@ def test_model_file_errors_name_the_file(tmp_path, key, value, message):
 
 def test_forward_pass_shapes():
     sizes = (2, 64, 64, 64, 1)
-    weights, biases = init_parameters(sizes, seed=0)
-    out = mlp_forward(weights, biases, np.zeros((5, 2)))
+    net = _Network(sizes, np.zeros((5, 2)))
+    _init_parameters(net, seed=0)
+    out = _mlp_forward(net.weights, net.biases, np.zeros((5, 2)))
     assert out.shape == (5,)
     np.testing.assert_array_equal(out, np.zeros(5))  # zero input, zero biases
+    np.testing.assert_array_equal(net.forward(), out)
+
+
+# --- the per-layer training loop that train replaced, kept verbatim ---
+
+
+def _reference_init_parameters(layer_sizes, seed):
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return weights, biases
+
+
+def _reference_forward(weights, biases, x):
+    activations = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    return activations, (activations[-1] @ weights[-1] + biases[-1])[:, 0]
+
+
+def _reference_loss_and_gradients(weights, biases, x, targets):
+    m = x.shape[0]
+    activations, out = _reference_forward(weights, biases, x)
+    residual = out - targets
+    loss = float(np.mean(residual**2))
+    delta = (2.0 / m) * residual[:, None]
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
+    return loss, grads_w, grads_b
+
+
+def _reference_train(corpus, epochs, learning_rate, seed):
+    """(weights, biases, final_loss), or the divergence message."""
+    feat_mean = corpus.features.mean(axis=0)
+    feat_std = corpus.features.std(axis=0)
+    feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
+    x = (corpus.features - feat_mean) / feat_std
+    weights, biases = _reference_init_parameters((corpus.d, *HIDDEN_SIZES, 1), seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            loss, grads_w, grads_b = _reference_loss_and_gradients(
+                weights, biases, x, corpus.targets
+            )
+            if not np.isfinite(loss):
+                return f"non-finite loss at epoch {epoch}"
+            for w, gw in zip(weights, grads_w):
+                w -= learning_rate * gw
+            for b, gb in zip(biases, grads_b):
+                b -= learning_rate * gb
+        out = _reference_forward(weights, biases, x)[1]
+        final_loss = float(np.mean((out - corpus.targets) ** 2))
+    if not np.isfinite(final_loss):
+        return f"non-finite loss at epoch {epochs}"
+    return weights, biases, final_loss
+
+
+@settings(max_examples=60)
+@given(
+    m=st.integers(1, 120),
+    d=st.integers(1, 70),
+    epochs=st.integers(1, 30),
+    learning_rate=st.sampled_from([1e-3, 1e-2, 1e9]),
+    constant_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_matches_the_per_layer_loop_bit_for_bit(
+    m, d, epochs, learning_rate, constant_column, seed
+):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((m, d))
+    if constant_column:
+        features[:, 0] = 0.25
+    corpus = RegressionCorpus(
+        features=features,
+        targets=rng.uniform(0.0, 1.0, size=m),
+        extractor_id="chr",
+        spec=TPS,
+        alpha=0.1,
+        n_classes=d,
+    )
+    expected = _reference_train(corpus, epochs, learning_rate, seed)
+    try:
+        model = train(corpus, epochs, learning_rate, seed)
+    except TrainingDivergedError as exc:
+        assert str(exc) == expected
+        return
+    weights, biases, final_loss = expected
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert np.float64(model.final_loss).tobytes() == np.float64(final_loss).tobytes()
+
+
+def test_huge_learning_rate_diverges_at_the_reference_epoch():
+    rng = np.random.default_rng(3)
+    corpus = RegressionCorpus(
+        features=rng.standard_normal((40, 5)),
+        targets=rng.uniform(size=40),
+        extractor_id="chr",
+        spec=TPS,
+        alpha=0.1,
+        n_classes=5,
+    )
+    expected = _reference_train(corpus, 30, 1e9, seed=4)
+    assert isinstance(expected, str)
+    with pytest.raises(TrainingDivergedError) as info:
+        train(corpus, 30, 1e9, seed=4)
+    assert str(info.value) == expected
+
+
+class _FailingFloat:
+    def __float__(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_model_save_keeps_the_old_file(tmp_path):
+    d = labeled(100, 3, seed=22)
+    corpus = build_corpus(d, TPS, 0.2, 2, "acr", seed=1)
+    model = train(corpus, epochs=10, learning_rate=1e-3, seed=1)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    before = path.read_bytes()
+    # the last weights fail to convert after the header and the first
+    # layers are written
+    broken = np.empty(model.weights[-1].shape, dtype=object)
+    broken[...] = _FailingFloat()
+    other = train(corpus, epochs=20, learning_rate=1e-3, seed=2)
+    other.weights[-1] = broken
+    with pytest.raises(OSError, match="No space left"):
+        save_model(other, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+    assert load_model(path).final_loss == model.final_loss

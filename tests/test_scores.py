@@ -199,6 +199,41 @@ def test_caller_labels_stay_writable_and_unshared():
     np.testing.assert_array_equal(ds.labels, [0, 1, 2, 1])
 
 
+def test_an_adopted_array_is_validated_in_full_but_not_copied():
+    v = softmax_rows(6, 3, seed=4)
+    v[2] *= 1.0 + 5e-5  # a row to renormalize
+    expected = ScoreMatrix(v).values.tobytes()
+    m = ScoreMatrix._adopt(v)
+    assert m.values is v
+    assert not v.flags.writeable
+    assert m.values.tobytes() == expected
+    lab = np.array([0, 2, 1, 1, 0, 2], dtype=np.int64)
+    ds = LabeledDataset._adopt(m, lab)
+    assert ds.labels is lab and not lab.flags.writeable
+    # a strided array is still copied into C order
+    f = np.asfortranarray(softmax_rows(6, 3, seed=5))
+    assert ScoreMatrix._adopt(f).values.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([np.nan, 0.5, 0.5], "non-finite score at row 2"),
+        ([1.5, 0.0, 0.0], r"score outside \[0, 1\] beyond tolerance at row 2"),
+        ([0.9, 0.3, 0.3], r"row sum 1.5 exceeds tolerance at row 2"),
+    ],
+)
+def test_an_adopted_array_is_rejected_like_any_other(row, message):
+    v = softmax_rows(3, 3, seed=6)
+    v[1] = row
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        ScoreMatrix(v)
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        ScoreMatrix._adopt(v)
+    with pytest.raises(DataFormatError, match=r"^label 3 outside \[0, 2\] at row 2$"):
+        LabeledDataset._adopt(ScoreMatrix(softmax_rows(3, 3, seed=6)), np.array([0, 3, 1]))
+
+
 def test_binary_load_keeps_the_label_buffer(tmp_path):
     path = tmp_path / "d.bin"
     save_dataset(labeled(6, 3, seed=4), path)
