@@ -60,7 +60,8 @@ EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_s
 MAX_ALPHA_GRID_POINTS = 10_000
 
 # Largest --n and --nmc, which size every draw: at 10**7 the Monte Carlo
-# oracle peaks near 0.3 GB and one trial near 1.1 GB (see README)
+# oracle, drawn in fixed-size chunks, peaks near 50 MB and one trial near
+# 0.75 GB (see README)
 MAX_DRAWS = 10**7
 # Largest --bins, the width of each corpus histogram and network input
 MAX_BINS = 10**4

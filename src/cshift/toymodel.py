@@ -21,12 +21,16 @@ is reachable: it must lie below 0.9 of the error rate of each of their
 draws, or they raise :class:`PreconditionError`.
 
 Draws and scores are built in place: :func:`sample` holds three arrays of
-n entries (y, x_inv, x_sp), :func:`classify` writes into its (n, 2) result
-and leaves the batch as it was, and an oracle's private draw is consumed,
-its logit and then its top confidence overwriting x_inv. The random stream
-and the float operations are those of the direct formulas, so every value
-keeps its bits. A logit that overflows to +-inf is a saturated score,
-exactly 0 or 1.
+n entries (y, x_inv, x_sp), and :func:`classify` writes into its (n, 2)
+result and leaves the batch as it was. An oracle draws its n_mc draws in
+chunks of 2^16 (``util.BLOCK_ENTRIES // 4``) and consumes each in place:
+the logit overwrites x_inv, and only the misclassified draws get a top
+confidence. It keeps running counts, and ``oracle_tau`` the confidences
+of the misclassified draws, so it holds about 2 MB plus 8 bytes per
+misclassified draw at any n_mc. The chunks read the one random stream of
+:func:`sample`, and the float operations are those of the direct
+formulas, so every value keeps its bits. A logit that overflows to +-inf
+is a saturated score, exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ import numpy as np
 from .conformal import Calibrator, PredictorSpec, evaluate
 from .qtc import recalibrate
 from .scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
-from .util import ceil_count, derive_seed
+from .util import BLOCK_ENTRIES, ceil_count, derive_seed
+
+
+# Draws per oracle chunk, read at each call. A chunk's label, two features
+# and masks take about 4 x 8 bytes a draw, so a chunk holds about
+# util.BLOCK_ENTRIES entries, 2 MB.
+_MC_CHUNK = BLOCK_ENTRIES // 4
 
 
 class PreconditionError(ValueError):
@@ -84,23 +94,44 @@ class ToySampleBatch:
     y: np.ndarray
 
 
-def sample(params: ToyModelParams, n: int, seed: int) -> ToySampleBatch:
-    """Draw n labeled samples from the model."""
+def _draws(params: ToyModelParams, n: int, seed: int, chunk: int):
+    """Batches of at most ``chunk`` draws that concatenate to the n draws
+    of :func:`sample`.
+
+    ``default_rng(seed)`` gives the n labels, then the n invariant
+    uniforms, then the n agreement uniforms. ``integers(0, 2)`` takes one
+    32-bit half of a 64-bit output per label, so the uniforms start at
+    outputs (n + 1) // 2 and (n + 1) // 2 + n; a second and a third
+    generator advanced there read those parts chunk by chunk."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    y = rng.integers(0, 2, size=n)
+    labels, uniforms, agreement = (np.random.default_rng(seed) for _ in range(3))
+    uniforms.bit_generator.advance((n + 1) // 2)
+    agreement.bit_generator.advance((n + 1) // 2 + n)
+    for start in range(0, n, chunk):
+        yield _draw(params, labels, uniforms, agreement, min(chunk, n - start))
+
+
+def _draw(params, labels, uniforms, agreement, m: int) -> ToySampleBatch:
+    """The next m draws of each of the three streams of :func:`_draws`; a
+    function of its own, so that a suspended :func:`_draws` holds no chunk."""
+    y = labels.integers(0, 2, size=m)
     y *= 2
     y -= 1
-    x_inv = rng.uniform(params.gamma, params.c, size=n)
+    x_inv = uniforms.uniform(params.gamma, params.c, size=m)
     x_inv *= y
     # the uniforms that decide agreement (u < p), then the feature, share
     # one buffer
-    x_sp = rng.random(n)
+    x_sp = agreement.random(m)
     flip = x_sp >= params.p
     np.copyto(x_sp, y)
     np.negative(x_sp, out=x_sp, where=flip)
     return ToySampleBatch(x_inv=x_inv, x_sp=x_sp, y=y)
+
+
+def sample(params: ToyModelParams, n: int, seed: int) -> ToySampleBatch:
+    """Draw n labeled samples from the model: :func:`_draws` in one chunk."""
+    return next(_draws(params, n, seed, n))
 
 
 def _logit(
@@ -149,35 +180,33 @@ def to_dataset(batch: ToySampleBatch, clf: ToyClassifier) -> LabeledDataset:
     return LabeledDataset._adopt(scores, labels)
 
 
-def _mc_events(
-    params: ToyModelParams, clf: ToyClassifier, n_mc: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(misclassified, top_confidence) arrays for a Monte Carlo draw.
+def _wrong_confidences(params: ToyModelParams, clf: ToyClassifier, n_mc: int, seed: int):
+    """For each chunk of :data:`_MC_CHUNK` draws of a Monte Carlo draw,
+    the top confidences of its misclassified draws, in draw order.
 
-    The draw is private, so it is consumed in place: the logit and then
-    the confidence go into its x_inv buffer."""
-    batch = sample(params, n_mc, seed)
-    z = _logit(clf, batch, batch.x_inv, batch.x_sp)
-    y = batch.y
-    del batch  # frees x_sp, then y once miss is known
-    # the prediction is +1 exactly where z > 0
-    miss = (z > 0) != (y > 0)
-    del y
-    return miss, _sigmoid(np.abs(z, out=z), out=z)
+    The chunks are private, so each is consumed in place, its logit going
+    into its x_inv buffer; only the misclassified draws are scored."""
+    for batch in _draws(params, n_mc, seed, _MC_CHUNK):
+        z = _logit(clf, batch, batch.x_inv, batch.x_sp)
+        # the prediction is +1 exactly where z > 0
+        wrong = z[(z > 0) != (batch.y > 0)]
+        del batch, z
+        yield _sigmoid(np.abs(wrong, out=wrong), out=wrong)
 
 
 def classifier_error_rate(
     params: ToyModelParams, clf: ToyClassifier, n_mc: int = 10**6, seed: int = 0
 ) -> float:
     """Monte Carlo estimate of P[argmax f(x) != y]."""
-    miss, _ = _mc_events(params, clf, n_mc, seed)
-    return float(np.count_nonzero(miss) / n_mc)
+    wrong = sum(conf.size for conf in _wrong_confidences(params, clf, n_mc, seed))
+    return float(wrong / n_mc)
 
 
-def _check_error_rate(alpha: float, miss: np.ndarray, name: str) -> None:
+def _check_error_rate(alpha: float, wrong: int, n: int, name: str) -> None:
     """Raise :class:`PreconditionError` unless alpha lies below 0.9 of the
-    error rate of a Monte Carlo draw (10% safety margin on the estimate)."""
-    eps = np.count_nonzero(miss) / miss.size
+    error rate ``wrong / n`` of a Monte Carlo draw (10% safety margin on
+    the estimate)."""
+    eps = wrong / n
     if alpha >= 0.9 * eps:
         raise PreconditionError(
             f"alpha={alpha:g} must be below 0.9 * estimated {name} error rate {eps:g}"
@@ -200,11 +229,17 @@ def oracle_tau(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    miss, confidence = _mc_events(params_target, clf, n_mc, seed)
-    _check_error_rate(alpha, miss, "target")
-    wrong_conf = confidence[miss]
+    wrong_conf = np.empty(0)
+    for conf in _wrong_confidences(params_target, clf, n_mc, seed):
+        held = wrong_conf.size
+        # grows by realloc, not by joining a list of chunk arrays, which
+        # would hold every confidence twice
+        wrong_conf.resize(held + conf.size, refcheck=False)
+        wrong_conf[held:] = conf
+    _check_error_rate(alpha, wrong_conf.size, n_mc, "target")
     k = max(1, ceil_count(alpha * n_mc))
-    return float(np.partition(wrong_conf, wrong_conf.size - k)[wrong_conf.size - k])
+    wrong_conf.partition(wrong_conf.size - k)
+    return float(wrong_conf[wrong_conf.size - k])
 
 
 def oracle_beta(
@@ -221,11 +256,12 @@ def oracle_beta(
     error rate of the target draw and then of the source draw.
     """
     tau = oracle_tau(params_target, clf, alpha, n_mc, derive_seed(seed, "oracle-tau"))
-    miss, confidence = _mc_events(
-        params_source, clf, n_mc, derive_seed(seed, "oracle-beta")
-    )
-    _check_error_rate(alpha, miss, "source")
-    return float(np.count_nonzero(miss & (confidence >= tau)) / n_mc)
+    wrong = confident = 0
+    for conf in _wrong_confidences(params_source, clf, n_mc, derive_seed(seed, "oracle-beta")):
+        wrong += conf.size
+        confident += np.count_nonzero(conf >= tau)
+    _check_error_rate(alpha, wrong, n_mc, "source")
+    return float(confident / n_mc)
 
 
 def spurious_mass(
@@ -284,11 +320,18 @@ def run_theorem_trial(
     :func:`oracle_beta` does so on its own draws.
     """
     source_ds = to_dataset(sample(params_source, n, derive_seed(seed, "trial-source")), clf)
+    # the target is unlabeled: no labels are built, and its draw is freed
+    # once scored
     target_ds = UnlabeledDataset(
-        to_dataset(sample(params_target, n, derive_seed(seed, "trial-target")), clf).scores
+        ScoreMatrix._adopt(
+            classify(clf, sample(params_target, n, derive_seed(seed, "trial-target")))
+        )
     )
     calibrator = Calibrator(PredictorSpec.tps(), source_ds, derive_seed(seed, "recal"))
     threshold, est = recalibrate(calibrator, target_ds, alpha, "qtc")
+    # only the threshold and the estimate are used from here on: free the
+    # source and target sets before the evaluation set is drawn
+    del source_ds, target_ds, calibrator
     bound = theorem_bound(params_source, params_target, clf, n, delta)
     eval_ds = to_dataset(sample(params_target, n, derive_seed(seed, "trial-eval")), clf)
     report = evaluate(threshold, eval_ds, derive_seed(seed, "eval"))

@@ -1,15 +1,19 @@
 import math
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cshift import toymodel
 from cshift.toymodel import (
     PreconditionError,
-    _mc_events,
+    _draws,
+    _logit,
     _sigmoid,
+    _wrong_confidences,
     ToyClassifier,
     ToyModelParams,
     ToySampleBatch,
@@ -24,7 +28,7 @@ from cshift.toymodel import (
     to_dataset,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix
-from cshift.util import derive_seed
+from cshift.util import BLOCK_ENTRIES, ceil_count, derive_seed
 
 SRC = ToyModelParams(gamma=0.05, c=1.0, p=0.9)
 TGT = ToyModelParams(gamma=0.05, c=1.0, p=0.7)
@@ -239,6 +243,24 @@ def test_trial_uses_supplied_oracle_and_is_deterministic():
     assert a.violated == (abs(a.beta_qtc - FIXTURE_BETA) > a.bound)
 
 
+def test_trial_frees_its_source_and_target_before_the_evaluation_set():
+    n = 2 * 10**5
+    # the untraced run imports what the row-block threads lazily load
+    run_theorem_trial(SRC, TGT, CLF, 0.02, n=n, delta=0.1, seed=5, beta_oracle=FIXTURE_BETA)
+    tracemalloc.start()
+    try:
+        run_theorem_trial(SRC, TGT, CLF, 0.02, n=n, delta=0.1, seed=5, beta_oracle=FIXTURE_BETA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peak is at recalibration: the source (3 x 8n bytes) and target
+    # (2 x 8n) sets, their sorted top confidences and the calibration scores
+    # with their sorted copy (4 x 8n), and one row-block budget. Keeping the
+    # source, target and calibrator alive while the evaluation set was
+    # drawn and scored peaked at about 16 x 8n here
+    assert peak <= 9 * 8 * n + 8 * BLOCK_ENTRIES
+
+
 def test_trial_precondition_rejects_large_alpha():
     with pytest.raises(PreconditionError):
         oracle_beta(SRC, TGT, CLF, alpha=0.045, n_mc=10**5, seed=0)
@@ -318,6 +340,118 @@ def test_sample_matches_the_direct_draw(params, n, seed):
     assert _same_bits(batch.y, y)
 
 
+@st.composite
+def _sizes_and_chunks(draw):
+    """(n, chunk): odd and even chunks, n below one chunk, and n a multiple
+    of the chunk or one off it."""
+    chunk = draw(st.integers(1, 70))
+    n = draw(
+        st.one_of(
+            st.integers(1, 300),
+            st.builds(
+                lambda k, off: max(1, k * chunk + off),
+                st.integers(1, 5),
+                st.sampled_from([-1, 0, 1]),
+            ),
+        )
+    )
+    return n, chunk
+
+
+@given(params=_params, size=_sizes_and_chunks(), seed=st.integers(0, 2**64 - 1))
+def test_draw_chunks_concatenate_to_sample(params, size, seed):
+    n, chunk = size
+    batches = list(_draws(params, n, seed, chunk))
+    assert [b.y.size for b in batches] == [min(chunk, n - start) for start in range(0, n, chunk)]
+    whole = sample(params, n, seed)
+    for name in ("x_inv", "x_sp", "y"):
+        joined = np.concatenate([getattr(b, name) for b in batches])
+        assert _same_bits(joined, getattr(whole, name))
+
+
+@contextmanager
+def _oracle_chunks_of(chunk):
+    saved = toymodel._MC_CHUNK
+    toymodel._MC_CHUNK = chunk
+    try:
+        yield
+    finally:
+        toymodel._MC_CHUNK = saved
+
+
+def _chunked_wrong_confidences(params, clf, n, seed, chunk):
+    """The chunks of ``_wrong_confidences`` at a given chunk size, joined."""
+    with _oracle_chunks_of(chunk):
+        chunks = list(_wrong_confidences(params, clf, n, seed))
+    assert len(chunks) == -(-n // chunk)
+    return np.concatenate(chunks)
+
+
+def _mc_events_reference(params, clf, n_mc, seed):
+    """The whole draw at once: (misclassified, top_confidence)."""
+    batch = sample(params, n_mc, seed)
+    z = _logit(clf, batch, batch.x_inv, batch.x_sp)
+    miss = (z > 0) != (batch.y > 0)
+    return miss, _sigmoid(np.abs(z, out=z), out=z)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _error_rate_check_reference(alpha, miss, name):
+    eps = np.count_nonzero(miss) / miss.size
+    if alpha >= 0.9 * eps:
+        raise PreconditionError(
+            f"alpha={alpha:g} must be below 0.9 * estimated {name} error rate {eps:g}"
+        )
+
+
+def _oracle_tau_reference(params, clf, alpha, n_mc, seed):
+    miss, confidence = _mc_events_reference(params, clf, n_mc, seed)
+    _error_rate_check_reference(alpha, miss, "target")
+    wrong_conf = confidence[miss]
+    k = max(1, ceil_count(alpha * n_mc))
+    return float(np.partition(wrong_conf, wrong_conf.size - k)[wrong_conf.size - k])
+
+
+def _oracle_beta_reference(params_source, params_target, clf, alpha, n_mc, seed):
+    tau = _oracle_tau_reference(params_target, clf, alpha, n_mc, derive_seed(seed, "oracle-tau"))
+    miss, confidence = _mc_events_reference(
+        params_source, clf, n_mc, derive_seed(seed, "oracle-beta")
+    )
+    _error_rate_check_reference(alpha, miss, "source")
+    return float(np.count_nonzero(miss & (confidence >= tau)) / n_mc)
+
+
+@given(
+    source=_params,
+    target=_params,
+    clf=_classifiers,
+    size=_sizes_and_chunks(),
+    alpha=st.floats(1e-3, 0.5),
+    seed=st.integers(0, 2**32),
+)
+def test_oracles_equal_the_one_shot_reference(source, target, clf, size, alpha, seed):
+    n, chunk = size
+    with _oracle_chunks_of(chunk), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = [
+            classifier_error_rate(source, clf, n, seed),
+            _outcome(oracle_tau, target, clf, alpha, n, seed),
+            _outcome(oracle_beta, source, target, clf, alpha, n, seed),
+        ]
+    miss, _ = _mc_events_reference(source, clf, n, seed)
+    assert found == [
+        float(np.count_nonzero(miss) / n),
+        _outcome(_oracle_tau_reference, target, clf, alpha, n, seed),
+        _outcome(_oracle_beta_reference, source, target, clf, alpha, n, seed),
+    ]
+
+
 @given(
     clf=_classifiers,
     rows=st.lists(st.tuples(_reals, st.sampled_from([-1.0, 1.0])), min_size=1, max_size=60),
@@ -335,28 +469,43 @@ def test_classify_matches_the_direct_formula_and_keeps_its_batch(clf, rows):
         assert _same_bits(kept, now)
 
 
-@given(params=_params, clf=_classifiers, n=st.integers(1, 300), seed=st.integers(0, 2**32))
-def test_mc_events_match_the_direct_formula(params, clf, n, seed):
+@given(params=_params, clf=_classifiers, size=_sizes_and_chunks(), seed=st.integers(0, 2**32))
+def test_mc_events_match_the_direct_formula(params, clf, size, seed):
+    n, chunk = size
     x_inv, x_sp, y = _sample_reference(params, n, seed)
     z = _logit_reference(clf, x_inv, x_sp)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        miss, confidence = _mc_events(params, clf, n, seed)
-    assert _same_bits(miss, np.where(z > 0, 1, -1) != y)
-    assert _same_bits(confidence, _sigmoid_reference(np.abs(z)))
+        confidence = _chunked_wrong_confidences(params, clf, n, seed, chunk)
+    miss = np.where(z > 0, 1, -1) != y
+    assert _same_bits(confidence, _sigmoid_reference(np.abs(z))[miss])
 
 
 def test_mc_events_peak_stays_near_three_draw_arrays():
-    n_mc = 200_000
+    n_mc = 10**6
+    # the spurious feature outweighs the invariant one, so every draw whose
+    # spurious feature disagrees (70 %) is misclassified: the confidences
+    # oracle_tau keeps outweigh a chunk
+    params, clf = ToyModelParams(gamma=0.05, c=1.0, p=0.3), ToyClassifier(w_inv=1.0, w_sp=2.0)
     # the first call imports numpy's lazily loaded random modules; keep that
     # one-time cost out of the measurement
-    _mc_events(SRC, CLF, 10, seed=0)
-    tracemalloc.start()
-    try:
-        _mc_events(SRC, CLF, n_mc, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # y, x_inv and x_sp of the draw plus a few bool masks; the direct
-    # formulas held about 9 draw-sized arrays at once
-    assert peak <= 4 * 8 * n_mc
+    oracle_tau(params, clf, 0.02, n_mc=1000, seed=0)
+    wrong = round(classifier_error_rate(params, clf, n_mc, seed=1) * n_mc)
+    chunk_bytes = 8 * toymodel._MC_CHUNK
+    peaks = []
+    for run in (lambda: sum(1 for _ in _wrong_confidences(params, clf, n_mc, seed=1)),
+                lambda: oracle_tau(params, clf, 0.02, n_mc=n_mc, seed=1)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a chunk's label and two features, their masks and the confidences of
+    # its misclassified draws, about 4.5 x 8 bytes a draw here; oracle_tau
+    # adds 8 bytes per misclassified draw, and a copy of those (as in a
+    # concatenation) would add 8 more. The chunk term does not grow with
+    # n_mc; the whole draw at once peaked at about 3.1 x 8 x n_mc
+    assert wrong > 0.69 * n_mc
+    assert peaks[0] <= 5 * chunk_bytes
+    assert peaks[1] <= 5 * chunk_bytes + 8 * wrong
