@@ -35,14 +35,14 @@ from .conformal import (
     load_threshold,
     save_threshold,
 )
-from .qtc import METHODS, recalibrate, save_estimate
+from .qtc import METHODS, recalibrate
 from .regression import (
     EXTRACTORS,
     TrainingDivergedError,
     build_corpus,
     predict_tau,
-    save_model,
     train,
+    write_model,
 )
 from .scores import DataFormatError, LabeledDataset, load_dataset
 from .toymodel import (
@@ -52,7 +52,7 @@ from .toymodel import (
     oracle_beta,
     run_theorem_trial,
 )
-from .util import derive_seed, format_float, parse_kv, reading
+from .util import derive_seed, format_float, format_kv, parse_kv, reading, replacing
 
 EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_size,n_eval,seed"
 
@@ -183,8 +183,10 @@ def cmd_recalibrate(args) -> int:
     calibrator = Calibrator(spec, source, derive_seed(args.seed, "recalibrate"))
     if len(alphas) == 1:
         threshold, est = recalibrate(calibrator, target, alphas[0], args.method)
-        save_threshold(threshold, args.out)
-        save_estimate(est, str(args.out) + ".qtc")
+        # nested, so that neither file is renamed into place unless both are
+        with replacing(args.out) as out, replacing(str(args.out) + ".qtc") as sidecar:
+            out.write(format_kv(threshold.to_kv()).encode())
+            sidecar.write(format_kv(est.to_kv()).encode())
         print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
         return 0
     lines = ["method,predictor,alpha,tau,q,estimate,seed"]
@@ -231,16 +233,22 @@ def cmd_baseline(args) -> int:
     seed = derive_seed(args.seed, "corpus")
     corpus = build_corpus(cal, spec, args.alpha, args.shifts, args.extractor, args.bins, seed)
     model = train(corpus, args.epochs, args.lr, derive_seed(args.seed, "train"))
-    save_model(model, args.model_out)
     print(f"corpus_size={corpus.size} final_loss={format_float(model.final_loss)}")
+    threshold = None
     if args.target is not None:
         target = load_dataset(args.target)
         tau = predict_tau(model, target, source_ref=cal)
         tag = f"baseline:{args.extractor}:alpha={format_float(args.alpha)}"
         method = f"baseline-{args.extractor}"
         threshold = Threshold(tau=tau, alpha=args.alpha, spec=spec, source_tag=tag, method=method)
-        save_threshold(threshold, args.pred_out or str(args.model_out) + ".tau")
-        print(f"predicted_tau={format_float(tau)}")
+    # nested, so that the model is renamed into place only with its threshold
+    with replacing(args.model_out) as fh:
+        write_model(model, fh)
+        if threshold is not None:
+            with replacing(args.pred_out or str(args.model_out) + ".tau") as tau_fh:
+                tau_fh.write(format_kv(threshold.to_kv()).encode())
+    if threshold is not None:
+        print(f"predicted_tau={format_float(threshold.tau)}")
     return 0
 
 

@@ -150,6 +150,16 @@ class Threshold:
     def is_saturated(self) -> bool:
         return "saturated" in self.source_tag
 
+    def to_kv(self) -> dict:
+        """The pairs of a threshold file, in file order (see FORMATS.md)."""
+        pairs = {
+            "tau": self.tau,
+            "alpha": self.alpha,
+            "source_tag": self.source_tag,
+            "method": self.method,
+        }
+        return pairs | self.spec.to_kv()
+
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -351,9 +361,10 @@ class Calibrator:
             )
         if self._sorted_scores is None:
             u = _smoothing(spec, n, self.seed)
-            self._sorted_scores = np.sort(
-                conformity_scores(spec, self.cal.scores.values, self.cal.labels, u)
-            )
+            # the fresh score array is sorted where it lies, without a copy
+            scores = conformity_scores(spec, self.cal.scores.values, self.cal.labels, u)
+            scores.sort()
+            self._sorted_scores = scores
         return Threshold(
             tau=float(self._sorted_scores[k - 1]), alpha=alpha, spec=spec, source_tag=tag
         )
@@ -396,13 +407,7 @@ def evaluate(threshold: Threshold, test: LabeledDataset, seed: int = 0) -> Cover
 
 
 def save_threshold(threshold: Threshold, path) -> None:
-    pairs = {
-        "tau": threshold.tau,
-        "alpha": threshold.alpha,
-        "source_tag": threshold.source_tag,
-        "method": threshold.method,
-    }
-    write_kv(path, pairs | threshold.spec.to_kv())
+    write_kv(path, threshold.to_kv())
 
 
 def load_threshold(path) -> Threshold:

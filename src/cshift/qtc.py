@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import Calibrator, SaturationError, Threshold, max_tau
 from .scores import Dataset
-from .util import ceil_count, format_float, write_kv
+from .util import ceil_count, format_float
 
 METHODS = ("qtc", "qtc-sc", "qtc-st")
 
@@ -44,6 +44,15 @@ class QtcEstimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+
+    def to_kv(self) -> dict:
+        """The pairs of a ``.qtc`` sidecar, in file order (see FORMATS.md)."""
+        return {
+            "method": self.method,
+            "q": self.q_threshold,
+            "value": self.value,
+            "alpha": self.alpha,
+        }
 
 
 def top_confidences(data: Dataset) -> np.ndarray:
@@ -173,16 +182,4 @@ def recalibrate(
         f":beta={format_float(beta)}:{base.source_tag}"
     )
     return replace(base, source_tag=tag, method=method), est
-
-
-def save_estimate(estimate: QtcEstimate, path) -> None:
-    write_kv(
-        path,
-        {
-            "method": estimate.method,
-            "q": estimate.q_threshold,
-            "value": estimate.value,
-            "alpha": estimate.alpha,
-        },
-    )
 

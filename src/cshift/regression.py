@@ -457,6 +457,13 @@ def save_model(model: MlpRegressor, path) -> None:
     """Write a model file. As for datasets, the bytes go to a new sibling
     file that then replaces ``path``, so a failed save leaves an existing
     file as it was."""
+    with replacing(path) as fh:
+        write_model(model, fh)
+
+
+def write_model(model: MlpRegressor, fh) -> None:
+    """The bytes of a model file, written to ``fh``, open for binary
+    writing."""
     arrays = [arr for w, b in zip(model.weights, model.biases) for arr in (w, b)]
     header = {
         "layers": ",".join(map(str, model.layer_sizes)),
@@ -470,10 +477,9 @@ def save_model(model: MlpRegressor, path) -> None:
         "feat_std": _floats(model.feat_std),
         "blob_bytes": 8 * sum(arr.size for arr in arrays),
     }
-    with replacing(path) as fh:
-        fh.write(MODEL_MAGIC + b"\n" + format_kv(header).encode())
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    fh.write(MODEL_MAGIC + b"\n" + format_kv(header).encode())
+    for arr in arrays:
+        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_model(path) -> MlpRegressor:

@@ -18,12 +18,17 @@ it writes a sibling file and renames it over the destination, so a live
 dataset keeps the old file's bytes. Another program must not rewrite a
 binary file in place while a dataset maps it: a truncated mapping kills the
 process with SIGBUS, and changed bytes change the matrix. Each live binary
-dataset holds one file descriptor, that of its mapping. A CSV table or a
-caller's array, a writable mapping included, is copied once, so a matrix
-never shares memory a caller can write, and the caller's array stays
-writable. Labels follow the same rule. An array that the library has just
-built for a dataset (``ScoreMatrix._adopt``, ``LabeledDataset._adopt``) is
-validated the same way and kept without the copy.
+dataset holds one file descriptor, that of its mapping. A caller's array, a
+writable mapping included, is copied once, so a matrix never shares memory
+a caller can write, and the caller's array stays writable. Labels follow
+the same rule. An array that the library has just built for a dataset
+(``ScoreMatrix._adopt``, ``LabeledDataset._adopt``) is validated the same
+way and kept without the copy. A CSV load adopts its own table: the labels
+are taken out of the parsed ``(n, L + 1)`` table, the score columns are
+moved to the front of the table's buffer, and that buffer becomes the
+matrix, so the load holds the matrix about once. A CSV save formats about
+:data:`CSV_BLOCK_ENTRIES` entries at a time, so its memory does not grow
+with the dataset.
 Validation finds the minimum, the maximum, the row sums and the largest
 row-sum deviation in one pass over row blocks
 (:func:`cshift.util.map_row_blocks`, on every CPU of the process's
@@ -34,16 +39,17 @@ pass, and adds no full-size temporaries unless an entry lies outside
 
 from __future__ import annotations
 
-import io
 import mmap
 import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from . import util
 from .util import format_float, map_row_blocks, replacing
 
 ROW_SUM_TOL = 1e-4
@@ -51,6 +57,10 @@ ENTRY_TOL = 1e-4
 RENORM_TOL = 1e-12
 
 BINARY_MAGIC = b"CSHIFT01"
+
+# Entries formatted per write of a CSV body, read at each save. The text of
+# one block is all that a save adds to the process's memory.
+CSV_BLOCK_ENTRIES = 1024
 
 
 class DataFormatError(ValueError):
@@ -288,8 +298,9 @@ def _load_csv(path) -> Dataset:
         row = int(np.argmax(bad)) + 1
         label = format_float(raw_labels[row - 1]).removesuffix(".0")
         raise DataFormatError(f"label {label} outside [0, {L - 1}] at row {row}")
+    # a copy, taken before the move below overwrites the label column
     labels = raw_labels.astype(np.int64)
-    scores = ScoreMatrix(table[:, 1:])
+    scores = ScoreMatrix._adopt(_score_columns(table))
     unlabeled = labels == -1
     if unlabeled.all():
         return UnlabeledDataset(scores)
@@ -298,7 +309,22 @@ def _load_csv(path) -> Dataset:
         raise DataFormatError(
             f"mixed labeled and unlabeled rows: first unlabeled at row {row}"
         )
-    return LabeledDataset(scores, labels)
+    return LabeledDataset._adopt(scores, labels)
+
+
+def _score_columns(table: np.ndarray) -> np.ndarray:
+    """Columns ``1:`` of a C-contiguous ``(n, L + 1)`` table, moved to the
+    front of the table's own buffer as a C-contiguous ``(n, L)`` view, one
+    row block of about ``util.BLOCK_ENTRIES`` entries at a time. Each row's
+    destination lies at or before its source, so no block overwrites a row
+    that a later block has yet to move; within a block numpy buffers the
+    overlapping copy."""
+    n, width = table.shape
+    out = table.reshape(-1)[: n * (width - 1)].reshape(n, width - 1)
+    step = max(1, util.BLOCK_ENTRIES // width)
+    for start in range(0, n, step):
+        out[start : start + step] = table[start : start + step, 1:]
+    return out
 
 
 def _load_binary(path) -> Dataset:
@@ -328,7 +354,9 @@ def _load_binary(path) -> Dataset:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` to ``path``: binary for a ``.bin`` suffix, CSV
-    otherwise. Binary round-trips bit-exactly; CSV round-trips within 1e-12.
+    otherwise. Both round-trip bit-exactly: the CSV writes each entry in
+    its shortest round-trip decimal form, and a saved matrix's rows already
+    sum to 1 within 1e-12, so loading it renormalizes nothing.
 
     The bytes go to a new sibling file, which then replaces ``path`` in one
     rename, so a dataset that maps the old file keeps its values and a
@@ -340,17 +368,18 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def _save_csv(dataset: Dataset, fh) -> None:
+    # repr of a Python float is format_float's form; tolist() converts a
+    # whole block of entries to Python floats at once
     values = dataset.scores.values
-    labels = (
-        dataset.labels
-        if isinstance(dataset, LabeledDataset)
-        else np.full(dataset.n, -1, dtype=np.int64)
-    )
-    text = io.TextIOWrapper(fh, encoding="utf-8")
-    text.write("label," + ",".join(f"c{i}" for i in range(dataset.L)) + "\n")
-    for i in range(dataset.n):
-        text.write(str(labels[i]) + "," + ",".join(format_float(v) for v in values[i]) + "\n")
-    text.detach()  # flushes; the caller closes fh
+    n, L = values.shape
+    labels = dataset.labels if isinstance(dataset, LabeledDataset) else None
+    fh.write(("label," + ",".join(f"c{i}" for i in range(L)) + "\n").encode())
+    step = max(1, CSV_BLOCK_ENTRIES // L)
+    for start in range(0, n, step):
+        rows = values[start : start + step].tolist()
+        tags = repeat(-1, len(rows)) if labels is None else labels[start : start + step].tolist()
+        text = "".join([f"{tag},{','.join(map(repr, row))}\n" for tag, row in zip(tags, rows)])
+        fh.write(text.encode())
 
 
 def _save_binary(dataset: Dataset, fh) -> None:

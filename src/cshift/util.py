@@ -1,7 +1,7 @@
 """Shared helpers: guarded order-statistic indices, seeded streams, the row
 blocks that every full-matrix pass runs over, the one codec of every
 ``key=value`` record (threshold, sidecar, config, model header), and the
-sibling-and-rename write of dataset and model files."""
+sibling-and-rename write of every file that is written whole."""
 
 from __future__ import annotations
 
@@ -127,7 +127,11 @@ def replacing(path):
     """A new sibling file of ``path``, open for binary writing, that
     replaces ``path`` in one rename when the block ends without an error.
     On an error it is deleted, and ``path`` keeps its old bytes; a reader
-    that maps the old file keeps them too."""
+    that maps the old file keeps them too. Blocks nest: an error in an
+    inner block, its failed rename included, deletes the files of the
+    enclosing blocks as well. So a command that writes all of its files
+    before the innermost block ends renames none of them unless all are
+    complete."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -137,7 +141,10 @@ def replacing(path):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         with suppress(OSError):
             os.unlink(tmp)
@@ -145,9 +152,10 @@ def replacing(path):
 
 
 def write_kv(path, pairs: dict) -> None:
-    """Write a flat key=value text file; see :func:`format_kv`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_kv(pairs))
+    """Write a flat key=value text file (see :func:`format_kv`) through
+    :func:`replacing`."""
+    with replacing(path) as fh:
+        fh.write(format_kv(pairs).encode())
 
 
 def read_kv(path) -> dict:

@@ -209,6 +209,23 @@ def test_recalibrate_writes_threshold_and_estimate_sidecar(tmp_path):
     assert 0.0 <= float(est["value"]) <= 1.0
 
 
+@pytest.mark.parametrize("old", [None, b"tau=0.5\n"])
+def test_recalibrate_without_its_sidecar_leaves_the_threshold_file(tmp_path, capsys, old):
+    src, tgt = _source_and_target(tmp_path)
+    out = tmp_path / "thr.txt"
+    if old is not None:
+        out.write_bytes(old)
+    (tmp_path / "thr.txt.qtc").mkdir()  # the sidecar cannot be renamed into place
+    argv = ["recalibrate", "--predictor", "tps", "--alpha", "0.1", "--source", str(src),
+            "--target", str(tgt), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}.qtc'\n"
+    assert (out.read_bytes() if out.exists() else None) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["src.csv", "tgt.csv", "thr.txt.qtc"] + (["thr.txt"] if old is not None else [])
+    )
+
+
 def test_recalibrate_grid_labels_rows_with_clean_alphas(tmp_path):
     src, tgt = _source_and_target(tmp_path)
     out = tmp_path / "sweep.csv"
@@ -542,6 +559,31 @@ def test_baseline_trains_saves_and_predicts(tmp_path, capsys):
     assert threshold.method == "baseline-chr"
     assert threshold.spec.kind == "tps"
     assert 0.0 <= threshold.tau <= 1.0
+
+
+@pytest.mark.parametrize("fault", ["tau file is a directory", "target is missing"])
+@pytest.mark.parametrize("old", [None, b"old model"])
+def test_baseline_without_its_threshold_leaves_the_model_file(tmp_path, capsys, fault, old):
+    cal = tmp_path / "cal.csv"
+    _cal_csv(cal, n=60)
+    tgt = tmp_path / "tgt.csv"
+    if fault == "target is missing":
+        message = f"error: {tgt}: No such file or directory\n"
+    else:
+        _unlabeled_csv(tgt, n=40)
+        (tmp_path / "model.bin.tau").mkdir()
+        message = f"error: [Errno 21] Is a directory: '{tmp_path / 'model.bin.tau'}'\n"
+    model_out = tmp_path / "model.bin"
+    if old is not None:
+        model_out.write_bytes(old)
+    argv = ["baseline", "--predictor", "tps", "--alpha", "0.1", "--extractor", "chr",
+            "--bins", "5", "--shifts", "6", "--epochs", "20", "--cal", str(cal),
+            "--target", str(tgt), "--model-out", str(model_out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+    assert (model_out.read_bytes() if model_out.exists() else None) == old
+    # no temporary file is left behind either
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
 def test_baseline_zero_shifts_exits_2(tmp_path, capsys):

@@ -23,7 +23,7 @@ from cshift.conformal import (
     save_threshold,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix, load_dataset, save_dataset
-from cshift.util import row_uniforms
+from cshift.util import ceil_count, row_uniforms
 
 TPS = PredictorSpec.tps()
 APS = PredictorSpec.aps()
@@ -391,6 +391,24 @@ def test_binary_load_and_aps_passes_stay_near_the_file_size(tmp_path):
     assert load_peak <= 1.1 * size
     for pass_peak in pass_peaks:
         assert pass_peak <= 1.5 * size
+
+
+def test_a_threshold_sorts_its_scores_without_a_copy(monkeypatch):
+    n = 200_000
+    d = labeled(n, 10, seed=7)
+    calibrate(TPS, labeled(4, 2, seed=0), 0.1)  # first-call caches stay out
+    # small row blocks, so that their temporaries stay near 0.1 x 8n
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 1 << 16)
+    tracemalloc.start()
+    try:
+        threshold = Calibrator(TPS, d).threshold(0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scores = np.sort(1.0 - d.scores.values[np.arange(n), d.labels])
+    assert threshold.tau == scores[ceil_count(0.9 * (n + 1)) - 1]
+    # the n scores, sorted where they lie; a sorted copy would add 8n bytes
+    assert peak <= 1.3 * 8 * n
 
 
 def _label_ranks_reference(values, labels):

@@ -20,11 +20,10 @@ from cshift.qtc import (
     estimate_tau_qtc_st,
     quantile_q,
     recalibrate,
-    save_estimate,
     top_confidences,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
-from cshift.util import read_kv
+from cshift.util import read_kv, write_kv
 
 TPS = PredictorSpec.tps()
 
@@ -267,7 +266,7 @@ def test_estimate_file_round_trip(tmp_path):
     tgt = unlabeled(15, 3, seed=81)
     est = estimate_beta_qtc(src, tgt, 0.25)
     path = tmp_path / "est.txt"
-    save_estimate(est, path)
+    write_kv(path, est.to_kv())
     kv = read_kv(path)
     assert list(kv) == ["method", "q", "value", "alpha"]
     assert kv["method"] == est.method

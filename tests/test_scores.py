@@ -1,3 +1,4 @@
+import io
 import mmap
 import os
 import subprocess
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import labeled, softmax_rows, write_csv
+from conftest import labeled, sample_labels, softmax_rows, write_csv
 from cshift import scores, util
 from cshift.scores import (
     DataFormatError,
@@ -414,13 +415,123 @@ def test_format_sniffing_ignores_suffix(tmp_path):
     assert back.scores.values.tobytes() == d.scores.values.tobytes()
 
 
-@given(n=st.integers(1, 25), n_classes=st.integers(2, 5), seed=st.integers(0, 10**6))
-def test_csv_save_load_round_trip_property(n, n_classes, seed, tmp_path_factory):
+@given(
+    n=st.integers(1, 25),
+    n_classes=st.integers(2, 50),
+    seed=st.integers(0, 10**6),
+    block=st.sampled_from([1, 7, 64, util.BLOCK_ENTRIES]),
+)
+def test_csv_save_load_round_trip_property(n, n_classes, seed, block, tmp_path_factory):
     d = labeled(n, n_classes, seed=seed % 997)
     path = tmp_path_factory.mktemp("rt") / "d.csv"
     save_dataset(d, path)
-    back = load_dataset(path)
-    np.testing.assert_array_equal(back.scores.values, d.scores.values)
+    saved = util.BLOCK_ENTRIES
+    util.BLOCK_ENTRIES = block  # the load moves its score columns in row blocks
+    try:
+        back = load_dataset(path)
+    finally:
+        util.BLOCK_ENTRIES = saved
+    # shortest round-trip decimals, and rows that already sum to 1 within
+    # 1e-12, so the load renormalizes nothing
+    assert back.scores.values.tobytes() == d.scores.values.tobytes()
+    assert back.labels.tobytes() == d.labels.tobytes()
+
+
+def _save_csv_reference(dataset, fh):
+    """The per-entry CSV writer that the block writer replaced."""
+    values = dataset.scores.values
+    labels = (
+        dataset.labels
+        if isinstance(dataset, LabeledDataset)
+        else np.full(dataset.n, -1, dtype=np.int64)
+    )
+    text = io.TextIOWrapper(fh, encoding="utf-8")
+    text.write("label," + ",".join(f"c{i}" for i in range(dataset.L)) + "\n")
+    for i in range(dataset.n):
+        text.write(str(labels[i]) + "," + ",".join(util.format_float(v) for v in values[i]) + "\n")
+    text.detach()
+
+
+def _edge_rows(n_classes):
+    """Valid rows that hold the entries 0.0, -0.0, 5e-324, 1e-05 and 1.0."""
+    pad = n_classes - 2
+    return [
+        [1.0, 0.0] + [0.0] * pad,
+        [-0.0] * (n_classes - 1) + [1.0],
+        [5e-324, 1.0] + [-0.0] * pad,
+        [1e-05, 1.0 - 1e-05] + [5e-324] * pad,
+    ]
+
+
+@example(n_classes=3, block=7, rows="at", blocks=2, is_labeled=False,
+         edges=[(0, 0), (1, 1), (2, 2), (3, 3)], seed=0)
+@given(
+    n_classes=st.integers(2, 64),
+    block=st.integers(1, 200),
+    rows=st.sampled_from(["one", "one below", "at", "one above"]),
+    blocks=st.integers(1, 2),
+    is_labeled=st.booleans(),
+    edges=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=6),
+    seed=st.integers(0, 10**6),
+)
+def test_csv_writer_bytes_equal_the_per_entry_writer(
+    n_classes, block, rows, blocks, is_labeled, edges, seed, tmp_path_factory
+):
+    step = max(1, block // n_classes)  # rows per written block
+    n = {"one": 1, "one below": blocks * step - 1, "at": blocks * step,
+         "one above": blocks * step + 1}[rows]
+    n = max(n, 1)
+    v = softmax_rows(n, n_classes, seed % 997)
+    for row, kind in edges:
+        v[row % n] = _edge_rows(n_classes)[kind]
+    matrix = ScoreMatrix(v)
+    d = LabeledDataset(matrix, sample_labels(v, seed)) if is_labeled else UnlabeledDataset(matrix)
+    expected = io.BytesIO()
+    _save_csv_reference(d, expected)
+    path = tmp_path_factory.mktemp("w") / "d.csv"
+    saved = scores.CSV_BLOCK_ENTRIES
+    scores.CSV_BLOCK_ENTRIES = block
+    try:
+        save_dataset(d, path)
+    finally:
+        scores.CSV_BLOCK_ENTRIES = saved
+    assert path.read_bytes() == expected.getvalue()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path):
+    path = tmp_path / "d.csv"
+    peaks = []
+    for n in (2_000, 20_000):
+        d = labeled(n, 10, seed=4)
+        save_dataset(d, path)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            save_dataset(d, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one block's text and Python floats, whatever the row count
+    assert peaks[1] <= peaks[0] + 8192
+    assert peaks[1] <= 256 * scores.CSV_BLOCK_ENTRIES
+
+
+def test_csv_load_holds_the_matrix_about_once(tmp_path):
+    n, n_classes = 2000, 1000
+    row = ",".join(["0.001"] * n_classes)
+    header = "label," + ",".join(f"c{i}" for i in range(n_classes))
+    path = _write(tmp_path, header + "\n" + "".join(f"{i % n_classes},{row}\n" for i in range(n)))
+    load_dataset(_write(tmp_path, "label,c0,c1\n0,0.5,0.5\n", "small.csv"))
+    tracemalloc.start()
+    try:
+        d = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.n == n and d.L == n_classes
+    assert d.scores.values.tobytes() == np.full((n, n_classes), 0.001).tobytes()
+    # the parsed table, whose score columns become the matrix in place, and
+    # one row block of the move; a copy of the columns would add 1x
+    assert peak <= 1.3 * 8 * n * n_classes
 
 
 def test_csv_from_helper_loads(tmp_path):
