@@ -30,9 +30,9 @@ SEED = 99
 
 
 def main():
-    eps_src = classifier_error_rate(SRC, CLF, 10**6, derive_seed(SEED, "eps-src"))
-    eps_tgt = classifier_error_rate(TGT, CLF, 10**6, derive_seed(SEED, "eps-tgt"))
-    beta_star = oracle_beta(SRC, TGT, CLF, ALPHA, 10**6, derive_seed(SEED, "oracle"))
+    eps_src = classifier_error_rate(SRC, CLF)
+    eps_tgt = classifier_error_rate(TGT, CLF)
+    beta_star = oracle_beta(SRC, TGT, CLF, ALPHA)
     bound = theorem_bound(SRC, TGT, CLF, N, DELTA)
     print(f"classifier error rates: source {eps_src:.4f}, target {eps_tgt:.4f}")
     print(f"oracle beta {beta_star:.5f} (analytic alpha (1-p_src)/(1-p_tgt) = {ALPHA * 0.1 / 0.3:.5f})")

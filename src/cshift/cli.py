@@ -59,8 +59,7 @@ EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_s
 # a grid is materialised as a list and recalibrated point by point
 MAX_ALPHA_GRID_POINTS = 10_000
 
-# Largest --n and --nmc, which size every draw: at 10**7 the Monte Carlo
-# oracle, drawn in fixed-size chunks, peaks near 50 MB and one trial near
+# Largest --n, which sizes every draw: at 10**7 one trial peaks near
 # 0.75 GB (see README)
 MAX_DRAWS = 10**7
 # Largest --bins, the width of each corpus histogram and network input
@@ -189,13 +188,12 @@ def cmd_recalibrate(args) -> int:
             sidecar.write(format_kv(est.to_kv()).encode())
         print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
         return 0
-    lines = ["method,predictor,alpha,tau,q,estimate,seed"]
-    for alpha in alphas:
-        threshold, est = recalibrate(calibrator, target, alpha, args.method)
-        fields = map(format_float, [alpha, threshold.tau, est.q_threshold, est.value])
-        lines.append(",".join([args.method, spec.kind, *fields, str(args.seed)]))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with replacing(args.out) as fh:
+        fh.write(b"method,predictor,alpha,tau,q,estimate,seed\n")
+        for alpha in alphas:
+            threshold, est = recalibrate(calibrator, target, alpha, args.method)
+            fields = map(format_float, [alpha, threshold.tau, est.q_threshold, est.value])
+            fh.write((",".join([args.method, spec.kind, *fields, str(args.seed)]) + "\n").encode())
     print(f"wrote {len(alphas)} rows to {args.out}")
     return 0
 
@@ -228,6 +226,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    # checked before training: the later rename of one file would replace the other
+    pred_out = args.pred_out
+    if pred_out is not None and Path(pred_out).resolve() == Path(args.model_out).resolve():
+        raise ValueError(f"--pred-out {pred_out} is the --model-out file")
     spec = PredictorSpec(args.predictor, args.lam, args.kreg)
     cal = _load_labeled(args.cal)
     seed = derive_seed(args.seed, "corpus")
@@ -256,33 +258,23 @@ def cmd_simulate(args) -> int:
     src = ToyModelParams(gamma=args.gamma, c=args.c, p=args.psrc)
     tgt = ToyModelParams(gamma=args.gamma, c=args.c, p=args.ptgt)
     clf = ToyClassifier(w_inv=args.winv, w_sp=args.wsp)
-    beta = oracle_beta(src, tgt, clf, args.alpha, args.nmc, derive_seed(args.seed, "oracle"))
-    lines = [
-        "trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
-        "beta_true,beta_qtc,bound,violated,coverage"
-    ]
+    beta = oracle_beta(src, tgt, clf, args.alpha)
     fixed = [args.alpha, args.delta, args.psrc, args.ptgt, args.winv, args.wsp]
     setting = ",".join([str(args.n), *map(format_float, fixed)])
     violations = 0
     coverage_err = 0.0
-    for trial in range(args.trials):
-        report = run_theorem_trial(
-            src,
-            tgt,
-            clf,
-            args.alpha,
-            args.n,
-            args.delta,
-            derive_seed(args.seed, f"trial-{trial}"),
-            beta_oracle=beta,
-        )
-        violations += report.violated
-        coverage_err += abs(report.achieved_target_coverage - (1.0 - args.alpha))
-        found = map(format_float, [report.beta_true, report.beta_qtc, report.bound])
-        row = [str(trial), setting, *found, str(int(report.violated))]
-        lines.append(",".join(row + [format_float(report.achieved_target_coverage)]))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with replacing(args.out) as fh:
+        fh.write(b"trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
+                 b"beta_true,beta_qtc,bound,violated,coverage\n")
+        for trial in range(args.trials):
+            seed = derive_seed(args.seed, f"trial-{trial}")
+            report = run_theorem_trial(src, tgt, clf, args.alpha, args.n, args.delta, seed, beta)
+            violations += report.violated
+            coverage_err += abs(report.achieved_target_coverage - (1.0 - args.alpha))
+            found = [report.beta_true, report.beta_qtc, report.bound]
+            row = [str(trial), setting, *map(format_float, found), str(int(report.violated))]
+            row.append(format_float(report.achieved_target_coverage))
+            fh.write((",".join(row) + "\n").encode())
     print(
         f"trials={args.trials} violation_fraction={format_float(violations / args.trials)} "
         f"mean_coverage_error={format_float(coverage_err / args.trials)}"
@@ -424,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("--wsp", _finite, 0.5, "spurious-feature weight"),
             ("--gamma", _finite, 0.05, "lower end of the invariant feature's magnitude"),
             ("--c", _finite, 1.0, "upper end of the invariant feature's magnitude"),
-            ("--nmc", partial(positive_int, limit=MAX_DRAWS), 10**6,
-             "Monte Carlo draws for oracle quantities"),
         ],
     )
     p.add_argument("--out", required=True, help="trial csv to write")

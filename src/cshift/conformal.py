@@ -301,18 +301,12 @@ def conformity_scores(
     return _blocked_scores(spec, values, labels, u, None)[0]
 
 
-def conformity_score(spec: PredictorSpec, row: np.ndarray, label: int, u: float = 0.0) -> float:
-    """Single-row convenience wrapper around :func:`conformity_scores`."""
-    row = np.asarray(row, dtype=np.float64)[None, :]
-    s = conformity_scores(spec, row, np.array([label]), np.array([u]))
-    return float(s[0])
-
-
 def prediction_set(spec: PredictorSpec, row: np.ndarray, u: float, tau: float) -> np.ndarray:
     """Class indices admitted at threshold tau, ascending.
 
-    Equivalent to {l : conformity_score(spec, row, l, u) <= tau}; the result
-    is a set of classes, returned as a sorted index array.
+    These are the labels l whose conformity score (:func:`conformity_scores`
+    of this row with label l and uniform u) is at most tau; the result is a
+    set of classes, returned as a sorted index array.
     """
     row = np.asarray(row, dtype=np.float64)
     _check_applicable(spec, row.shape[0])

@@ -9,27 +9,22 @@ A fixed logistic classifier ``f(x) = [sigma(-z), sigma(z)]`` with
 ``z = w_inv * x_inv + w_sp * x_sp`` scores each sample; index 0 is class
 y = -1 and index 1 is class y = +1. The miscoverage event of a
 top-score predictor at threshold tau is: the classifier is wrong AND its
-top confidence reaches tau. Monte Carlo oracles pin down the target
-threshold tau_alpha and the induced source miscoverage beta, giving ground
+top confidence reaches tau. The oracles are closed forms. With q the
+probability that the spurious feature points the wrong way (1 - p when
+w_sp > 0, else p), the error rate is q * clip((|w_sp| / w_inv - gamma) /
+(c - gamma), 0, 1), and the source miscoverage at the target threshold
+of level alpha is beta = alpha * q_source / q_target. This is the ground
 truth for the deviation bound
 
     |beta_qtc - beta| <= sqrt(2 * log(16 / delta) / (n * c_sp)),
 
-where c_sp = (1 - p_target) * (1 - p_source)^2 when w_sp > 0 and
-c_sp = p_target * p_source^2 otherwise. The oracles also check that alpha
-is reachable: it must lie below 0.9 of the error rate of each of their
-draws, or they raise :class:`PreconditionError`.
+where c_sp = q_target * q_source^2. :func:`oracle_beta` also checks that
+alpha is reachable: it must lie below 0.9 of each error rate, or it
+raises :class:`PreconditionError`.
 
 Draws and scores are built in place: :func:`sample` holds three arrays of
 n entries (y, x_inv, x_sp), and :func:`classify` writes into its (n, 2)
-result and leaves the batch as it was. An oracle draws its n_mc draws in
-chunks of 2^16 (``util.BLOCK_ENTRIES // 4``) and consumes each in place:
-the logit overwrites x_inv, and only the misclassified draws get a top
-confidence. It keeps running counts, and ``oracle_tau`` the confidences
-of the misclassified draws, so it holds about 2 MB plus 8 bytes per
-misclassified draw at any n_mc. The chunks read the one random stream of
-:func:`sample`, and the float operations are those of the direct
-formulas, so every value keeps its bits. A logit that overflows to +-inf
+result and leaves the batch as it was. A logit that overflows to +-inf
 is a saturated score, exactly 0 or 1.
 """
 
@@ -43,13 +38,7 @@ import numpy as np
 from .conformal import Calibrator, PredictorSpec, evaluate
 from .qtc import recalibrate
 from .scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
-from .util import BLOCK_ENTRIES, ceil_count, derive_seed
-
-
-# Draws per oracle chunk, read at each call. A chunk's label, two features
-# and masks take about 4 x 8 bytes a draw, so a chunk holds about
-# util.BLOCK_ENTRIES entries, 2 MB.
-_MC_CHUNK = BLOCK_ENTRIES // 4
+from .util import derive_seed
 
 
 class PreconditionError(ValueError):
@@ -94,67 +83,35 @@ class ToySampleBatch:
     y: np.ndarray
 
 
-def _draws(params: ToyModelParams, n: int, seed: int, chunk: int):
-    """Batches of at most ``chunk`` draws that concatenate to the n draws
-    of :func:`sample`.
-
-    ``default_rng(seed)`` gives the n labels, then the n invariant
-    uniforms, then the n agreement uniforms. ``integers(0, 2)`` takes one
-    32-bit half of a 64-bit output per label, so the uniforms start at
-    outputs (n + 1) // 2 and (n + 1) // 2 + n; a second and a third
-    generator advanced there read those parts chunk by chunk."""
+def sample(params: ToyModelParams, n: int, seed: int) -> ToySampleBatch:
+    """Draw n labeled samples from the model. ``default_rng(seed)`` gives
+    the n labels, then the n invariant uniforms, then the n uniforms that
+    decide agreement."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    labels, uniforms, agreement = (np.random.default_rng(seed) for _ in range(3))
-    uniforms.bit_generator.advance((n + 1) // 2)
-    agreement.bit_generator.advance((n + 1) // 2 + n)
-    for start in range(0, n, chunk):
-        yield _draw(params, labels, uniforms, agreement, min(chunk, n - start))
-
-
-def _draw(params, labels, uniforms, agreement, m: int) -> ToySampleBatch:
-    """The next m draws of each of the three streams of :func:`_draws`; a
-    function of its own, so that a suspended :func:`_draws` holds no chunk."""
-    y = labels.integers(0, 2, size=m)
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n)
     y *= 2
     y -= 1
-    x_inv = uniforms.uniform(params.gamma, params.c, size=m)
+    x_inv = rng.uniform(params.gamma, params.c, size=n)
     x_inv *= y
     # the uniforms that decide agreement (u < p), then the feature, share
     # one buffer
-    x_sp = agreement.random(m)
+    x_sp = rng.random(n)
     flip = x_sp >= params.p
     np.copyto(x_sp, y)
     np.negative(x_sp, out=x_sp, where=flip)
     return ToySampleBatch(x_inv=x_inv, x_sp=x_sp, y=y)
 
 
-def sample(params: ToyModelParams, n: int, seed: int) -> ToySampleBatch:
-    """Draw n labeled samples from the model: :func:`_draws` in one chunk."""
-    return next(_draws(params, n, seed, n))
-
-
-def _logit(
-    clf: ToyClassifier, batch: ToySampleBatch, out: np.ndarray, spare: np.ndarray
-) -> np.ndarray:
-    """z = w_inv * x_inv + w_sp * x_sp into ``out``; ``spare`` receives
-    w_sp * x_sp. Either may be the batch's own array of that feature."""
-    # a huge finite weight or c overflows w_inv * x_inv to +-inf: a saturated
-    # logit, whose sigmoid is exactly 0 or 1. No NaN can arise, since
-    # w_sp * x_sp is finite, so the overflow is not an error.
-    with np.errstate(over="ignore"):
-        np.multiply(batch.x_inv, clf.w_inv, out=out)
-        return np.add(out, np.multiply(batch.x_sp, clf.w_sp, out=spare), out=out)
-
-
 def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sigma(z) into ``out``, which is ``z`` itself or does not overlap it;
-    ``z`` is overwritten. With e = exp(-|z|) this is 1/(1+e) for z >= 0
-    and e/(1+e) otherwise: the same bits as 1/(1+exp(-z)) and
+    """sigma(z) into ``out``, which does not overlap ``z``; ``z`` is
+    overwritten. With e = exp(-|z|) this is 1/(1+e) for z >= 0 and
+    e/(1+e) otherwise: the same bits as 1/(1+exp(-z)) and
     exp(z)/(1+exp(z)), since -z and z are then both exactly -|z|."""
     pos = z >= 0
     e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
-    denom = np.add(e, 1.0, out=None if out is z else out)
+    denom = np.add(e, 1.0, out=out)
     np.divide(1.0, denom, out=out, where=pos)
     np.divide(e, denom, out=out, where=np.logical_not(pos, out=pos))
     return out
@@ -165,7 +122,12 @@ def classify(clf: ToyClassifier, batch: ToySampleBatch) -> np.ndarray:
     scores = np.empty((batch.x_inv.size, 2))
     # z is contiguous: some numpy versions take another exp kernel, with
     # other last bits, for a strided output
-    z = _logit(clf, batch, np.empty(batch.x_inv.size), scores[:, 0])
+    # a huge finite weight or c overflows w_inv * x_inv to +-inf: a saturated
+    # logit, whose sigmoid is exactly 0 or 1. No NaN can arise, since
+    # w_sp * x_sp is finite, so the overflow is not an error.
+    with np.errstate(over="ignore"):
+        z = np.multiply(batch.x_inv, clf.w_inv)
+        z += np.multiply(batch.x_sp, clf.w_sp, out=scores[:, 0])
     _sigmoid(z, out=scores[:, 1])
     np.subtract(1.0, scores[:, 1], out=scores[:, 0])
     return scores
@@ -180,66 +142,16 @@ def to_dataset(batch: ToySampleBatch, clf: ToyClassifier) -> LabeledDataset:
     return LabeledDataset._adopt(scores, labels)
 
 
-def _wrong_confidences(params: ToyModelParams, clf: ToyClassifier, n_mc: int, seed: int):
-    """For each chunk of :data:`_MC_CHUNK` draws of a Monte Carlo draw,
-    the top confidences of its misclassified draws, in draw order.
-
-    The chunks are private, so each is consumed in place, its logit going
-    into its x_inv buffer; only the misclassified draws are scored."""
-    for batch in _draws(params, n_mc, seed, _MC_CHUNK):
-        z = _logit(clf, batch, batch.x_inv, batch.x_sp)
-        # the prediction is +1 exactly where z > 0
-        wrong = z[(z > 0) != (batch.y > 0)]
-        del batch, z
-        yield _sigmoid(np.abs(wrong, out=wrong), out=wrong)
+def _wrong_way_rate(params: ToyModelParams, clf: ToyClassifier) -> float:
+    """P[the spurious feature points away from the label under clf's sign]."""
+    return 1.0 - params.p if clf.w_sp > 0 else params.p
 
 
-def classifier_error_rate(
-    params: ToyModelParams, clf: ToyClassifier, n_mc: int = 10**6, seed: int = 0
-) -> float:
-    """Monte Carlo estimate of P[argmax f(x) != y]."""
-    wrong = sum(conf.size for conf in _wrong_confidences(params, clf, n_mc, seed))
-    return float(wrong / n_mc)
-
-
-def _check_error_rate(alpha: float, wrong: int, n: int, name: str) -> None:
-    """Raise :class:`PreconditionError` unless alpha lies below 0.9 of the
-    error rate ``wrong / n`` of a Monte Carlo draw (10% safety margin on
-    the estimate)."""
-    eps = wrong / n
-    if alpha >= 0.9 * eps:
-        raise PreconditionError(
-            f"alpha={alpha:g} must be below 0.9 * estimated {name} error rate {eps:g}"
-        )
-
-
-def oracle_tau(
-    params_target: ToyModelParams,
-    clf: ToyClassifier,
-    alpha: float,
-    n_mc: int = 10**7,
-    seed: int = 0,
-) -> float:
-    """Threshold at which the wrong-and-confident rate on the target is alpha.
-
-    Monte Carlo realization: the ceil(alpha * n_mc)-th largest top
-    confidence among misclassified draws. Requires alpha below 0.9 of
-    the draw's error rate; as alpha approaches it, the threshold falls
-    toward 1/2.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    wrong_conf = np.empty(0)
-    for conf in _wrong_confidences(params_target, clf, n_mc, seed):
-        held = wrong_conf.size
-        # grows by realloc, not by joining a list of chunk arrays, which
-        # would hold every confidence twice
-        wrong_conf.resize(held + conf.size, refcheck=False)
-        wrong_conf[held:] = conf
-    _check_error_rate(alpha, wrong_conf.size, n_mc, "target")
-    k = max(1, ceil_count(alpha * n_mc))
-    wrong_conf.partition(wrong_conf.size - k)
-    return float(wrong_conf[wrong_conf.size - k])
+def classifier_error_rate(params: ToyModelParams, clf: ToyClassifier) -> float:
+    """P[argmax f(x) != y]: the spurious feature points the wrong way and
+    outweighs the invariant one, w_inv * |x_inv| < |w_sp|."""
+    reach = (abs(clf.w_sp) / clf.w_inv - params.gamma) / (params.c - params.gamma)
+    return _wrong_way_rate(params, clf) * min(max(reach, 0.0), 1.0)
 
 
 def oracle_beta(
@@ -247,30 +159,35 @@ def oracle_beta(
     params_target: ToyModelParams,
     clf: ToyClassifier,
     alpha: float,
-    n_mc: int = 10**7,
-    seed: int = 0,
 ) -> float:
-    """Source probability of the miscoverage event at the target's oracle tau.
+    """Source probability of the miscoverage event at the target threshold
+    whose wrong-and-confident rate is alpha.
 
-    Raises :class:`PreconditionError` unless alpha lies below 0.9 of the
-    error rate of the target draw and then of the source draw.
+    A draw that is wrong has top confidence sigma(|w_sp| - w_inv * |x_inv|),
+    so the event at threshold t has probability q * a((|w_sp| - logit t) /
+    w_inv), where q is the wrong-way rate of :func:`_wrong_way_rate` and
+    a(x) = clip((x - gamma) / (c - gamma), 0, 1). Setting it to alpha on
+    the target gives beta = alpha * q_source / q_target while the clip is
+    inactive, which the precondition ensures: alpha must lie below 0.9 of
+    the error rate of the target and then of the source, or
+    :class:`PreconditionError` is raised.
     """
-    tau = oracle_tau(params_target, clf, alpha, n_mc, derive_seed(seed, "oracle-tau"))
-    wrong = confident = 0
-    for conf in _wrong_confidences(params_source, clf, n_mc, derive_seed(seed, "oracle-beta")):
-        wrong += conf.size
-        confident += np.count_nonzero(conf >= tau)
-    _check_error_rate(alpha, wrong, n_mc, "source")
-    return float(confident / n_mc)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    for params, name in ((params_target, "target"), (params_source, "source")):
+        eps = classifier_error_rate(params, clf)
+        if alpha >= 0.9 * eps:
+            raise PreconditionError(
+                f"alpha={alpha:g} must be below 0.9 * {name} error rate {eps:g}"
+            )
+    return alpha * _wrong_way_rate(params_source, clf) / _wrong_way_rate(params_target, clf)
 
 
 def spurious_mass(
     params_source: ToyModelParams, params_target: ToyModelParams, clf: ToyClassifier
 ) -> float:
     """The c_sp constant entering the deviation bound."""
-    if clf.w_sp > 0:
-        return (1.0 - params_target.p) * (1.0 - params_source.p) ** 2
-    return params_target.p * params_source.p**2
+    return _wrong_way_rate(params_target, clf) * _wrong_way_rate(params_source, clf) ** 2
 
 
 def theorem_bound(
@@ -317,7 +234,7 @@ def run_theorem_trial(
     Also recalibrates a top-score predictor on the source with the
     estimated beta and reports its coverage on a fresh target evaluation
     set of size n. The caller checks alpha against the error rates once:
-    :func:`oracle_beta` does so on its own draws.
+    :func:`oracle_beta` does so.
     """
     source_ds = to_dataset(sample(params_source, n, derive_seed(seed, "trial-source")), clf)
     # the target is unlabeled: no labels are built, and its draw is freed

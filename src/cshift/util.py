@@ -159,9 +159,15 @@ def write_kv(path, pairs: dict) -> None:
 
 
 def read_kv(path) -> dict:
-    """Read a flat key=value text file; every parse error names the file."""
+    """Read a flat key=value text file; every parse error names the file.
+    A last line without its newline is refused, since a cut file can
+    still parse (``kreg=12`` cut to ``kreg=1``)."""
     with open(path, "r", encoding="utf-8") as fh, reading(path):
-        return parse_kv(fh)
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        raise ValueError(f"{path} does not end with a newline")
+    with reading(path):
+        return parse_kv(lines)
 
 
 def format_float(v: float) -> str:

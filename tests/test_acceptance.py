@@ -287,7 +287,7 @@ def test_criterion_8_every_command_reruns_byte_identical(tmp_path):
         ),
         (
             "simulate",
-            ["simulate", "--trials", "2", "--n", "1500", "--alpha", "0.02", "--nmc", "30000", "--seed", "6", "--out", OUT],
+            ["simulate", "--trials", "2", "--n", "1500", "--alpha", "0.02", "--seed", "6", "--out", OUT],
             [""],
         ),
     ]

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, sample_labels, softmax_rows, write_csv
+from cshift import cli
 from cshift.cli import (
     EVAL_CSV_HEADER,
     MAX_ALPHA_GRID_POINTS,
@@ -252,6 +253,30 @@ def test_recalibrate_grid_labels_rows_with_clean_alphas(tmp_path):
     assert [line.split(",")[2] for line in lines[1:]] == ["0.7", "0.8", "0.9"]
 
 
+@pytest.mark.parametrize("old", [None, b"method,predictor\nqtc,tps\n"])
+def test_recalibrate_grid_point_that_raises_leaves_the_old_csv(tmp_path, monkeypatch, capsys, old):
+    src, tgt = _source_and_target(tmp_path)
+    out = tmp_path / "sweep.csv"
+    if old is not None:
+        out.write_bytes(old)
+    calls = []
+
+    def fail_on_the_second_point(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("second point failed")
+        return recalibrate(*args)
+
+    recalibrate = cli.recalibrate
+    monkeypatch.setattr(cli, "recalibrate", fail_on_the_second_point)
+    argv = ["recalibrate", "--predictor", "tps", "--alpha", "0.1:0.3:0.1", "--source", str(src),
+            "--target", str(tgt), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: second point failed\n"
+    assert (out.read_bytes() if out.exists() else None) == old
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
 def test_recalibrate_grid_row_count(tmp_path):
     src, tgt = _source_and_target(tmp_path)
     out = tmp_path / "sweep.csv"
@@ -352,6 +377,24 @@ def test_evaluate_rejects_a_report_without_a_final_newline(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {out} does not end with a newline\n"
     assert out.read_bytes() == unterminated
+
+
+def test_evaluate_rejects_a_threshold_cut_inside_its_last_line(tmp_path, capsys):
+    cal = tmp_path / "cal.csv"
+    _cal_csv(cal, n=80, n_classes=20)
+    thr = tmp_path / "thr.txt"
+    argv = ["calibrate", "--cal", str(cal), "--predictor", "raps", "--lambda", "0.1",
+            "--kreg", "12", "--alpha", "0.1", "--out", str(thr)]
+    assert main(argv) == 0
+    raw = thr.read_bytes()
+    assert raw.endswith(b"\nkreg=12\n")
+    # cut to kreg=1: every line still parses, as another threshold
+    thr.write_bytes(raw[:-2])
+    out = tmp_path / "report.csv"
+    rc = main(["evaluate", "--test", str(cal), "--threshold", str(thr), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {thr} does not end with a newline\n"
+    assert not out.exists()
 
 
 def test_evaluate_writes_the_header_into_an_empty_report(tmp_path):
@@ -586,6 +629,25 @@ def test_baseline_without_its_threshold_leaves_the_model_file(tmp_path, capsys, 
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
+@pytest.mark.parametrize("same", ["model.bin", "./model.bin", "link.bin"])
+def test_baseline_pred_out_naming_the_model_file_exits_2_before_training(
+    tmp_path, monkeypatch, capsys, same
+):
+    cal = tmp_path / "cal.csv"
+    _cal_csv(cal, n=60)
+    model_out = tmp_path / "model.bin"
+    model_out.write_bytes(b"old model")
+    (tmp_path / "link.bin").symlink_to(model_out)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training started"))
+    argv = ["baseline", "--predictor", "tps", "--alpha", "0.1", "--extractor", "chr",
+            "--cal", str(cal), "--target", str(cal), "--model-out", str(model_out),
+            "--pred-out", same]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --pred-out {same} is the --model-out file\n"
+    assert model_out.read_bytes() == b"old model"
+
+
 def test_baseline_zero_shifts_exits_2(tmp_path, capsys):
     cal = tmp_path / "cal.csv"
     _cal_csv(cal, n=60)
@@ -647,7 +709,7 @@ def test_baseline_divergent_training_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_simulate_float_flags_must_be_finite(tmp_path, capsys, flag, value):
     out = tmp_path / "trials.csv"
-    argv = ["simulate", "--trials", "1", "--n", "500", "--nmc", "20000", "--out", str(out)]
+    argv = ["simulate", "--trials", "1", "--n", "500", "--out", str(out)]
     assert main([*argv, f"--{flag}={value}"]) == 2
     assert capsys.readouterr().err == f"error: argument --{flag}: must be a finite number, got {value}\n"
     assert not out.exists()
@@ -656,7 +718,7 @@ def test_simulate_float_flags_must_be_finite(tmp_path, capsys, flag, value):
 def test_simulate_alpha_at_error_rate_exits_5(tmp_path, capsys):
     out = tmp_path / "trials.csv"
     rc = main(
-        ["simulate", "--trials", "1", "--n", "500", "--alpha", "0.2", "--nmc", "20000", "--out", str(out)]
+        ["simulate", "--trials", "1", "--n", "500", "--alpha", "0.2", "--out", str(out)]
     )
     assert rc == 5
     assert "must be below" in capsys.readouterr().err
@@ -667,14 +729,46 @@ def test_simulate_saturated_logit_exits_5_without_warnings(tmp_path, capsys):
     # w_inv * x_inv overflows to inf: a score of exactly 0 or 1, not an error
     out = tmp_path / "trials.csv"
     argv = ["simulate", "--winv", "1e308", "--c", "1e308", "--trials", "1", "--n", "500",
-            "--nmc", "20000", "--out", str(out)]
+            "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(argv)
     assert rc == 5
     assert capsys.readouterr().err == (
-        "error: alpha=0.02 must be below 0.9 * estimated target error rate 0\n"
+        "error: alpha=0.02 must be below 0.9 * target error rate 0\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old", [None, b"trial_id\n0\n"])
+def test_simulate_trial_that_raises_leaves_the_old_csv(tmp_path, monkeypatch, capsys, old):
+    out = tmp_path / "trials.csv"
+    if old is not None:
+        out.write_bytes(old)
+    calls = []
+
+    def fail_on_the_second_trial(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("second trial failed")
+        return run_theorem_trial(*args)
+
+    run_theorem_trial = cli.run_theorem_trial
+    monkeypatch.setattr(cli, "run_theorem_trial", fail_on_the_second_trial)
+    assert main(["simulate", "--trials", "3", "--n", "500", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: second trial failed\n"
+    assert (out.read_bytes() if out.exists() else None) == old
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
+def test_simulate_config_with_a_monte_carlo_draw_count_exits_2(tmp_path, capsys):
+    # the oracle is exact, so there is no draw count to set; the flag is
+    # rejected in test_bad_flag_returns_2_instead_of_exiting
+    out = tmp_path / "trials.csv"
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("trials=1\nnmc=30000\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: unrecognized arguments: --nmc=30000\n"
     assert not out.exists()
 
 
@@ -702,8 +796,6 @@ def test_simulate_writes_trial_rows_and_summary(tmp_path, capsys):
             "2000",
             "--alpha",
             "0.02",
-            "--nmc",
-            "40000",
             "--seed",
             "7",
             "--out",
@@ -738,8 +830,6 @@ def test_simulate_negative_spurious_weight_flips_bound_branch(tmp_path):
             "0.02",
             "--wsp",
             "-0.5",
-            "--nmc",
-            "30000",
             "--out",
             str(out),
         ]
@@ -765,8 +855,6 @@ def test_simulate_without_shift_keeps_beta_near_alpha(tmp_path):
             "0.02",
             "--ptgt",
             "0.9",
-            "--nmc",
-            "30000",
             "--out",
             str(out),
         ]
@@ -871,7 +959,7 @@ def test_each_command_gets_its_defaults_from_the_parser():
     )
     assert _defaults(["simulate", "--out", "o"]) == dict(
         config=None, seed=0, trials=100, n=10000, alpha=0.02, delta=0.1, psrc=0.9, ptgt=0.7,
-        winv=1.0, wsp=0.5, gamma=0.05, c=1.0, nmc=10**6, out="o",
+        winv=1.0, wsp=0.5, gamma=0.05, c=1.0, out="o",
     )
 
 
@@ -910,7 +998,7 @@ def test_config_negative_value_gives_the_same_bytes_as_flags(tmp_path):
     flags, config = _flags_and_config_agree(
         tmp_path,
         "simulate",
-        dict(trials="1", n="1000", wsp="-0.5", nmc="30000", seed="3", out="trials.csv"),
+        dict(trials="1", n="1000", wsp="-0.5", seed="3", out="trials.csv"),
     )
     assert flags == config
     assert flags["trials.csv"].splitlines()[1].split(b",")[7] == b"-0.5"
@@ -940,6 +1028,14 @@ def test_config_unknown_key_bad_type_and_bad_choice_exit_2(tmp_path, capsys, lin
     assert not out.exists()
 
 
+def test_config_without_a_final_newline_still_applies(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("trials=2\nn=500")
+    out = tmp_path / "trials.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith("1,500,")
+
+
 def test_config_bad_value_names_the_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("# c\nseed=abc\n")
@@ -963,8 +1059,7 @@ def test_config_bad_value_names_the_file_and_line(tmp_path, capsys):
          "argument --alpha: invalid level value: '0.01:0.03:0.01'"),
         (["calibrate", "--alpha", "0.05:0.2:0.05"], "argument --alpha: invalid level value: '0.05:0.2:0.05'"),
         (["baseline", "--alpha", "1.5"], "argument --alpha: invalid level value: '1.5'"),
-        (["simulate", "--out", "o", "--nmc", "100000000000"],
-         "argument --nmc: must be an integer <= 10000000, got 100000000000"),
+        (["simulate", "--out", "o", "--nmc", "1000"], "unrecognized arguments: --nmc 1000"),
         (["simulate", "--out", "o", "--n", "100000000000"],
          "argument --n: must be an integer <= 10000000, got 100000000000"),
         (["simulate", "--out", "o", "--n", "0"], "argument --n: must be an integer >= 1, got 0"),

@@ -14,7 +14,6 @@ from cshift.conformal import (
     PredictorSpec,
     Threshold,
     calibrate,
-    conformity_score,
     conformity_scores,
     evaluate,
     load_threshold,
@@ -38,27 +37,33 @@ def _two_class_cal(pi_y):
     return LabeledDataset(ScoreMatrix(v), np.zeros(len(pi_y), dtype=np.int64))
 
 
+def _copies(row, labels):
+    """One copy of ``row`` per label, with the labels as an array."""
+    return np.tile(row, (len(labels), 1)), np.array(labels)
+
+
 def test_tps_conformity_is_one_minus_label_score():
-    assert conformity_score(TPS, np.array([0.9, 0.1]), 0) == pytest.approx(0.1)
+    values, labels = _copies([0.9, 0.1], [0])
+    assert conformity_scores(TPS, values, labels, None) == pytest.approx([0.1])
     # u must be ignored for the top-score predictor
-    assert conformity_score(TPS, np.array([0.9, 0.1]), 0, u=0.7) == pytest.approx(0.1)
+    assert conformity_scores(TPS, values, labels, np.array([0.7])) == pytest.approx([0.1])
 
 
 def test_aps_conformity_prefix_sum():
-    assert conformity_score(APS, ROW3, 1, u=0.0) == pytest.approx(0.5)
-    assert conformity_score(APS, ROW3, 0, u=0.0) == pytest.approx(0.0)
-    assert conformity_score(APS, ROW3, 2, u=1.0) == pytest.approx(1.0)
+    values, labels = _copies(ROW3, [1, 0, 2])
+    scores = conformity_scores(APS, values, labels, np.array([0.0, 0.0, 1.0]))
+    assert scores == pytest.approx([0.5, 0.0, 1.0])
 
 
 def test_raps_conformity_adds_rank_penalty():
     # label ranked 3rd, k_reg=1: prefix 0.8 plus penalty 0.1 per position past the first
-    assert conformity_score(RAPS, ROW3, 2, u=0.0) == pytest.approx(0.9)
+    values, labels = _copies(ROW3, [2])
+    assert conformity_scores(RAPS, values, labels, np.zeros(1)) == pytest.approx([0.9])
 
 
 def test_ranking_ties_break_by_class_index():
-    row = np.array([0.4, 0.4, 0.2])
-    assert conformity_score(APS, row, 0, u=0.0) == pytest.approx(0.0)
-    assert conformity_score(APS, row, 1, u=0.0) == pytest.approx(0.4)
+    values, labels = _copies([0.4, 0.4, 0.2], [0, 1])
+    assert conformity_scores(APS, values, labels, np.zeros(2)) == pytest.approx([0.0, 0.4])
 
 
 def test_tps_full_set_at_tau_one():
@@ -225,7 +230,7 @@ def test_set_score_duality(seed, tau, tied, u_kind):
         row = np.round(row, 1)
     u = {"zero": 0.0, "one": 1.0}.get(u_kind, np.random.default_rng(seed).random())
     for spec in (TPS, APS, RAPS):
-        scores = [conformity_score(spec, row, label, u) for label in range(4)]
+        scores = conformity_scores(spec, *_copies(row, range(4)), np.full(4, u)).tolist()
         # tau equal to a label's own score must admit that label
         for t in [tau, *scores]:
             members = set(prediction_set(spec, row, u, t).tolist())
@@ -485,10 +490,8 @@ def test_vectorized_scores_match_single_rows(n, seed):
     u = np.random.default_rng(seed).random(n)
     for spec in (TPS, APS, RAPS):
         vec = conformity_scores(spec, d.scores.values, d.labels, u)
-        one = [
-            conformity_score(spec, d.scores.values[i], int(d.labels[i]), float(u[i]))
-            for i in range(n)
-        ]
+        rows = [slice(i, i + 1) for i in range(n)]
+        one = [conformity_scores(spec, d.scores.values[i], d.labels[i], u[i])[0] for i in rows]
         np.testing.assert_allclose(vec, one, rtol=0, atol=1e-12)
 
 

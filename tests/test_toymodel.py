@@ -1,26 +1,21 @@
 import math
 import tracemalloc
 import warnings
-from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cshift import toymodel
 from cshift.toymodel import (
     PreconditionError,
-    _draws,
-    _logit,
     _sigmoid,
-    _wrong_confidences,
     ToyClassifier,
     ToyModelParams,
     ToySampleBatch,
     classifier_error_rate,
     classify,
     oracle_beta,
-    oracle_tau,
     run_theorem_trial,
     sample,
     spurious_mass,
@@ -34,13 +29,9 @@ SRC = ToyModelParams(gamma=0.05, c=1.0, p=0.9)
 TGT = ToyModelParams(gamma=0.05, c=1.0, p=0.7)
 CLF = ToyClassifier(w_inv=1.0, w_sp=0.5)
 
-# frozen Monte Carlo fixture: n_mc=10**7 draws under this seed; the
-# analytic values for the default regime are tau = sigmoid(29/75) and
-# beta = alpha (1 - p_src) / (1 - p_tgt) = 1/150
-FIXTURE_SEED = 1234
-FIXTURE_N_MC = 10**7
-FIXTURE_TAU = 0.5955051333603529
-FIXTURE_BETA = 0.0066267
+# the oracle beta at alpha = 0.02: alpha (1 - p_src) / (1 - p_tgt), 1/150
+# up to rounding
+FIXTURE_BETA = 0.02 * (1 - 0.9) / (1 - 0.7)
 
 
 def _batch(x_inv, x_sp, y):
@@ -171,44 +162,23 @@ def test_error_rate_matches_analytic():
     # misclassification happens iff the spurious feature disagrees and
     # |x_inv| < w_sp / w_inv, an interval of mass (w_sp/w_inv - gamma)/(c - gamma)
     analytic = (1 - SRC.p) * (CLF.w_sp / CLF.w_inv - SRC.gamma) / (SRC.c - SRC.gamma)
-    eps = classifier_error_rate(SRC, CLF, n_mc=10**6, seed=2)
-    assert abs(eps - analytic) <= 2e-3
-
-
-def test_oracle_tau_frozen_fixture():
-    tau = oracle_tau(TGT, CLF, alpha=0.02, n_mc=FIXTURE_N_MC, seed=FIXTURE_SEED)
-    assert tau == FIXTURE_TAU
-    logit = 0.5 - 0.02 * 0.95 / 0.3 - 0.05
-    analytic = 1 / (1 + math.exp(-logit))
-    assert abs(tau - analytic) <= 5e-4
-
-
-def test_oracle_tau_decreases_toward_half():
-    eps = classifier_error_rate(TGT, CLF, n_mc=10**6, seed=7)
-    taus = [oracle_tau(TGT, CLF, a * eps, n_mc=10**6, seed=7) for a in (0.1, 0.5, 0.85)]
-    assert taus[0] > taus[1] > taus[2] >= 0.5
-    assert taus[2] < 0.53
-
-
-def test_oracle_tau_precondition():
-    with pytest.raises(PreconditionError):
-        oracle_tau(TGT, CLF, alpha=0.2, n_mc=10**5, seed=0)
+    assert classifier_error_rate(SRC, CLF) == pytest.approx(analytic, rel=1e-12)
+    # the interval is cut to the support: empty below gamma, all of it past c
+    assert classifier_error_rate(SRC, ToyClassifier(w_inv=20.0, w_sp=0.5)) == 0.0
+    assert classifier_error_rate(SRC, ToyClassifier(w_inv=0.1, w_sp=-0.5)) == SRC.p
 
 
 def test_oracle_beta_frozen_fixture():
-    beta = oracle_beta(SRC, TGT, CLF, alpha=0.02, n_mc=FIXTURE_N_MC, seed=FIXTURE_SEED)
-    assert beta == FIXTURE_BETA
-    assert abs(beta - 0.02 * (1 - SRC.p) / (1 - TGT.p)) <= 1e-4
+    assert oracle_beta(SRC, TGT, CLF, alpha=0.02) == FIXTURE_BETA
+    assert FIXTURE_BETA == pytest.approx(1 / 150, rel=1e-12)
 
 
 def test_oracle_beta_no_shift_equals_alpha():
-    beta = oracle_beta(SRC, SRC, CLF, alpha=0.02, n_mc=10**6, seed=4)
-    assert abs(beta - 0.02) <= 3 * math.sqrt(0.02 / 10**6)
+    assert oracle_beta(SRC, SRC, CLF, alpha=0.02) == 0.02
 
 
 def test_oracle_beta_shrinks_under_target_shift():
-    beta = oracle_beta(SRC, TGT, CLF, alpha=0.02, n_mc=10**6, seed=4)
-    assert beta < 0.02
+    assert oracle_beta(SRC, TGT, CLF, alpha=0.02) < 0.02
 
 
 def test_spurious_mass_sign_branches():
@@ -227,7 +197,7 @@ def test_theorem_bound_formula():
 
 def test_trial_no_shift():
     # ground truth as `cshift simulate --seed 0` computes it
-    beta = oracle_beta(SRC, SRC, CLF, 0.02, 10**6, derive_seed(0, "oracle"))
+    beta = oracle_beta(SRC, SRC, CLF, 0.02)
     rep = run_theorem_trial(SRC, SRC, CLF, alpha=0.02, n=5000, delta=0.1, seed=0, beta_oracle=beta)
     assert abs(rep.beta_qtc - 0.02) <= 0.02
     assert not rep.violated
@@ -263,13 +233,13 @@ def test_trial_frees_its_source_and_target_before_the_evaluation_set():
 
 def test_trial_precondition_rejects_large_alpha():
     with pytest.raises(PreconditionError):
-        oracle_beta(SRC, TGT, CLF, alpha=0.045, n_mc=10**5, seed=0)
+        oracle_beta(SRC, TGT, CLF, alpha=0.045)
 
 
 @pytest.mark.parametrize("alpha, name", [(0.045, "source"), (0.2, "target")])
 def test_oracle_beta_names_the_distribution_whose_error_rate_is_too_low(alpha, name):
-    with pytest.raises(PreconditionError, match=f"must be below 0.9 \\* estimated {name} error rate"):
-        oracle_beta(SRC, TGT, CLF, alpha=alpha, n_mc=10**5, seed=0)
+    with pytest.raises(PreconditionError, match=f"must be below 0.9 \\* {name} error rate"):
+        oracle_beta(SRC, TGT, CLF, alpha=alpha)
 
 
 
@@ -327,129 +297,18 @@ _classifiers = st.builds(
 def test_sigmoid_matches_the_two_branch_formula(z):
     z = np.array(z)
     expected = _sigmoid_reference(z)
-    assert _same_bits(_sigmoid(z.copy(), out=np.empty_like(z)), expected)
-    assert _same_bits(_sigmoid(z.copy(), out=z), expected)
+    assert _same_bits(_sigmoid(z, out=np.empty_like(z)), expected)
 
 
 @given(params=_params, n=st.integers(1, 300), seed=st.integers(0, 2**32))
+@example(params=SRC, n=1001, seed=3)
+@example(params=SRC, n=65537, seed=3)
 def test_sample_matches_the_direct_draw(params, n, seed):
     batch = sample(params, n, seed)
     x_inv, x_sp, y = _sample_reference(params, n, seed)
     assert _same_bits(batch.x_inv, x_inv)
     assert _same_bits(batch.x_sp, x_sp)
     assert _same_bits(batch.y, y)
-
-
-@st.composite
-def _sizes_and_chunks(draw):
-    """(n, chunk): odd and even chunks, n below one chunk, and n a multiple
-    of the chunk or one off it."""
-    chunk = draw(st.integers(1, 70))
-    n = draw(
-        st.one_of(
-            st.integers(1, 300),
-            st.builds(
-                lambda k, off: max(1, k * chunk + off),
-                st.integers(1, 5),
-                st.sampled_from([-1, 0, 1]),
-            ),
-        )
-    )
-    return n, chunk
-
-
-@given(params=_params, size=_sizes_and_chunks(), seed=st.integers(0, 2**64 - 1))
-def test_draw_chunks_concatenate_to_sample(params, size, seed):
-    n, chunk = size
-    batches = list(_draws(params, n, seed, chunk))
-    assert [b.y.size for b in batches] == [min(chunk, n - start) for start in range(0, n, chunk)]
-    whole = sample(params, n, seed)
-    for name in ("x_inv", "x_sp", "y"):
-        joined = np.concatenate([getattr(b, name) for b in batches])
-        assert _same_bits(joined, getattr(whole, name))
-
-
-@contextmanager
-def _oracle_chunks_of(chunk):
-    saved = toymodel._MC_CHUNK
-    toymodel._MC_CHUNK = chunk
-    try:
-        yield
-    finally:
-        toymodel._MC_CHUNK = saved
-
-
-def _chunked_wrong_confidences(params, clf, n, seed, chunk):
-    """The chunks of ``_wrong_confidences`` at a given chunk size, joined."""
-    with _oracle_chunks_of(chunk):
-        chunks = list(_wrong_confidences(params, clf, n, seed))
-    assert len(chunks) == -(-n // chunk)
-    return np.concatenate(chunks)
-
-
-def _mc_events_reference(params, clf, n_mc, seed):
-    """The whole draw at once: (misclassified, top_confidence)."""
-    batch = sample(params, n_mc, seed)
-    z = _logit(clf, batch, batch.x_inv, batch.x_sp)
-    miss = (z > 0) != (batch.y > 0)
-    return miss, _sigmoid(np.abs(z, out=z), out=z)
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except PreconditionError as exc:
-        return str(exc)
-
-
-def _error_rate_check_reference(alpha, miss, name):
-    eps = np.count_nonzero(miss) / miss.size
-    if alpha >= 0.9 * eps:
-        raise PreconditionError(
-            f"alpha={alpha:g} must be below 0.9 * estimated {name} error rate {eps:g}"
-        )
-
-
-def _oracle_tau_reference(params, clf, alpha, n_mc, seed):
-    miss, confidence = _mc_events_reference(params, clf, n_mc, seed)
-    _error_rate_check_reference(alpha, miss, "target")
-    wrong_conf = confidence[miss]
-    k = max(1, ceil_count(alpha * n_mc))
-    return float(np.partition(wrong_conf, wrong_conf.size - k)[wrong_conf.size - k])
-
-
-def _oracle_beta_reference(params_source, params_target, clf, alpha, n_mc, seed):
-    tau = _oracle_tau_reference(params_target, clf, alpha, n_mc, derive_seed(seed, "oracle-tau"))
-    miss, confidence = _mc_events_reference(
-        params_source, clf, n_mc, derive_seed(seed, "oracle-beta")
-    )
-    _error_rate_check_reference(alpha, miss, "source")
-    return float(np.count_nonzero(miss & (confidence >= tau)) / n_mc)
-
-
-@given(
-    source=_params,
-    target=_params,
-    clf=_classifiers,
-    size=_sizes_and_chunks(),
-    alpha=st.floats(1e-3, 0.5),
-    seed=st.integers(0, 2**32),
-)
-def test_oracles_equal_the_one_shot_reference(source, target, clf, size, alpha, seed):
-    n, chunk = size
-    with _oracle_chunks_of(chunk), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        found = [
-            classifier_error_rate(source, clf, n, seed),
-            _outcome(oracle_tau, target, clf, alpha, n, seed),
-            _outcome(oracle_beta, source, target, clf, alpha, n, seed),
-        ]
-    miss, _ = _mc_events_reference(source, clf, n, seed)
-    assert found == [
-        float(np.count_nonzero(miss) / n),
-        _outcome(_oracle_tau_reference, target, clf, alpha, n, seed),
-        _outcome(_oracle_beta_reference, source, target, clf, alpha, n, seed),
-    ]
 
 
 @given(
@@ -469,43 +328,221 @@ def test_classify_matches_the_direct_formula_and_keeps_its_batch(clf, rows):
         assert _same_bits(kept, now)
 
 
-@given(params=_params, clf=_classifiers, size=_sizes_and_chunks(), seed=st.integers(0, 2**32))
-def test_mc_events_match_the_direct_formula(params, clf, size, seed):
-    n, chunk = size
+
+
+# --- the closed-form oracles against a one-shot Monte Carlo draw ---
+
+
+def _wrong_confidences_reference(params, clf, n, seed):
+    """Top confidences of the misclassified draws among n direct draws."""
     x_inv, x_sp, y = _sample_reference(params, n, seed)
     z = _logit_reference(clf, x_inv, x_sp)
+    miss = np.where(z > 0, 1, -1) != y
+    return _sigmoid_reference(np.abs(z[miss]))
+
+
+def _monte_carlo_reference(source, target, clf, alpha, n, seed):
+    """(source error rate, target error rate, beta) from n draws of each:
+    tau is the ceil(alpha n)-th largest target confidence among the
+    misclassified draws, and beta the source rate of wrong draws at or
+    above it."""
+    wrong_target = _wrong_confidences_reference(target, clf, n, derive_seed(seed, "target"))
+    k = ceil_count(alpha * n)
+    tau = np.partition(wrong_target, wrong_target.size - k)[wrong_target.size - k]
+    wrong_source = _wrong_confidences_reference(source, clf, n, derive_seed(seed, "source"))
+    beta = np.count_nonzero(wrong_source >= tau) / n
+    return wrong_source.size / n, wrong_target.size / n, beta
+
+
+@pytest.mark.parametrize(
+    "source, target, clf, alpha",
+    [
+        (SRC, TGT, CLF, 0.02),
+        (ToyModelParams(0.05, 1.0, 0.1), ToyModelParams(0.05, 1.0, 0.3), ToyClassifier(1.0, -0.5), 0.02),
+        (ToyModelParams(0.1, 1.5, 0.4), ToyModelParams(0.1, 1.5, 0.6), ToyClassifier(2.0, -0.8), 0.05),
+        # the spurious feature outweighs the invariant one everywhere
+        (ToyModelParams(0.0, 1.0, 0.8), ToyModelParams(0.0, 1.0, 0.5), ToyClassifier(1.0, 2.0), 0.1),
+    ],
+    ids=["defaults", "negative-w_sp", "negative-w_sp-wide", "spurious-outweighs"],
+)
+def test_oracles_agree_with_a_one_shot_monte_carlo_draw(source, target, clf, alpha):
+    n = 10**6
+    eps_source, eps_target, beta = _monte_carlo_reference(source, target, clf, alpha, n, seed=8)
+    for found, params in ((eps_source, source), (eps_target, target)):
+        exact = classifier_error_rate(params, clf)
+        assert abs(found - exact) <= 5 * math.sqrt(exact * (1 - exact) / n)
+    exact = oracle_beta(source, target, clf, alpha)
+    # the source draw's own error, and the target draw's error in alpha
+    # carried to the source through the ratio beta / alpha
+    ratio = exact / alpha
+    se = math.sqrt(exact * (1 - exact) / n + ratio**2 * alpha * (1 - alpha) / n)
+    assert abs(beta - exact) <= 5 * se
+
+
+@given(params=_params, clf=_classifiers, n=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_mc_events_match_the_direct_formula(params, clf, n, seed):
+    # the events the one-shot reference counts, as a top-score predictor
+    # sees them through sample and to_dataset: the misclassified draws and
+    # their top confidence
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        confidence = _chunked_wrong_confidences(params, clf, n, seed, chunk)
-    miss = np.where(z > 0, 1, -1) != y
-    assert _same_bits(confidence, _sigmoid_reference(np.abs(z))[miss])
+        ds = to_dataset(sample(params, n, seed), clf)
+    scores = ds.scores.values
+    miss = np.argmax(scores, axis=1) != ds.labels
+    x_inv, x_sp, y = _sample_reference(params, n, seed)
+    z = _logit_reference(clf, x_inv, x_sp)
+    p1 = _sigmoid_reference(z)
+    expected_miss = np.where(z > 0, 1, -1) != y
+    # a logit so small that its score rounds to a tie at 1/2 is class y = -1
+    tie = p1 == 0.5
+    expected_miss[tie] = y[tie] != -1
+    assert _same_bits(miss, expected_miss)
+    assert _same_bits(scores.max(axis=1)[miss], np.maximum(1.0 - p1, p1)[expected_miss])
 
 
-def test_mc_events_peak_stays_near_three_draw_arrays():
-    n_mc = 10**6
-    # the spurious feature outweighs the invariant one, so every draw whose
-    # spurious feature disagrees (70 %) is misclassified: the confidences
-    # oracle_tau keeps outweigh a chunk
-    params, clf = ToyModelParams(gamma=0.05, c=1.0, p=0.3), ToyClassifier(w_inv=1.0, w_sp=2.0)
-    # the first call imports numpy's lazily loaded random modules; keep that
-    # one-time cost out of the measurement
-    oracle_tau(params, clf, 0.02, n_mc=1000, seed=0)
-    wrong = round(classifier_error_rate(params, clf, n_mc, seed=1) * n_mc)
-    chunk_bytes = 8 * toymodel._MC_CHUNK
-    peaks = []
-    for run in (lambda: sum(1 for _ in _wrong_confidences(params, clf, n_mc, seed=1)),
-                lambda: oracle_tau(params, clf, 0.02, n_mc=n_mc, seed=1)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # a chunk's label and two features, their masks and the confidences of
-    # its misclassified draws, about 4.5 x 8 bytes a draw here; oracle_tau
-    # adds 8 bytes per misclassified draw, and a copy of those (as in a
-    # concatenation) would add 8 more. The chunk term does not grow with
-    # n_mc; the whole draw at once peaked at about 3.1 x 8 x n_mc
-    assert wrong > 0.69 * n_mc
-    assert peaks[0] <= 5 * chunk_bytes
-    assert peaks[1] <= 5 * chunk_bytes + 8 * wrong
+# --- the closed-form oracles against exact rational arithmetic ---
+
+
+def _wrong_way_rate_reference(params, clf):
+    return 1 - Fraction(params.p) if clf.w_sp > 0 else Fraction(params.p)
+
+
+def _event_rate_reference(params, clf, s):
+    """P[wrong and the top confidence's logit >= s], exactly. A wrong draw's
+    top confidence has logit |w_sp| - w_inv * |x_inv|, with |x_inv| uniform
+    on [gamma, c]."""
+    gamma, c = Fraction(params.gamma), Fraction(params.c)
+    x = (abs(Fraction(clf.w_sp)) - s) / Fraction(clf.w_inv)
+    reach = min(max((x - gamma) / (c - gamma), Fraction(0)), Fraction(1))
+    return _wrong_way_rate_reference(params, clf) * reach
+
+
+def _error_rate_slack(params, clf):
+    """Bounds the rounding of the float error rate: four roundings, each at
+    most an ulp of the larger operand, scaled by the support's width."""
+    ratio = abs(clf.w_sp) / clf.w_inv
+    return 4 * 2.0**-52 * ((ratio + params.gamma) / (params.c - params.gamma) + 1) + 1e-300
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@given(
+    source=_params,
+    p_target=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    clf=_classifiers,
+    alpha=st.floats(1e-3, 0.5),
+)
+@example(source=SRC, p_target=TGT.p, clf=CLF, alpha=0.02)
+@example(source=SRC, p_target=TGT.p, clf=ToyClassifier(1.0, -0.5), alpha=0.02)
+# alpha exactly at the precondition's edge is refused
+@example(source=SRC, p_target=SRC.p, clf=CLF, alpha=0.9 * classifier_error_rate(SRC, CLF))
+def test_oracles_equal_the_one_shot_reference(source, p_target, clf, alpha):
+    # one shot: the target's level-alpha threshold first, then the source
+    # event at it, the route of the definition
+    target = ToyModelParams(source.gamma, source.c, p_target)
+    eps = {}
+    for params, name in ((target, "target"), (source, "source")):
+        eps[name] = classifier_error_rate(params, clf)
+        # every wrong draw's top confidence is at least 1/2: logit 0
+        exact = _event_rate_reference(params, clf, Fraction(0))
+        assert abs(eps[name] - exact) <= _error_rate_slack(params, clf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = _outcome(oracle_beta, source, target, clf, alpha)
+    for name in ("target", "source"):
+        if alpha >= 0.9 * eps[name]:
+            assert found == f"alpha={alpha:g} must be below 0.9 * {name} error rate {eps[name]:g}"
+            return
+    # the logit s of the threshold at which the target event has rate alpha
+    gamma, c = Fraction(target.gamma), Fraction(target.c)
+    x = gamma + Fraction(alpha) / _wrong_way_rate_reference(target, clf) * (c - gamma)
+    s = abs(Fraction(clf.w_sp)) - Fraction(clf.w_inv) * x
+    assert _event_rate_reference(target, clf, s) == Fraction(alpha)
+    assert math.isclose(found, float(_event_rate_reference(source, clf, s)), rel_tol=2.0**-50)
+
+
+# the target threshold at alpha = 0.02 that the retired Monte Carlo oracle
+# froze from 10^7 draws at seed 1234
+FROZEN_TAU = 0.5955051333603529
+FROZEN_N_MC = 10**7
+
+
+def test_oracle_tau_frozen_fixture():
+    # the frozen threshold is the target's level-alpha threshold within its
+    # draws' error, and the source event at it is oracle_beta within that
+    # error carried through beta / alpha
+    alpha = 0.02
+    s = Fraction(math.log(FROZEN_TAU / (1 - FROZEN_TAU)))
+    se = math.sqrt(alpha * (1 - alpha) / FROZEN_N_MC)
+    assert abs(float(_event_rate_reference(TGT, CLF, s)) - alpha) <= 5 * se
+    beta = oracle_beta(SRC, TGT, CLF, alpha)
+    assert abs(float(_event_rate_reference(SRC, CLF, s)) - beta) <= 5 * (beta / alpha) * se
+
+
+# --- the deviation bound across the model's settings ---
+
+BOUND_TRIALS = 20
+BOUND_DELTA = 0.1
+
+
+@st.composite
+def _bound_settings(draw):
+    """(source, target, clf, alpha, n): |w_sp| / w_inv anywhere from just
+    above gamma to beyond c, both signs of w_sp, p_src = p_tgt among the
+    shifts, and p of 0 or 1, where c_sp can be 0."""
+    gamma = draw(st.floats(0.0, 1.0))
+    c = gamma + draw(st.floats(0.05, 2.0))
+    w_inv = draw(st.floats(0.1, 10.0))
+    reach = draw(st.floats(0.02, 1.2))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    clf = ToyClassifier(w_inv, sign * w_inv * (gamma + reach * (c - gamma)))
+    rates = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    p_src = draw(rates)
+    p_tgt = draw(st.one_of(st.just(p_src), rates))
+    source, target = ToyModelParams(gamma, c, p_src), ToyModelParams(gamma, c, p_tgt)
+    reachable = 0.9 * min(classifier_error_rate(source, clf), classifier_error_rate(target, clf))
+    alpha = draw(st.floats(0.02, 0.98)) * reachable
+    n = draw(st.sampled_from([500, 2000, 10000]))
+    return source, target, clf, alpha, n
+
+
+@settings(max_examples=100)
+@given(setting=_bound_settings(), seed=st.integers(0, 2**32))
+@example(setting=(SRC, SRC, CLF, 0.02, 2000), seed=0)
+@example(setting=(SRC, ToyModelParams(0.05, 1.0, 1.0), CLF, 0.0, 500), seed=0)
+@example(
+    setting=(
+        ToyModelParams(0.05, 1.0, 0.1), ToyModelParams(0.05, 1.0, 0.3), ToyClassifier(1.0, -0.5),
+        0.02, 10000,
+    ),
+    seed=0,
+)
+def test_deviation_bound_holds_across_settings(setting, seed):
+    source, target, clf, alpha, n = setting
+    bound = theorem_bound(source, target, clf, n, BOUND_DELTA)
+    if spurious_mass(source, target, clf) == 0.0:
+        # a distribution that is never wrong leaves no level to reach, and
+        # the bound says nothing
+        assert bound == math.inf
+        with pytest.raises(PreconditionError):
+            oracle_beta(source, target, clf, max(alpha, 1e-6))
+        return
+    beta = oracle_beta(source, target, clf, alpha)
+    with warnings.catch_warnings():
+        # a level below 1/n falls back to the extreme order statistic
+        warnings.filterwarnings("ignore", "quantile level .* is below 1/n", UserWarning)
+        reports = [
+            run_theorem_trial(
+                source, target, clf, alpha, n, BOUND_DELTA, derive_seed(seed, f"trial-{t}"), beta
+            )
+            for t in range(BOUND_TRIALS)
+        ]
+    assert all(r.bound == bound and r.beta_true == beta for r in reports)
+    violations = sum(r.violated for r in reports)
+    margin = 3 * math.sqrt(BOUND_DELTA * (1 - BOUND_DELTA) / BOUND_TRIALS)
+    assert violations / BOUND_TRIALS <= BOUND_DELTA + margin, (violations, setting)

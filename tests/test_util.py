@@ -77,6 +77,15 @@ def test_kv_skips_comments_and_blank_lines(tmp_path):
     assert read_kv(path) == {"tau": "0.5"}
 
 
+def test_kv_refuses_a_last_line_without_its_newline(tmp_path):
+    # a .qtc sidecar cut inside its last value still parses
+    path = tmp_path / "thr.txt.qtc"
+    path.write_text("method=qtc\nvalue=0.0625")
+    message = f"{path} does not end with a newline"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_kv(path)
+
+
 def test_format_float_round_trips_exactly():
     for v in [0.1, 1 / 3, 0.99991, math.pi, 1e-300]:
         assert float(format_float(v)) == v
