@@ -263,6 +263,7 @@ def cmd_simulate(args) -> int:
     setting = ",".join([str(args.n), *map(format_float, fixed)])
     violations = 0
     coverage_err = 0.0
+    max_share = 0.0
     with replacing(args.out) as fh:
         fh.write(b"trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
                  b"beta_true,beta_qtc,bound,violated,coverage\n")
@@ -271,13 +272,15 @@ def cmd_simulate(args) -> int:
             report = run_theorem_trial(src, tgt, clf, args.alpha, args.n, args.delta, seed, beta)
             violations += report.violated
             coverage_err += abs(report.achieved_target_coverage - (1.0 - args.alpha))
+            max_share = max(max_share, abs(report.beta_qtc - report.beta_true) / report.bound)
             found = [report.beta_true, report.beta_qtc, report.bound]
             row = [str(trial), setting, *map(format_float, found), str(int(report.violated))]
             row.append(format_float(report.achieved_target_coverage))
             fh.write((",".join(row) + "\n").encode())
     print(
         f"trials={args.trials} violation_fraction={format_float(violations / args.trials)} "
-        f"mean_coverage_error={format_float(coverage_err / args.trials)}"
+        f"mean_coverage_error={format_float(coverage_err / args.trials)} "
+        f"max_bound_share={format_float(max_share)}"
     )
     return 0
 

@@ -37,7 +37,10 @@ the label has rank 0, and the rank-0 entry depends on the label's value
 alone, so :func:`_rank_entry_values` on that one value gives the same bits
 as on the sorted row. A block gathers only its other rows, ties at the top
 included, and sorts those; the gathered copy is at most one block.
-Evaluation sorts every row, since set sizes need every rank.
+Evaluation sorts every row, since set sizes need every rank. A ``tps``
+set size is a count of the classes with ``1 - score <= tau``, taken with
+:func:`cshift.util.row_reduce`, so a matrix of fewer than
+``util.NARROW_COLUMNS`` classes counts column by column.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .util import (
     map_row_blocks,
     read_kv,
     reading,
+    row_reduce,
     row_uniforms,
     write_kv,
 )
@@ -168,7 +172,6 @@ class CoverageReport:
     coverage: float
     avg_set_size: float
     median_set_size: float
-    size_histogram: np.ndarray
     n_eval: int
 
 
@@ -246,7 +249,9 @@ def _block_scores(
     rows = np.arange(values.shape[0])
     if spec.kind == "tps":
         label_scores = 1.0 - values[rows, labels]
-        return label_scores, None if tau is None else np.count_nonzero(1.0 - values <= tau, axis=1)
+        if tau is None:
+            return label_scores, None
+        return label_scores, row_reduce(np.add, 1.0 - values <= tau, dtype=np.intp)
     if tau is not None:
         entry, ranks = _ranked_entries(spec, values, labels, u)
         return entry[rows, ranks], np.count_nonzero(entry <= tau, axis=1)
@@ -386,13 +391,10 @@ def evaluate(threshold: Threshold, test: LabeledDataset, seed: int = 0) -> Cover
         spec, values, test.labels, _smoothing(spec, n, seed), tau
     )
     covered = label_scores <= tau
-    hist = np.bincount(sizes, minlength=L + 1).astype(np.int64)
-    hist.setflags(write=False)
     return CoverageReport(
         coverage=float(np.count_nonzero(covered) / n),
         avg_set_size=float(sizes.mean()),
         median_set_size=float(np.median(sizes)),
-        size_histogram=hist,
         n_eval=n,
     )
 

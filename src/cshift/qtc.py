@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import Calibrator, SaturationError, Threshold, max_tau
 from .scores import Dataset
-from .util import ceil_count, format_float
+from .util import ceil_count, format_float, row_reduce
 
 METHODS = ("qtc", "qtc-sc", "qtc-st")
 
@@ -57,7 +57,7 @@ class QtcEstimate:
 
 def top_confidences(data: Dataset) -> np.ndarray:
     """Top confidence of every row of a dataset, in row order."""
-    return data.scores.values.max(axis=1)
+    return row_reduce(np.maximum, data.scores.values)
 
 
 def _count_below(data: Dataset, q: float) -> int:

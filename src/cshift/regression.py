@@ -303,7 +303,8 @@ class _Network:
         # each hidden layer's activations: the pre-activation, rectified
         # in place
         self.acts = [np.empty((m, k)) for k in hidden]
-        self.masks = [np.empty((m, k), dtype=bool) for k in hidden]
+        # 1.0/0.0 masks, so backprop applies them with a plain float multiply
+        self.masks = [np.empty((m, k)) for k in hidden]
         self.inputs = [x, *self.acts]
         self.inputs_t = [a.T for a in self.inputs]
         # d loss / d pre-activation of each layer, the output layer's last
@@ -317,7 +318,7 @@ class _Network:
 
     def forward(self) -> np.ndarray:
         """The (m,) outputs; fills each hidden layer's activations and its
-        ReLU mask ``a > 0``."""
+        ReLU mask, 1.0 where ``a > 0`` and 0.0 elsewhere."""
         for a, w, b, h, mask in zip(self.inputs, self.weights, self.biases, self.acts, self.masks):
             np.matmul(a, w, out=h)
             h += b

@@ -34,7 +34,10 @@ row-sum deviation in one pass over row blocks
 (:func:`cshift.util.map_row_blocks`, on every CPU of the process's
 affinity mask for a large matrix), with the same bits as a whole-matrix
 pass, and adds no full-size temporaries unless an entry lies outside
-[0, 1] or a row sum is off by more than 1e-12.
+[0, 1] or a row sum is off by more than 1e-12. The row sums, and the row
+maxima of :attr:`ScoreMatrix.sorted_top`, go through
+:func:`cshift.util.row_reduce`, which reduces a matrix of fewer than
+``util.NARROW_COLUMNS`` columns column by column, with numpy's bits.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def _scan(values: np.ndarray) -> tuple[float, float, np.ndarray, float]:
 
     def block(rows):
         part = values[rows]
-        part_sums = part.sum(axis=1, out=sums[rows])
+        part_sums = util.row_reduce(np.add, part, out=sums[rows])
         return part.min(), part.max(), np.abs(part_sums - 1.0).max()
 
     lows, highs, offs = zip(*map_row_blocks(block, *values.shape))
@@ -173,7 +176,8 @@ class ScoreMatrix:
     def sorted_top(self) -> np.ndarray:
         """Row maxima (top confidences) in ascending order, read-only;
         computed once per matrix."""
-        top = np.sort(self.values.max(axis=1))
+        top = util.row_reduce(np.maximum, self.values)
+        top.sort()
         top.setflags(write=False)
         return top
 

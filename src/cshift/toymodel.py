@@ -86,7 +86,8 @@ class ToySampleBatch:
 def sample(params: ToyModelParams, n: int, seed: int) -> ToySampleBatch:
     """Draw n labeled samples from the model. ``default_rng(seed)`` gives
     the n labels, then the n invariant uniforms, then the n uniforms that
-    decide agreement."""
+    decide agreement. A disagreeing spurious feature is the label times
+    -1.0, which is exact."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -100,7 +101,7 @@ def sample(params: ToyModelParams, n: int, seed: int) -> ToySampleBatch:
     x_sp = rng.random(n)
     flip = x_sp >= params.p
     np.copyto(x_sp, y)
-    np.negative(x_sp, out=x_sp, where=flip)
+    x_sp *= np.where(flip, -1.0, 1.0)
     return ToySampleBatch(x_inv=x_inv, x_sp=x_sp, y=y)
 
 
@@ -108,13 +109,14 @@ def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sigma(z) into ``out``, which does not overlap ``z``; ``z`` is
     overwritten. With e = exp(-|z|) this is 1/(1+e) for z >= 0 and
     e/(1+e) otherwise: the same bits as 1/(1+exp(-z)) and
-    exp(z)/(1+exp(z)), since -z and z are then both exactly -|z|."""
+    exp(z)/(1+exp(z)), since -z and z are then both exactly -|z|. Both
+    branches are one unmasked divide. Its numerator is max(e, z >= 0),
+    which is exactly 1 or e since e lies in [0, 1], and is written over e,
+    so no temporary of n floats is made."""
     pos = z >= 0
     e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
     denom = np.add(e, 1.0, out=out)
-    np.divide(1.0, denom, out=out, where=pos)
-    np.divide(e, denom, out=out, where=np.logical_not(pos, out=pos))
-    return out
+    return np.divide(np.maximum(e, pos, out=e), denom, out=out)
 
 
 def classify(clf: ToyClassifier, batch: ToySampleBatch) -> np.ndarray:

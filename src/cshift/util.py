@@ -1,5 +1,6 @@
 """Shared helpers: guarded order-statistic indices, seeded streams, the row
-blocks that every full-matrix pass runs over, the one codec of every
+blocks that every full-matrix pass runs over, row reductions that keep
+numpy's bits on narrow matrices, the one codec of every
 ``key=value`` record (threshold, sidecar, config, model header), and the
 sibling-and-rename write of every file that is written whole."""
 
@@ -16,6 +17,11 @@ import numpy as np
 # Entries per pass over row blocks, shared by the blocks in flight at once:
 # 2 MB of float64 per block-sized temporary in all.
 BLOCK_ENTRIES = 1 << 18
+
+# Widths below which :func:`row_reduce` loops over columns. Below 8 entries
+# numpy's pairwise sum adds a row left to right; from 8 on it keeps 8
+# partial sums, so a column loop would change the bits of a sum.
+NARROW_COLUMNS = 8
 
 # Absolute snap tolerance for products like (1 - alpha) * (n + 1) that are
 # integers in exact arithmetic but may land a few ulp above one in floats.
@@ -84,6 +90,34 @@ def map_row_blocks(fn, n: int, n_cols: int) -> list:
 
     with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
         return list(pool.map(fn, blocks))
+
+
+def row_reduce(ufunc, values: np.ndarray, dtype=None, out=None) -> np.ndarray:
+    """The bits of ``ufunc.reduce(values, axis=1, dtype=dtype, out=out)``
+    for a 2-D ``values``.
+
+    numpy reduces each row in its own inner loop, whose per-row overhead
+    dwarfs the arithmetic of a row of a few entries. Below
+    :data:`NARROW_COLUMNS` columns this reduces column by column instead,
+    from ``ufunc.identity`` where the ufunc has one (numpy's start: a row
+    of ``-0.0`` sums to ``+0.0``) and from column 0 otherwise. Wider
+    matrices take numpy's reduce itself.
+    """
+    n, width = values.shape
+    if width >= NARROW_COLUMNS:
+        return ufunc.reduce(values, axis=1, dtype=dtype, out=out)
+    if out is None:
+        # numpy's own result type, which upcasts a boolean sum, for one
+        out = np.empty(n, dtype=ufunc.reduce(values[:0], axis=1, dtype=dtype).dtype)
+    start = 0
+    if ufunc.identity is None:
+        np.copyto(out, values[:, 0])
+        start = 1
+    else:
+        out.fill(ufunc.identity)
+    for column in range(start, width):
+        ufunc(out, values[:, column], out=out)
+    return out
 
 
 def format_kv(pairs: dict) -> str:

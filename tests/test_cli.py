@@ -27,7 +27,7 @@ from cshift.cli import (
 )
 from cshift.conformal import PredictorSpec, Threshold, load_threshold, save_threshold
 from cshift.scores import DataFormatError, LabeledDataset, load_dataset, save_dataset
-from cshift.util import read_kv
+from cshift.util import format_float, read_kv
 
 
 def _cal_csv(path, n=80, n_classes=5, seed=3):
@@ -791,7 +791,7 @@ def test_simulate_writes_trial_rows_and_summary(tmp_path, capsys):
         [
             "simulate",
             "--trials",
-            "3",
+            "4",
             "--n",
             "2000",
             "--alpha",
@@ -807,14 +807,18 @@ def test_simulate_writes_trial_rows_and_summary(tmp_path, capsys):
     assert lines[0] == (
         "trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,beta_true,beta_qtc,bound,violated,coverage"
     )
-    assert len(lines) == 1 + 3
+    assert len(lines) == 1 + 4
     rows = [line.split(",") for line in lines[1:]]
     assert all(len(fields) == 13 for fields in rows)
-    assert [fields[0] for fields in rows] == ["0", "1", "2"]
+    assert [fields[0] for fields in rows] == ["0", "1", "2", "3"]
     assert all(fields[11] in ("0", "1") for fields in rows)  # violated serializes as 0/1
     summary = capsys.readouterr().out
     assert "violation_fraction=" in summary
     assert "mean_coverage_error=" in summary
+    # the largest deviation as a share of the bound, recomputed from the CSV;
+    # at this seed it is neither the first trial's nor the last one's
+    shares = [abs(float(f[9]) - float(f[8])) / float(f[10]) for f in rows]
+    assert summary.split()[-1] == f"max_bound_share={format_float(max(shares))}"
 
 
 def test_simulate_negative_spurious_weight_flips_bound_branch(tmp_path):

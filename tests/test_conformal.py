@@ -28,6 +28,14 @@ TPS = PredictorSpec.tps()
 APS = PredictorSpec.aps()
 RAPS = PredictorSpec.raps(0.1, 1)
 
+
+def _set_sizes(threshold, data, seed):
+    """The per-row set sizes that ``evaluate(threshold, data, seed)``
+    counts."""
+    spec = threshold.spec
+    u = conformal._smoothing(spec, data.n, seed)
+    return conformal._blocked_scores(spec, data.scores.values, data.labels, u, threshold.tau)[1]
+
 ROW3 = np.array([0.5, 0.3, 0.2])
 
 
@@ -161,7 +169,7 @@ def test_evaluate_saturated_threshold_covers_everything():
     rep = evaluate(thr, d, seed=0)
     assert rep.coverage == 1.0
     assert rep.avg_set_size == pytest.approx(4.0)
-    assert rep.size_histogram[4] == 50
+    np.testing.assert_array_equal(_set_sizes(thr, d, seed=0), np.full(50, 4))
 
 
 def test_empirical_calibration_on_the_calibration_set():
@@ -192,7 +200,17 @@ def test_size_histogram_counts_prediction_sets():
             thr = calibrate(spec, data, 0.2, seed=7)
             rep = evaluate(thr, data, seed=7)
             sizes = [len(prediction_set(spec, row, u[i], thr.tau)) for i, row in enumerate(values)]
-            np.testing.assert_array_equal(rep.size_histogram, np.bincount(sizes, minlength=6))
+            np.testing.assert_array_equal(_set_sizes(thr, data, seed=7), sizes)
+            assert rep.avg_set_size == np.mean(sizes)
+
+
+@pytest.mark.parametrize("n_classes", [2, 7, 8, 12])
+def test_tps_set_sizes_count_the_classes_within_tau(n_classes):
+    d = labeled(300, n_classes, seed=n_classes)
+    values = d.scores.values
+    for tau in (0.0, 0.5, 1.0 - values[0, 0], 1.0 - np.median(values), 1.0):
+        sizes = conformal._blocked_scores(TPS, values, d.labels, None, tau)[1]
+        np.testing.assert_array_equal(sizes, np.count_nonzero(1.0 - values <= tau, axis=1))
 
 
 def test_coverage_report_accounting():
@@ -200,9 +218,10 @@ def test_coverage_report_accounting():
     thr = calibrate(APS, d, 0.2, seed=4)
     rep = evaluate(thr, d, seed=5)
     assert rep.n_eval == 120
-    assert int(rep.size_histogram.sum()) == 120
-    sizes = np.arange(rep.size_histogram.size)
-    assert rep.avg_set_size == pytest.approx(float(sizes @ rep.size_histogram) / 120)
+    sizes = _set_sizes(thr, d, seed=5)
+    assert sizes.shape == (120,)
+    assert rep.avg_set_size == sizes.mean()
+    assert rep.median_set_size == np.median(sizes)
     assert 0.0 <= rep.coverage <= 1.0
 
 
@@ -362,13 +381,14 @@ def test_evaluate_is_independent_of_the_row_blocks(monkeypatch):
     for spec in (APS, PredictorSpec.raps(0.05, 2)):
         thr = calibrate(spec, d, 0.2, seed=3)
         whole = evaluate(thr, d, seed=4)
+        whole_sizes = _set_sizes(thr, d, seed=4)
         for block_rows in (1, 3, 7, 49):
             monkeypatch.setattr(util, "BLOCK_ENTRIES", block_rows * 7)
             blocked = evaluate(thr, d, seed=4)
             assert blocked.coverage == whole.coverage
             assert blocked.avg_set_size == whole.avg_set_size
             assert blocked.median_set_size == whole.median_set_size
-            np.testing.assert_array_equal(blocked.size_histogram, whole.size_histogram)
+            np.testing.assert_array_equal(_set_sizes(thr, d, seed=4), whole_sizes)
         monkeypatch.undo()
 
 
@@ -458,7 +478,7 @@ def test_any_worker_count_gives_the_same_bits(monkeypatch, workers):
             thr = calibrate(spec, d, 0.1, seed=3)
             rep = evaluate(thr, d, seed=4)
             out.append((thr.tau, rep.coverage, rep.avg_set_size, rep.median_set_size,
-                        rep.size_histogram.tobytes()))
+                        _set_sizes(thr, d, seed=4).tobytes()))
         return out
 
     whole = run()  # 1800 entries: one block, in this thread

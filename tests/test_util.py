@@ -40,6 +40,41 @@ def test_ceil_count_matches_ceil_on_exact_integers(k):
     assert ceil_count(float(k)) == k
 
 
+# signed zeros, the smallest subnormals and normal, and exact 0 and 1
+_EDGE_ENTRIES = [0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+
+
+@given(
+    width=st.integers(2, 12),
+    rows=st.integers(0, 12),
+    data=st.data(),
+)
+def test_row_reduce_gives_the_bits_of_numpy_reduce(width, rows, data):
+    # widths on both sides of util.NARROW_COLUMNS; every example holds a
+    # row of -0.0, one of mixed signed zeros, and one of each edge entry
+    entries = st.one_of(st.sampled_from(_EDGE_ENTRIES), st.floats(-1.0, 1.0))
+    drawn = data.draw(st.lists(entries, min_size=rows * width, max_size=rows * width))
+    fixed = [np.full(width, -0.0), np.resize([0.0, -0.0, -0.0], width)]
+    fixed += [np.full(width, edge) for edge in _EDGE_ENTRIES]
+    values = np.vstack([*fixed, np.reshape(drawn, (rows, width))])
+    if data.draw(st.booleans()):  # tied columns
+        values[:, data.draw(st.integers(1, width - 1))] = values[:, 0]
+    cut = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    cases = [
+        (np.add, values, None),
+        (np.maximum, values, None),
+        (np.add, values <= cut, np.intp),
+    ]
+    for ufunc, operand, dtype in cases:
+        expected = ufunc.reduce(operand, axis=1, dtype=dtype)
+        got = util.row_reduce(ufunc, operand, dtype=dtype)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        out = np.full(values.shape[0], 7, dtype=expected.dtype)
+        assert util.row_reduce(ufunc, operand, dtype=dtype, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+
 def test_derive_seed_is_stable_and_role_separated():
     a = derive_seed(7, "calibrate")
     assert a == derive_seed(7, "calibrate")
