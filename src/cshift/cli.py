@@ -13,22 +13,25 @@ file first), 4 numeric failure during training, 5 unreachable precondition.
 
 Every command takes one ``--seed``; internal randomness is derived from it
 per role, so identical invocations produce byte-identical output files.
+``baseline`` and ``simulate`` import ``regression`` and ``toymodel`` when
+they run; no other command loads them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 from functools import partial
 from pathlib import Path
 
+from . import util
 from .conformal import (
     KINDS,
     Calibrator,
     PredictorSpec,
-    SaturationError,
     Threshold,
     calibrate,
     evaluate,
@@ -36,22 +39,7 @@ from .conformal import (
     save_threshold,
 )
 from .qtc import METHODS, recalibrate
-from .regression import (
-    EXTRACTORS,
-    TrainingDivergedError,
-    build_corpus,
-    predict_tau,
-    train,
-    write_model,
-)
 from .scores import DataFormatError, LabeledDataset, load_dataset
-from .toymodel import (
-    PreconditionError,
-    ToyClassifier,
-    ToyModelParams,
-    oracle_beta,
-    run_theorem_trial,
-)
 from .util import derive_seed, format_float, format_kv, parse_kv, reading, replacing
 
 EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_size,n_eval,seed"
@@ -226,6 +214,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .regression import build_corpus, predict_tau, train, write_model
     # checked before training: the later rename of one file would replace the other
     pred_out = args.pred_out
     if pred_out is not None and Path(pred_out).resolve() == Path(args.model_out).resolve():
@@ -255,6 +244,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .toymodel import ToyClassifier, ToyModelParams, oracle_beta, run_theorem_trial
     src = ToyModelParams(gamma=args.gamma, c=args.c, p=args.psrc)
     tgt = ToyModelParams(gamma=args.gamma, c=args.c, p=args.ptgt)
     clf = ToyClassifier(w_inv=args.winv, w_sp=args.wsp)
@@ -390,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cal", required=True, help="labeled source scores")
     add_predictor(p)
     p.add_argument("--alpha", required=True, type=level, help="miscoverage level in (0, 1)")
-    p.add_argument("--extractor", required=True, choices=EXTRACTORS, help="corpus feature")
+    p.add_argument("--extractor", required=True, choices=util.EXTRACTORS, help="corpus feature")
     add_defaulted(
         p,
         [
@@ -432,19 +422,19 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
-    except PreconditionError as exc:
+    except (util.CodedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except SaturationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DataFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
+
+
+def run() -> None:
+    """Exit with :func:`main`'s code: the entry point of ``python -m
+    cshift.cli`` and of the ``cshift`` script. Freezing the collector first
+    spares the interpreter's final sweeps numpy's objects."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

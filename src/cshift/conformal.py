@@ -52,6 +52,7 @@ import numpy as np
 
 from .scores import LabeledDataset
 from .util import (
+    CodedError,
     ceil_count,
     format_float,
     map_row_blocks,
@@ -65,8 +66,10 @@ from .util import (
 KINDS = ("tps", "aps", "raps")
 
 
-class SaturationError(RuntimeError):
+class SaturationError(CodedError, RuntimeError):
     """An operation that requires an unsaturated threshold met a saturated one."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)

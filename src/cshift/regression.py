@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import util
 from .conformal import PredictorSpec, calibrate, max_tau
 from .qtc import top_confidences
 from .scores import Dataset, LabeledDataset, ScoreMatrix
 from .util import derive_seed, format_float, format_kv, parse_kv, reading, replacing
 
-EXTRACTORS = ("acr", "dcr", "chr", "chr-minus", "pcr")
+EXTRACTORS = util.EXTRACTORS
 
 HIDDEN_SIZES = (64, 64, 64)
 
@@ -46,8 +47,10 @@ def _check_extractor(name: str) -> None:
         raise ValueError(f"extractor must be one of {EXTRACTORS}, got {name!r}")
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(util.CodedError, RuntimeError):
     """Gradient descent produced a non-finite loss."""
+
+    exit_code = 4
 
 
 def _confidence_histogram(confidences: np.ndarray, bins: int) -> np.ndarray:

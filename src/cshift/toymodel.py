@@ -38,11 +38,13 @@ import numpy as np
 from .conformal import Calibrator, PredictorSpec, evaluate
 from .qtc import recalibrate
 from .scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
-from .util import derive_seed
+from .util import CodedError, derive_seed
 
 
-class PreconditionError(ValueError):
+class PreconditionError(CodedError, ValueError):
     """A requested level is unreachable for the given model configuration."""
+
+    exit_code = 5
 
 
 @dataclass(frozen=True)

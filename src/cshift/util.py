@@ -1,8 +1,9 @@
 """Shared helpers: guarded order-statistic indices, seeded streams, the row
 blocks that every full-matrix pass runs over, row reductions that keep
 numpy's bits on narrow matrices, the one codec of every
-``key=value`` record (threshold, sidecar, config, model header), and the
-sibling-and-rename write of every file that is written whole."""
+``key=value`` record (threshold, sidecar, config, model header), the
+sibling-and-rename write of every file that is written whole, and the
+base class of the errors that carry their own CLI exit code."""
 
 from __future__ import annotations
 
@@ -26,6 +27,16 @@ NARROW_COLUMNS = 8
 # Absolute snap tolerance for products like (1 - alpha) * (n + 1) that are
 # integers in exact arithmetic but may land a few ulp above one in floats.
 _CEIL_SNAP = 1e-9
+
+# The feature extractors of cshift.regression, named here so that the CLI
+# can list them without importing that module.
+EXTRACTORS = ("acr", "dcr", "chr", "chr-minus", "pcr")
+
+
+class CodedError(Exception):
+    """An error that ends a CLI command with its class's ``exit_code``."""
+
+    exit_code: int
 
 
 def ceil_count(v: float) -> int:

@@ -10,14 +10,18 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, sample_labels, softmax_rows, write_csv
-from cshift import cli
+from cshift import cli, regression, toymodel
 from cshift.cli import (
     EVAL_CSV_HEADER,
     MAX_ALPHA_GRID_POINTS,
@@ -639,7 +643,7 @@ def test_baseline_pred_out_naming_the_model_file_exits_2_before_training(
     model_out.write_bytes(b"old model")
     (tmp_path / "link.bin").symlink_to(model_out)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training started"))
+    monkeypatch.setattr(regression, "train", lambda *a, **k: pytest.fail("training started"))
     argv = ["baseline", "--predictor", "tps", "--alpha", "0.1", "--extractor", "chr",
             "--cal", str(cal), "--target", str(cal), "--model-out", str(model_out),
             "--pred-out", same]
@@ -753,8 +757,8 @@ def test_simulate_trial_that_raises_leaves_the_old_csv(tmp_path, monkeypatch, ca
             raise ValueError("second trial failed")
         return run_theorem_trial(*args)
 
-    run_theorem_trial = cli.run_theorem_trial
-    monkeypatch.setattr(cli, "run_theorem_trial", fail_on_the_second_trial)
+    run_theorem_trial = toymodel.run_theorem_trial
+    monkeypatch.setattr(toymodel, "run_theorem_trial", fail_on_the_second_trial)
     assert main(["simulate", "--trials", "3", "--n", "500", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: second trial failed\n"
     assert (out.read_bytes() if out.exists() else None) == old
@@ -1124,3 +1128,58 @@ def test_identical_invocations_reproduce_bytes(tmp_path):
     first = (str(outs[0]) + ".qtc", str(outs[1]) + ".qtc")
     with open(first[0], "rb") as a, open(first[1], "rb") as b:
         assert a.read() == b.read()
+
+
+# --- the process entry point ---
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(args, cwd=None):
+    """Run this interpreter on ``src`` at a fixed help width."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_importing_the_cli_leaves_the_baseline_and_toy_model_unloaded():
+    # baseline and simulate import them when they run
+    code = "import sys, cshift.cli; print([m in sys.modules for m in sys.argv[1:]])"
+    run = _python(["-c", code, "cshift.cli", "cshift.regression", "cshift.toymodel"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[True, False, False]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["calibrate", "--predictor", "tps", "--alpha", "0.1", "--cal", "tiny.csv",
+          "--out", "thr.txt"], 3, "tau=1.0 alpha=0.1\n", "warning: calibration saturated\n"),
+        (["calibrate", "--alpha", "0.1"], 2, "",
+         "error: the following arguments are required: --cal, --predictor, --out\n"),
+        (["--help"], 0, "usage: cshift", ""),
+    ],
+    ids=["saturated", "bad-flag", "help"],
+)
+def test_the_process_entry_point_matches_main(tmp_path, monkeypatch, capsys, argv, code, stdout,
+                                              stderr):
+    sides = [tmp_path / "process", tmp_path / "main"]
+    for side in sides:
+        side.mkdir()
+        _cal_csv(side / "tiny.csv", n=3)  # k = ceil(0.9 * 4) = 4 > 3
+    run = _python(["-m", "cshift.cli", *argv], cwd=sides[0])
+    monkeypatch.chdir(sides[1])
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # --help exits inside argparse
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert (run.returncode, run.stdout, run.stderr) == (rc, out, err)
+    assert rc == code
+    assert out == stdout if code else out.startswith(stdout)
+    assert err == stderr
+    files = [{f.name: f.read_bytes() for f in side.iterdir()} for side in sides]
+    assert files[0] == files[1]
+    assert ("thr.txt" in files[1]) == (code == 3)

@@ -155,6 +155,32 @@ def test_predictor_spec_validation():
         PredictorSpec(kind="nope")
 
 
+def test_a_zero_threshold_holds_the_classes_of_score_one(tmp_path):
+    # tau = 0 is legal: a tps set is then the classes whose score is exactly 1
+    values = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])
+    data = LabeledDataset(ScoreMatrix(values), np.array([0, 0, 1, 2]))
+    threshold = Threshold(tau=0.0, alpha=0.1, spec=TPS)
+    save_threshold(threshold, tmp_path / "thr.kv")
+    assert load_threshold(tmp_path / "thr.kv") == threshold
+    assert evaluate(threshold, data) == CoverageReport(
+        coverage=0.25, avg_set_size=0.5, median_set_size=0.5, n_eval=4
+    )
+
+
+@pytest.mark.parametrize("k_reg", [0, 1, 3])
+def test_raps_without_a_penalty_is_aps(k_reg):
+    # lambda = 0 is legal, and adds exactly nothing to any aps score
+    spec = PredictorSpec.raps(0.0, k_reg)
+    data = labeled(300, 3, seed=5)
+    values, u = data.scores.values, row_uniforms(7, data.n)
+    got = conformity_scores(spec, values, data.labels, u)
+    assert got.tobytes() == conformity_scores(APS, values, data.labels, u).tobytes()
+    threshold, aps = calibrate(spec, data, 0.1, seed=7), calibrate(APS, data, 0.1, seed=7)
+    assert threshold.tau == aps.tau
+    assert evaluate(threshold, data, seed=3) == evaluate(aps, data, seed=3)
+    assert max_tau(spec, 3) == 1.0
+
+
 def test_raps_kreg_must_fit_class_count():
     cal = labeled(10, 3, seed=1)
     with pytest.raises(ValueError, match="k_reg"):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,21 @@ def test_quantile_q_warns_below_first_order_statistic():
     with pytest.warns(UserWarning):
         v = quantile_q(d, 0.05)  # 0.05 * 5 < 1, floored to the minimum
     assert v == pytest.approx(top_confidences(d).min())
+
+
+@pytest.mark.parametrize(
+    "product, k, warns",
+    [(1.0 - 2e-9, 1, True), (1.0 - 5e-10, 1, False), (1.0, 1, False), (1.5, 2, False)],
+)
+def test_quantile_q_warns_only_below_the_snap_of_one(product, k, warns):
+    # c * n within 1e-9 below 1 is the first order statistic by ceil_count's
+    # snap, so only a level further below 1/n falls back with a warning
+    d = unlabeled(10, 3, seed=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        v = quantile_q(d, product / 10)
+    assert [w.category for w in caught] == ([UserWarning] if warns else [])
+    assert v == np.sort(top_confidences(d))[k - 1]
 
 
 @given(seed=st.integers(0, 10**6), c_pair=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)))

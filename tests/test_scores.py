@@ -1,6 +1,7 @@
 import io
 import mmap
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -73,6 +74,42 @@ def test_label_out_of_range_error(tmp_path):
 def test_non_integer_label_error(tmp_path):
     with pytest.raises(DataFormatError, match="non-integer label at row 1"):
         load_dataset(_write(tmp_path, "label,c0,c1\n0.5,0.5,0.5\n"))
+
+
+@pytest.mark.parametrize(
+    "row, found", [("0,0.5", 2), ("0,0.5,0.25,0.25", 4)]
+)
+def test_a_body_of_another_width_names_both_column_counts(tmp_path, row, found):
+    path = _write(tmp_path, f"label,c0,c1\n{row}\n")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: expected 3 columns, found {found} at row 1"
+
+
+def test_non_integer_label_names_its_row(tmp_path):
+    path = _write(tmp_path, "label,c0,c1\n0,0.5,0.5\n1,0.5,0.5\n1.5,0.5,0.5\n0,0.5,0.5\n")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: non-integer label at row 3"
+
+
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        # the 25-byte header alone, for a matrix it does not hold
+        (struct.pack("<8sQQB", scores.BINARY_MAGIC, 2, 3, 1), "has 25 bytes, expected 89 for n=2 L=3"),
+        # the 25-byte header alone, for no rows: complete, but not a matrix
+        (struct.pack("<8sQQB", scores.BINARY_MAGIC, 0, 3, 1),
+         "score matrix must be 2-D with at least 1 row and 2 classes, got shape (0, 3)"),
+        (struct.pack("<8sQQB", scores.BINARY_MAGIC, 2, 3, 1)[:24], "too short for binary header"),
+    ],
+)
+def test_a_binary_file_cut_at_its_header(tmp_path, head, message):
+    path = tmp_path / "head.bin"
+    path.write_bytes(head)
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_bad_header_error(tmp_path):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import os
 import re
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import labeled
 from cshift.conformal import PredictorSpec, Threshold, load_threshold, save_threshold
@@ -73,6 +75,25 @@ def test_row_reduce_gives_the_bits_of_numpy_reduce(width, rows, data):
         out = np.full(values.shape[0], 7, dtype=expected.dtype)
         assert util.row_reduce(ufunc, operand, dtype=dtype, out=out) is out
         assert out.tobytes() == expected.tobytes()
+
+
+# numpy adds a row of 8 as ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)),
+# which gives this row another sum than adding it left to right
+_ORDER_DEPENDENT_ROW = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+
+
+def test_the_eight_column_example_sums_differently_left_to_right():
+    pairwise = np.add.reduce(np.array([_ORDER_DEPENDENT_ROW]), axis=1)[0]
+    assert functools.reduce(operator.add, _ORDER_DEPENDENT_ROW) != pairwise
+
+
+@example(row=_ORDER_DEPENDENT_ROW)
+@given(row=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_row_reduce_sums_eight_columns_as_numpy_does(row):
+    assert util.NARROW_COLUMNS == 8
+    values = np.array([row, row[::-1]])
+    expected = np.add.reduce(values, axis=1)
+    assert util.row_reduce(np.add, values).tobytes() == expected.tobytes()
 
 
 def test_derive_seed_is_stable_and_role_separated():
