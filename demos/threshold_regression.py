@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Predict calibration thresholds for unseen shifts with a small MLP.
+"""Predict calibration thresholds for unseen shifts with a linear fit.
 
 Builds a corpus of synthetically shifted copies of one labeled source,
 each summarized by a confidence histogram and paired with the threshold
-its labels would have produced. A from-scratch network regresses that
-map. On fresh shifted targets the prediction is compared against the
-threshold an oracle with labels would have computed.
+its labels would have produced. One least-squares solve fits a linear
+map from histogram to threshold. On fresh shifted targets the
+prediction is compared against the threshold an oracle with labels
+would have computed.
 """
 
 import math
@@ -28,7 +29,6 @@ N_CLASSES = 10
 EXTRACTOR = "chr"
 BINS = 10
 SHIFTS = 60
-EPOCHS = 3000
 SEED = 21
 
 
@@ -57,12 +57,13 @@ def main():
     corpus = build_corpus(
         source, spec, ALPHA, SHIFTS, EXTRACTOR, BINS, derive_seed(SEED, "corpus")
     )
-    model = train(corpus, epochs=EPOCHS, learning_rate=1e-3, seed=derive_seed(SEED, "train"))
-    print(f"trained {EPOCHS} epochs, final corpus loss {model.final_loss:.2e}\n")
+    model = train(corpus)
+    print(f"least-squares fit, corpus loss {model.final_loss:.2e}\n")
 
     # deployment story: the population stays put, the classifier's
     # confidence drifts; labels persist while reported scores change
     print(f"{'target':<22} {'predicted tau':>13} {'oracle tau':>11} {'abs err':>8}")
+    errors = []
     for log_t in (-0.6, -0.2, 0.2, 0.5, 0.9):
         shifted = temperature_scale(source_values, math.exp(log_t))
         target = UnlabeledDataset(ScoreMatrix(shifted))
@@ -70,11 +71,9 @@ def main():
         # the oracle cheats: it uses the labels deployment would not have
         revealed = LabeledDataset(ScoreMatrix(shifted), source.labels)
         tau_star = calibrate(spec, revealed, ALPHA, seed=0).tau
-        print(
-            f"log-temperature {log_t:>5.1f}  {tau_hat:>13.4f} {tau_star:>11.4f} "
-            f"{abs(tau_hat - tau_star):>8.4f}"
-        )
-    print()
+        errors.append(abs(tau_hat - tau_star))
+        print(f"log-temperature {log_t:>5.1f}  {tau_hat:>13.4f} {tau_star:>11.4f} {errors[-1]:>8.4f}")
+    print(f"{'mean':<22} {'':>13} {'':>11} {np.mean(errors):>8.4f}\n")
     print("the regressor generalizes across the shift family it was trained")
     print("on; expect it to degrade on shifts of a genuinely different kind.")
 

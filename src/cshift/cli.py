@@ -9,7 +9,7 @@ bad pair is reported with the file and its line.
 
 Exit codes: 0 success, 2 usage, I/O or parse error (a bad flag and a bad
 config line alike), 3 saturation (``calibrate`` still writes its threshold
-file first), 4 numeric failure during training, 5 unreachable precondition.
+file first), 5 unreachable precondition.
 
 Every command takes one ``--seed``; internal randomness is derived from it
 per role, so identical invocations produce byte-identical output files.
@@ -50,10 +50,11 @@ MAX_ALPHA_GRID_POINTS = 10_000
 # Largest --n, which sizes every draw: at 10**7 one trial peaks near
 # 0.75 GB (see README)
 MAX_DRAWS = 10**7
-# Largest --bins, the width of each corpus histogram and network input
+# Largest --bins, the width of each corpus histogram and so of the
+# least-squares design matrix
 MAX_BINS = 10**4
-# Largest --shifts, the corpus size and so the row count of every layer
-# buffer in training
+# Largest --shifts, the corpus size and so the row count of the design
+# matrix
 MAX_SHIFTS = 10**3
 
 
@@ -116,9 +117,8 @@ def positive_int(text: str, limit: float = math.inf) -> int:
     return value
 
 
-def _finite(text: str, above: float = -math.inf) -> float:
-    """A finite number greater than ``above``, as an argparse ``type=``
-    (bind ``above`` with :func:`functools.partial`). A non-number gets the
+def _finite(text: str) -> float:
+    """A finite number, as an argparse ``type=``. A non-number gets the
     message of ``type=float``."""
     try:
         value = float(text)
@@ -126,8 +126,6 @@ def _finite(text: str, above: float = -math.inf) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    if value <= above:
-        raise argparse.ArgumentTypeError(f"must be a number > {above:g}, got {text}")
     return value
 
 
@@ -215,7 +213,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baseline(args) -> int:
     from .regression import build_corpus, predict_tau, train, write_model
-    # checked before training: the later rename of one file would replace the other
+    # checked before fitting: the later rename of one file would replace the other
     pred_out = args.pred_out
     if pred_out is not None and Path(pred_out).resolve() == Path(args.model_out).resolve():
         raise ValueError(f"--pred-out {pred_out} is the --model-out file")
@@ -223,7 +221,7 @@ def cmd_baseline(args) -> int:
     cal = _load_labeled(args.cal)
     seed = derive_seed(args.seed, "corpus")
     corpus = build_corpus(cal, spec, args.alpha, args.shifts, args.extractor, args.bins, seed)
-    model = train(corpus, args.epochs, args.lr, derive_seed(args.seed, "train"))
+    model = train(corpus)
     print(f"corpus_size={corpus.size} final_loss={format_float(model.final_loss)}")
     threshold = None
     if args.target is not None:
@@ -376,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", required=True, help="threshold file to evaluate")
     p.add_argument("--out", required=True, help="csv report to append to")
 
-    p = add("baseline", cmd_baseline, "train a threshold-regression baseline")
+    p = add("baseline", cmd_baseline, "fit a threshold-regression baseline")
     p.add_argument("--cal", required=True, help="labeled source scores")
     add_predictor(p)
     p.add_argument("--alpha", required=True, type=level, help="miscoverage level in (0, 1)")
@@ -387,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("--bins", partial(positive_int, limit=MAX_BINS), 10, "chr/chr-minus histogram bins"),
             ("--shifts", partial(positive_int, limit=MAX_SHIFTS), 90,
              "synthetic shift count incl. identity"),
-            ("--epochs", positive_int, 5000, "training epochs"),
-            ("--lr", partial(_finite, above=0.0), 1e-3, "learning rate"),
         ],
     )
     p.add_argument("--model-out", required=True, help="model file to write")

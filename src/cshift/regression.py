@@ -1,6 +1,6 @@
 """Regression baselines: predict a calibration threshold from unlabeled scores.
 
-A small MLP is fit on a corpus of (feature vector, calibrated tau) pairs,
+A linear model is fit on a corpus of (feature vector, calibrated tau) pairs,
 one pair per shifted copy of the source. Shifted copies come from a
 synthetic family: temperature scaling of the score rows followed by a
 label-preserving Dirichlet jitter. Feature extractors:
@@ -15,15 +15,13 @@ label-preserving Dirichlet jitter. Feature extractors:
 * ``pcr``: per-class mean of the top score over rows predicted as that
   class; a class never predicted contributes 1/L with a warning (d = L).
 
-The network is fixed at [d, 64, 64, 64, 1] with ReLU hidden layers and is
-trained by full-batch gradient descent on the mean squared error, over one
-flat parameter vector and layer buffers allocated once per call. Features
-are standardized per coordinate; the statistics are stored in the model.
+The model is ``tau = x . w + b`` over features ``x`` standardized per
+coordinate, fit by minimum-norm least squares in one solve; the
+standardization statistics are stored in the model.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,24 +31,18 @@ from . import util
 from .conformal import PredictorSpec, calibrate, max_tau
 from .qtc import top_confidences
 from .scores import Dataset, LabeledDataset, ScoreMatrix
-from .util import derive_seed, format_float, format_kv, parse_kv, reading, replacing
+from .util import derive_seed, format_float, format_kv, parse_kv, reading
 
 EXTRACTORS = util.EXTRACTORS
 
-HIDDEN_SIZES = (64, 64, 64)
-
+# The file is laid out as an MLP with no hidden layer (``layers=d,1``), so
+# readers of the MLP layout read it unchanged.
 MODEL_MAGIC = b"CSHIFTMLP1"
 
 
 def _check_extractor(name: str) -> None:
     if name not in EXTRACTORS:
         raise ValueError(f"extractor must be one of {EXTRACTORS}, got {name!r}")
-
-
-class TrainingDivergedError(util.CodedError, RuntimeError):
-    """Gradient descent produced a non-finite loss."""
-
-    exit_code = 4
 
 
 def _confidence_histogram(confidences: np.ndarray, bins: int) -> np.ndarray:
@@ -237,15 +229,16 @@ def build_corpus(
     )
 
 
-# --- the MLP itself ---
+# --- the fit itself ---
 
 
 @dataclass(eq=False)
-class MlpRegressor:
-    """Fully-connected ReLU regressor with stored standardization stats."""
+class LinearRegressor:
+    """Weight vector and bias over standardized features, with the
+    standardization stats they apply to."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: np.ndarray
+    bias: float
     feat_mean: np.ndarray
     feat_std: np.ndarray
     extractor_id: str
@@ -256,164 +249,35 @@ class MlpRegressor:
     final_loss: float | None = None
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
-
-    @property
     def d(self) -> int:
-        return self.layer_sizes[0]
+        return self.weights.size
 
 
-def _n_parameters(layer_sizes: tuple[int, ...]) -> int:
-    pairs = zip(layer_sizes[:-1], layer_sizes[1:])
-    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in pairs)
+def train(corpus: RegressionCorpus) -> LinearRegressor:
+    """Minimum-norm least-squares fit of the targets on the standardized
+    features and a constant.
 
-
-def _layer_views(flat: np.ndarray, layer_sizes: tuple[int, ...]):
-    """Each layer's weight matrix and bias as views of ``flat``, laid out
-    as in the model file: layer by layer, W (fan_in x fan_out) then b."""
-    if flat.size != _n_parameters(layer_sizes):
-        raise ValueError("weight blob size does not match layer sizes")
-    weights, biases, offset = [], [], 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-        biases.append(flat[offset : offset + fan_out])
-        offset += fan_out
-    return weights, biases
-
-
-class _Network:
-    """The MLP's parameters, gradients and layer buffers for one batch of
-    inputs, each allocated once.
-
-    ``theta`` holds every weight and bias in the model file's layout and
-    ``grad`` their gradients in the same layout; ``weights``/``biases`` and
-    ``grad_w``/``grad_b`` are per-layer views of them. A forward or
-    backward pass only writes into these arrays, so a training loop
-    allocates no array of its own.
-    """
-
-    def __init__(self, layer_sizes: tuple[int, ...], x: np.ndarray):
-        m = x.shape[0]
-        self.m = m
-        self.theta = np.empty(_n_parameters(layer_sizes))
-        self.grad = np.empty_like(self.theta)
-        self.weights, self.biases = _layer_views(self.theta, layer_sizes)
-        self.grad_w, self.grad_b = _layer_views(self.grad, layer_sizes)
-        self.weights_t = [w.T for w in self.weights]
-        hidden = layer_sizes[1:-1]
-        # each hidden layer's activations: the pre-activation, rectified
-        # in place
-        self.acts = [np.empty((m, k)) for k in hidden]
-        # 1.0/0.0 masks, so backprop applies them with a plain float multiply
-        self.masks = [np.empty((m, k)) for k in hidden]
-        self.inputs = [x, *self.acts]
-        self.inputs_t = [a.T for a in self.inputs]
-        # d loss / d pre-activation of each layer, the output layer's last
-        self.deltas = [np.empty((m, k)) for k in layer_sizes[1:]]
-        self.out = np.empty((m, layer_sizes[-1]))
-        self.residual = np.empty(m)
-        self.square = np.empty(m)
-        # (m,) views of the single-output columns
-        self.out_column = self.out[:, 0]
-        self.delta_column = self.deltas[-1][:, 0]
-
-    def forward(self) -> np.ndarray:
-        """The (m,) outputs; fills each hidden layer's activations and its
-        ReLU mask, 1.0 where ``a > 0`` and 0.0 elsewhere."""
-        for a, w, b, h, mask in zip(self.inputs, self.weights, self.biases, self.acts, self.masks):
-            np.matmul(a, w, out=h)
-            h += b
-            np.maximum(h, 0.0, out=h)
-            np.greater(h, 0.0, out=mask)
-        np.matmul(self.inputs[-1], self.weights[-1], out=self.out)
-        self.out += self.biases[-1]
-        return self.out_column
-
-    def loss(self, targets: np.ndarray) -> float:
-        """Mean squared error of a forward pass; leaves the residual."""
-        np.subtract(self.forward(), targets, out=self.residual)
-        # np.mean's own arithmetic: a pairwise sum, then one division
-        return float(np.add.reduce(np.square(self.residual, out=self.square))) / self.m
-
-    def backprop(self, targets: np.ndarray) -> float:
-        """The loss, with its gradient written into ``grad``."""
-        loss = self.loss(targets)
-        deltas, masks = self.deltas, self.masks
-        # d loss / d out
-        np.multiply(self.residual, 2.0 / self.m, out=self.delta_column)
-        for layer in range(len(deltas) - 1, -1, -1):
-            delta = deltas[layer]
-            np.matmul(self.inputs_t[layer], delta, out=self.grad_w[layer])
-            np.add.reduce(delta, axis=0, out=self.grad_b[layer])
-            if layer > 0:
-                below = deltas[layer - 1]
-                np.matmul(delta, self.weights_t[layer], out=below)
-                # a multiply, not a masked store, so -0.0 and NaN keep their bits
-                below *= masks[layer - 1]
-        return loss
-
-
-def _init_parameters(net: _Network, seed: int) -> None:
-    """Uniform [-a, a] weights with a = sqrt(6 / (fan_in + fan_out)), drawn
-    layer by layer; zero biases."""
-    rng = np.random.default_rng(seed)
-    for w, b in zip(net.weights, net.biases):
-        fan_in, fan_out = w.shape
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        w[...] = rng.uniform(-a, a, size=(fan_in, fan_out))
-        b[...] = 0.0
-
-
-def _mlp_forward(
-    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
-) -> np.ndarray:
-    """Forward pass on already-standardized inputs; returns (m,) outputs."""
-    layer_sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
-    net = _Network(layer_sizes, np.ascontiguousarray(x, dtype=np.float64))
-    for dst, src in zip(net.weights + net.biases, weights + biases):
-        dst[...] = src
-    return net.forward()
-
-
-def train(
-    corpus: RegressionCorpus,
-    epochs: int = 5000,
-    learning_rate: float = 1e-3,
-    seed: int = 0,
-) -> MlpRegressor:
-    """Full-batch gradient descent on the corpus.
-
-    Deterministic for a given seed. Raises ``TrainingDivergedError`` naming
-    the epoch if the loss stops being finite. The parameters are one flat
-    vector and each step is ``theta -= learning_rate * grad``.
+    The design matrix is the standardized features with a column of ones
+    appended, and the fit is one ``np.linalg.lstsq`` solve over it, so a
+    rank-deficient design (a constant feature, or ``chr`` bins that sum to
+    1) still gets finite weights. ``final_loss`` is the mean squared
+    residual over the corpus.
     """
     if corpus.size < 1:
         raise ValueError("corpus is empty")
     feat_mean = corpus.features.mean(axis=0)
     feat_std = corpus.features.std(axis=0)
     feat_std = np.where(feat_std < 1e-12, 1.0, feat_std)
-    x = (corpus.features - feat_mean) / feat_std
-    net = _Network((corpus.d, *HIDDEN_SIZES, 1), x)
-    _init_parameters(net, seed)
-    targets, theta, grad = corpus.targets, net.theta, net.grad
-    # a step size too large for the data overflows the activations to inf
-    # and then NaN; the finite-loss checks report that as divergence, so
-    # numpy's own overflow and invalid-value warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            if not math.isfinite(net.backprop(targets)):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            # the multiply, then the subtract, of w -= learning_rate * gw
-            grad *= learning_rate
-            theta -= grad
-        final_loss = net.loss(targets)
-    if not math.isfinite(final_loss):
-        raise TrainingDivergedError(f"non-finite loss at epoch {epochs}")
-    return MlpRegressor(
-        weights=net.weights,
-        biases=net.biases,
+    design = np.empty((corpus.size, corpus.d + 1))
+    x = design[:, :-1]
+    np.subtract(corpus.features, feat_mean, out=x)
+    x /= feat_std
+    design[:, -1] = 1.0
+    coef = np.linalg.lstsq(design, corpus.targets, rcond=None)[0]
+    residual = design @ coef - corpus.targets
+    return LinearRegressor(
+        weights=coef[:-1],
+        bias=float(coef[-1]),
         feat_mean=feat_mean,
         feat_std=feat_std,
         extractor_id=corpus.extractor_id,
@@ -421,11 +285,13 @@ def train(
         alpha=corpus.alpha,
         n_classes=corpus.n_classes,
         offset_base=corpus.offset_base,
-        final_loss=final_loss,
+        final_loss=float(np.mean(residual**2)),
     )
 
 
-def predict_tau(model: MlpRegressor, target: Dataset, source_ref: Dataset | None = None) -> float:
+def predict_tau(
+    model: LinearRegressor, target: Dataset, source_ref: Dataset | None = None
+) -> float:
     """Predicted threshold for a target's scores, clamped to the valid range.
 
     The features come from the model's own extractor; ``chr`` has the
@@ -439,8 +305,8 @@ def predict_tau(model: MlpRegressor, target: Dataset, source_ref: Dataset | None
     feature = extract_features(target, model.extractor_id, bins, source_ref)
     if feature.size != model.d:
         raise ValueError(f"feature dimension {feature.size} does not match model input {model.d}")
-    x = ((feature - model.feat_mean) / model.feat_std)[None, :]
-    out = float(_mlp_forward(model.weights, model.biases, x)[0])
+    x = (feature - model.feat_mean) / model.feat_std
+    out = float(x @ model.weights) + model.bias
     if model.offset_base is not None:
         out += model.offset_base
     return float(np.clip(out, 0.0, max_tau(model.spec, model.n_classes)))
@@ -457,20 +323,11 @@ def _optional(text: str) -> float | None:
     return None if text == "none" else float(text)
 
 
-def save_model(model: MlpRegressor, path) -> None:
-    """Write a model file. As for datasets, the bytes go to a new sibling
-    file that then replaces ``path``, so a failed save leaves an existing
-    file as it was."""
-    with replacing(path) as fh:
-        write_model(model, fh)
-
-
-def write_model(model: MlpRegressor, fh) -> None:
+def write_model(model: LinearRegressor, fh) -> None:
     """The bytes of a model file, written to ``fh``, open for binary
     writing."""
-    arrays = [arr for w, b in zip(model.weights, model.biases) for arr in (w, b)]
     header = {
-        "layers": ",".join(map(str, model.layer_sizes)),
+        "layers": f"{model.d},1",
         "extractor": model.extractor_id,
         **model.spec.to_kv(),
         "alpha": float(model.alpha),
@@ -479,14 +336,14 @@ def write_model(model: MlpRegressor, fh) -> None:
         "final_loss": "none" if model.final_loss is None else float(model.final_loss),
         "feat_mean": _floats(model.feat_mean),
         "feat_std": _floats(model.feat_std),
-        "blob_bytes": 8 * sum(arr.size for arr in arrays),
+        "blob_bytes": 8 * (model.d + 1),
     }
     fh.write(MODEL_MAGIC + b"\n" + format_kv(header).encode())
-    for arr in arrays:
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
+    fh.write(np.array([model.bias], dtype="<f8").tobytes())
 
 
-def load_model(path) -> MlpRegressor:
+def load_model(path) -> LinearRegressor:
     """Read a model file; every error names the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -501,21 +358,23 @@ def load_model(path) -> MlpRegressor:
         _check_extractor(kv["extractor"])
         if len(blob) != int(kv["blob_bytes"]):
             raise ValueError(f"blob has {len(blob)} bytes, header says {kv['blob_bytes']}")
-        layer_sizes = tuple(int(s) for s in kv["layers"].split(","))
-        if len(layer_sizes) < 2 or min(layer_sizes) < 1:
-            raise ValueError(f"layers must be two or more positive sizes, got {kv['layers']}")
+        d, sep, out = kv["layers"].partition(",")
+        if not (d.isdigit() and int(d) >= 1 and sep and out == "1"):
+            raise ValueError(f"layers must be d,1 with d >= 1 inputs, got {kv['layers']}")
+        d = int(d)
+        if len(blob) != 8 * (d + 1):
+            raise ValueError(f"blob has {len(blob)} bytes, {d} weights and a bias need {8 * (d + 1)}")
         feat_mean = np.array([float(s) for s in kv["feat_mean"].split(",")])
         feat_std = np.array([float(s) for s in kv["feat_std"].split(",")])
-        if feat_mean.size != layer_sizes[0] or feat_std.size != layer_sizes[0]:
+        if feat_mean.size != d or feat_std.size != d:
             raise ValueError(
                 f"feat_mean has {feat_mean.size} and feat_std {feat_std.size} entries "
-                f"for {layer_sizes[0]} inputs"
+                f"for {d} inputs"
             )
-        flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-        weights, biases = _layer_views(flat, layer_sizes)
-        return MlpRegressor(
-            weights=weights,
-            biases=biases,
+        coef = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        return LinearRegressor(
+            weights=coef[:-1],
+            bias=float(coef[-1]),
             feat_mean=feat_mean,
             feat_std=feat_std,
             extractor_id=kv["extractor"],

@@ -22,7 +22,7 @@ from cshift.conformal import (
     save_threshold,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix, load_dataset, save_dataset
-from cshift.util import ceil_count, row_uniforms
+from cshift.util import ceil_count, read_kv, row_uniforms
 
 TPS = PredictorSpec.tps()
 APS = PredictorSpec.aps()
@@ -135,6 +135,18 @@ def test_raps_saturation_uses_penalized_maximum():
     assert thr.is_saturated
     assert thr.tau == pytest.approx(1.0 + 0.5 * 2)
     assert max_tau(spec, 3) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0])
+def test_raps_with_kreg_equal_to_the_class_count_saturates_at_one(lam, tmp_path):
+    # no rank exceeds k_reg = L, so no class is ever penalized and the full
+    # set scores 1 under either rank convention
+    spec = PredictorSpec.raps(lam, 3)
+    assert max_tau(spec, 3) == 1.0
+    thr = calibrate(spec, labeled(4, 3, seed=0), alpha=0.01, seed=0)
+    assert thr.is_saturated
+    save_threshold(thr, tmp_path / "thr.kv")
+    assert read_kv(tmp_path / "thr.kv")["tau"] == "1.0"
 
 
 def test_threshold_range_validation():

@@ -13,9 +13,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import labeled
 from cshift.conformal import PredictorSpec, Threshold, load_threshold, save_threshold
-from cshift.regression import build_corpus, load_model, save_model, train
+from cshift.regression import build_corpus, load_model, train, write_model
 from cshift import util
-from cshift.util import ceil_count, derive_seed, format_float, read_kv, row_uniforms, write_kv
+from cshift.util import (
+    ceil_count,
+    derive_seed,
+    format_float,
+    read_kv,
+    replacing,
+    row_uniforms,
+    write_kv,
+)
 
 
 def test_ceil_count_plain_values():
@@ -164,7 +172,8 @@ def intact_files(tmp_path_factory):
     )
     (d / "cfg").write_text("# run\ncal=cal.csv\npredictor=raps\nlambda=0.1\nkreg=2\nalpha=0.1\n")
     corpus = build_corpus(labeled(100, 3, seed=22), PredictorSpec.tps(), 0.2, 2, "acr", seed=1)
-    save_model(train(corpus, epochs=10, seed=1), d / "model")
+    with replacing(d / "model") as fh:
+        write_model(train(corpus), fh)
     readers = {"thr": load_threshold, "cfg": read_kv, "model": load_model}
     return d, {name: ((d / name).read_bytes(), read) for name, read in readers.items()}
 
