@@ -15,6 +15,12 @@ Every command takes one ``--seed``; internal randomness is derived from it
 per role, so identical invocations produce byte-identical output files.
 ``baseline`` and ``simulate`` import ``regression`` and ``toymodel`` when
 they run; no other command loads them.
+
+``simulate`` runs its trials through :func:`util.map_jobs`: on Linux one
+per CPU of the affinity mask at once, in this process and in workers
+forked from it, as many at once as hold at most ``MAX_DRAWS`` draws
+together; elsewhere all in this process. It writes the same rows,
+summary, warnings and errors as one loop over the trials would.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import gc
 import math
 import os
 import sys
+from contextlib import closing
 from functools import partial
 from pathlib import Path
 
@@ -48,7 +55,8 @@ EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_s
 MAX_ALPHA_GRID_POINTS = 10_000
 
 # Largest --n, which sizes every draw: at 10**7 one trial peaks near
-# 0.75 GB (see README)
+# 0.75 GB (see README). Also the most draws that the trials running at
+# once hold together.
 MAX_DRAWS = 10**7
 # Largest --bins, the width of each corpus histogram and so of the
 # least-squares design matrix
@@ -252,12 +260,17 @@ def cmd_simulate(args) -> int:
     violations = 0
     coverage_err = 0.0
     max_share = 0.0
-    with replacing(args.out) as fh:
+
+    def trial_report(trial):
+        seed = derive_seed(args.seed, f"trial-{trial}")
+        return run_theorem_trial(src, tgt, clf, args.alpha, args.n, args.delta, seed, beta)
+
+    # concurrent trials hold at most MAX_DRAWS draws together
+    reports = util.map_jobs(trial_report, args.trials, max_workers=MAX_DRAWS // args.n)
+    with replacing(args.out) as fh, closing(reports):
         fh.write(b"trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
                  b"beta_true,beta_qtc,bound,violated,coverage\n")
-        for trial in range(args.trials):
-            seed = derive_seed(args.seed, f"trial-{trial}")
-            report = run_theorem_trial(src, tgt, clf, args.alpha, args.n, args.delta, seed, beta)
+        for trial, report in enumerate(reports):
             violations += report.violated
             coverage_err += abs(report.achieved_target_coverage - (1.0 - args.alpha))
             max_share = max(max_share, abs(report.beta_qtc - report.beta_true) / report.bound)

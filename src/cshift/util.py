@@ -1,5 +1,6 @@
 """Shared helpers: guarded order-statistic indices, seeded streams, the row
-blocks that every full-matrix pass runs over, row reductions that keep
+blocks that every full-matrix pass runs over, independent jobs run in
+forked worker processes in job order, row reductions that keep
 numpy's bits on narrow matrices, the one codec of every
 ``key=value`` record (threshold, sidecar, config, model header), the
 sibling-and-rename write of every file that is written whole, and the
@@ -10,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
+import warnings
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -101,6 +104,124 @@ def map_row_blocks(fn, n: int, n_cols: int) -> list:
 
     with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
         return list(pool.map(fn, blocks))
+
+
+def map_jobs(job, n_jobs: int, max_workers: int):
+    """``job(i)`` for ``i`` in ``range(n_jobs)``, yielded in that order.
+
+    On Linux ``W = min(worker_count(), n_jobs // 2, max_workers)`` jobs
+    run at once: this process runs jobs 0, W, 2W, ... itself, and worker
+    ``k`` of ``W - 1`` processes forked from it runs jobs ``k``,
+    ``k + W``, ... Each of the W runs at least two jobs, since starting a
+    worker costs about as much as a small job. ``job`` may be any
+    callable and is not pickled, but the results, exceptions and warnings
+    of the workers' jobs are. A worker sends each result over its own
+    pipe, whose capacity bounds how far it runs ahead, so this process
+    holds one result at a time at any ``n_jobs``. With ``W < 2``, or on
+    another platform, this process runs every job.
+
+    Either way the caller sees what a loop over the jobs would show: the
+    warnings of each job pass through this process's filters before its
+    result is yielded, and the first job that raises, in job order, ends
+    the iteration with its exception. No worker outlives the iteration,
+    whether it ends, fails or is closed early.
+    """
+    workers = min(worker_count(), n_jobs // 2, max_workers)
+    if workers < 2 or not sys.platform.startswith("linux"):
+        yield from map(job, range(n_jobs))
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    readers, procs = [], []  # of workers 1 to W - 1
+    try:
+        # a worker flushes the standard streams when it exits, so anything
+        # they buffered at its fork would be written twice
+        sys.stdout.flush()
+        sys.stderr.flush()
+        # Forking a process that has other threads can deadlock a child that
+        # takes a lock one of them held. The only other threads here are
+        # BLAS's (OpenBLAS starts them at import numpy), no Python thread of
+        # ours runs now, and the workers never call BLAS; so the warning that
+        # CPython 3.12+ gives for any fork of a multi-threaded process is
+        # silenced for these forks only.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            for k in range(1, workers):
+                reader, writer = context.Pipe(duplex=False)
+                proc = context.Process(
+                    target=_run_jobs, args=(job, range(k, n_jobs, workers), writer), daemon=True
+                )
+                proc.start()
+                procs.append(proc)
+                # the worker holds the only write end, so its death reads as EOF
+                writer.close()
+                readers.append(reader)
+        for i in range(n_jobs):
+            k = i % workers
+            if k == 0:
+                yield job(i)
+                continue
+            try:
+                value, caught, error = readers[k - 1].recv()
+            except EOFError:
+                proc = procs[k - 1]
+                proc.join()
+                raise ChildProcessError(
+                    f"worker process {proc.pid} exited with code {proc.exitcode} before job {i}"
+                ) from None
+            for message, filename, lineno in caught:
+                _warn_again(message, filename, lineno)
+            if error is not None:
+                raise error
+            yield value
+    finally:
+        for proc in procs:
+            proc.terminate()  # a no-op once the worker has exited
+            proc.join()
+        for reader in readers:
+            reader.close()
+
+
+# The start of the DeprecationWarning that os.fork() gives on CPython 3.12+
+# when the process has other threads.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
+
+def _run_jobs(job, indices, writer) -> None:
+    """The body of a :func:`map_jobs` worker: for each index in order, send
+    ``(result, warnings, exception)`` up to the first job that raises."""
+    import signal
+
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for i in indices:
+        value = error = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = job(i)
+            except Exception as exc:
+                error = exc
+        writer.send((value, [(w.message, w.filename, w.lineno) for w in caught], error))
+        if error is not None:
+            return
+
+
+def _warn_again(message: Warning, filename: str, lineno: int) -> None:
+    """Issue a warning recorded in a worker through this process's filters,
+    as ``warnings.warn`` would have: under the name and registry of the
+    module whose code it names, so a ``default`` filter shows it once."""
+    module = next(
+        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None
+    )
+    if module is None:
+        warnings.warn_explicit(message, type(message), filename, lineno)
+    else:
+        registry = vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(
+            message, type(message), filename, lineno, module.__name__, registry
+        )
 
 
 def row_reduce(ufunc, values: np.ndarray, dtype=None, out=None) -> np.ndarray:

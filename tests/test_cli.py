@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, sample_labels, softmax_rows, write_csv
-from cshift import cli, regression, toymodel
+from cshift import cli, regression, toymodel, util
 from cshift.cli import (
     EVAL_CSV_HEADER,
     MAX_ALPHA_GRID_POINTS,
@@ -735,6 +736,114 @@ def test_simulate_trial_that_raises_leaves_the_old_csv(tmp_path, monkeypatch, ca
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("trials", [1, 5, 7])
+def test_simulate_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch, capsys,
+                                                            trials, seed):
+    # 5 and 7 trials share unevenly among 2 and 3 workers
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(util, "worker_count", lambda: workers)
+        out = tmp_path / f"trials-{workers}.csv"
+        argv = ["simulate", "--trials", str(trials), "--n", "2000", "--seed", str(seed)]
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def _fail_on_trials(monkeypatch, failing, seed=0, trials=10):
+    """Make run_theorem_trial raise for the trials in ``failing`` (index:
+    seconds to wait first) and run the real trial for the others."""
+    trial_of = {util.derive_seed(seed, f"trial-{i}"): i for i in range(trials)}
+    run_theorem_trial = toymodel.run_theorem_trial
+
+    def trial(*args):
+        i = trial_of[args[6]]
+        if i in failing:
+            time.sleep(failing[i])
+            raise ValueError(f"trial {i} failed in process {os.getpid()}")
+        return run_theorem_trial(*args)
+
+    monkeypatch.setattr(toymodel, "run_theorem_trial", trial)
+
+
+@pytest.mark.parametrize("old", [None, b"trial_id\n0\n"])
+def test_simulate_raises_the_first_failing_trial_of_several_workers(tmp_path, monkeypatch,
+                                                                     capsys, old):
+    # on 3 CPUs, trial 1 runs in one worker and trial 2 in another; trial 1
+    # fails last, so its error is the one in trial order, not in time
+    monkeypatch.setattr(util, "worker_count", lambda: 3)
+    _fail_on_trials(monkeypatch, {1: 0.5, 2: 0.0})
+    out = tmp_path / "trials.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["simulate", "--trials", "10", "--n", "500", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trial 1 failed in process ")
+    assert int(err.split()[-1]) != os.getpid()  # the trial ran in a worker
+    assert (out.read_bytes() if out.exists() else None) == old
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_replays_trial_warnings_on_any_worker_count(tmp_path, monkeypatch, capsys):
+    # alpha * n < 1, so each trial's target quantile falls back with a warning
+    seen = []
+    for workers in (1, 2):
+        monkeypatch.setattr(util, "worker_count", lambda: workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = ["simulate", "--trials", "6", "--n", "20", "--out", str(tmp_path / "t.csv")]
+            assert main(argv) == 0
+        seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    assert len(seen[0]) >= 6
+    assert seen[1] == seen[0]
+    assert "is below 1/n for n=20" in seen[0][0][1]
+
+
+def test_simulate_shows_a_repeated_trial_warning_once_by_default(tmp_path, monkeypatch, capsys):
+    # the warnings of the workers pass through this process's registry
+    monkeypatch.setattr(util, "worker_count", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        argv = ["simulate", "--trials", "6", "--n", "20", "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 0
+    assert len(caught) == 1
+
+
+@pytest.mark.parametrize("n, processes", [(cli.MAX_DRAWS, 1), (cli.MAX_DRAWS // 2, 2)])
+def test_simulate_runs_as_many_trials_at_once_as_max_draws_allows(tmp_path, monkeypatch, n,
+                                                                   processes):
+    monkeypatch.setattr(util, "worker_count", lambda: 2)
+    pids = tmp_path / "pids"
+
+    def trial(*args):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return toymodel.TheoremTrialReport(0.02, 0.02, 1.0, False, 0.98)
+
+    monkeypatch.setattr(toymodel, "run_theorem_trial", trial)
+    argv = ["simulate", "--trials", "4", "--n", str(n), "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    ran_in = set(pids.read_text().split())
+    assert len(ran_in) == processes
+    assert str(os.getpid()) in ran_in  # the command runs trials too
+
+
+def test_simulate_flushes_buffered_output_before_starting_workers(tmp_path):
+    # a worker that inherited unflushed stdout would write it again at exit
+    code = (
+        "import sys; from cshift import cli, util; sys.stdout.write('before;');"
+        "util.worker_count = lambda: 2;"
+        "sys.exit(cli.main(['simulate', '--trials', '4', '--n', '500', '--out', sys.argv[1]]))"
+    )
+    run = _python(["-c", code, str(tmp_path / "t.csv")])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("before;trials=4 ")
+    assert run.stdout.count("before;") == 1
+
+
 def test_simulate_config_with_a_monte_carlo_draw_count_exits_2(tmp_path, capsys):
     # the oracle is exact, so there is no draw count to set; the flag is
     # rejected in test_bad_flag_returns_2_instead_of_exiting
@@ -1119,11 +1228,13 @@ def _python(args, cwd=None):
 
 
 def test_importing_the_cli_leaves_the_baseline_and_toy_model_unloaded():
-    # baseline and simulate import them when they run
+    # baseline and simulate import them when they run, and multiprocessing is
+    # imported when simulate starts its workers
     code = "import sys, cshift.cli; print([m in sys.modules for m in sys.argv[1:]])"
-    run = _python(["-c", code, "cshift.cli", "cshift.regression", "cshift.toymodel"])
+    modules = ["cshift.cli", "cshift.regression", "cshift.toymodel", "multiprocessing"]
+    run = _python(["-c", code, *modules])
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[True, False, False]\n"
+    assert run.stdout == "[True, False, False, False]\n"
 
 
 @pytest.mark.parametrize(

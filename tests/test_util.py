@@ -1,10 +1,13 @@
 import functools
 import math
+import multiprocessing
 import operator
 import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,3 +226,106 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch, workers):
     step = max(1, 12 // workers // 4)
     want = [(start, min(start + step, 10)) for start in range(0, 10, step)]
     assert util.map_row_blocks(span, 10, 4) == want
+
+
+def _pid_of_job(i):
+    return i, os.getpid()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_jobs", [1, 3, 4, 7])
+def test_jobs_yield_in_order_from_at_least_two_jobs_per_worker(monkeypatch, workers, n_jobs):
+    monkeypatch.setattr(util, "worker_count", lambda: workers)
+    results = list(util.map_jobs(_pid_of_job, n_jobs, max_workers=workers))
+    assert [i for i, _ in results] == list(range(n_jobs))
+    pids = {pid for _, pid in results}
+    # this process runs jobs too
+    assert os.getpid() in pids
+    assert len(pids) == max(1, min(workers, n_jobs // 2))
+    assert multiprocessing.active_children() == []
+
+
+def test_jobs_run_in_this_process_up_to_max_workers_of_one(monkeypatch):
+    monkeypatch.setattr(util, "worker_count", lambda: 4)
+    assert {pid for _, pid in util.map_jobs(_pid_of_job, 8, max_workers=1)} == {os.getpid()}
+    assert len({pid for _, pid in util.map_jobs(_pid_of_job, 8, max_workers=3)}) == 3
+
+
+def _fail_slowly_at_1_and_quickly_at_2(i):
+    if i == 1:
+        time.sleep(0.5)
+    if i in (1, 2):
+        raise ValueError(f"job {i} failed")
+    return i
+
+
+def test_the_first_failing_job_in_job_order_raises(monkeypatch):
+    # jobs 1 and 2 run in different workers, and job 2 fails first in time
+    monkeypatch.setattr(util, "worker_count", lambda: 3)
+    seen = []
+    with pytest.raises(ValueError, match="^job 1 failed$"):
+        for value in util.map_jobs(_fail_slowly_at_1_and_quickly_at_2, 6, max_workers=3):
+            seen.append(value)
+    assert seen == [0]
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_the_jobs_early_stops_the_workers(monkeypatch):
+    monkeypatch.setattr(util, "worker_count", lambda: 2)
+    jobs = util.map_jobs(_pid_of_job, 10_000, max_workers=2)
+    assert next(jobs)[0] == 0
+    assert len(multiprocessing.active_children()) == 1
+    jobs.close()
+    assert multiprocessing.active_children() == []
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _exit_at_3(i):
+    if i == 3 and os.getpid() != _TEST_PROCESS:
+        os._exit(9)
+    return i
+
+
+def test_a_worker_that_dies_ends_the_jobs_with_an_error(monkeypatch):
+    monkeypatch.setattr(util, "worker_count", lambda: 2)
+    seen = []
+    # job 3 runs in the one worker
+    with pytest.raises(ChildProcessError, match="exited with code 9 before job 3$"):
+        for value in util.map_jobs(_exit_at_3, 6, max_workers=2):
+            seen.append(value)
+    assert seen == [0, 1, 2]
+    assert multiprocessing.active_children() == []
+
+
+def _warn_off_multiples_of_3(i):
+    if i % 3:
+        warnings.warn(f"job {i} is not a multiple of 3")
+    return i
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_job_warnings_pass_through_the_callers_filters_in_job_order(monkeypatch, workers):
+    monkeypatch.setattr(util, "worker_count", lambda: workers)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert list(util.map_jobs(_warn_off_multiples_of_3, 6, max_workers=2)) == list(range(6))
+    # jobs 2 and 4 run in this process, 1 and 5 in the worker
+    assert [str(w.message).split()[1] for w in caught] == ["1", "2", "4", "5"]
+    assert {(w.category, w.filename) for w in caught} == {(UserWarning, __file__)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="job 1 is not a multiple of 3"):
+            list(util.map_jobs(_warn_off_multiples_of_3, 6, max_workers=2))
+
+
+def test_the_fork_warning_filter_matches_cpythons_message():
+    # the text of os.fork()'s DeprecationWarning on CPython 3.12 and 3.13
+    text = "This process (pid=4242) is multi-threaded, use of fork() may lead to deadlocks in the child."
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", util._FORK_WARNING, DeprecationWarning)
+        warnings.warn(text, DeprecationWarning)
+        warnings.warn(text, UserWarning)
+    assert [w.category for w in caught] == [UserWarning]
