@@ -8,8 +8,13 @@ file whose keys are the long flag names; each pair is parsed as the flag
 bad pair is reported with the file and its line.
 
 Exit codes: 0 success, 2 usage, I/O or parse error (a bad flag and a bad
-config line alike), 3 saturation (``calibrate`` still writes its threshold
-file first), 5 unreachable precondition.
+config line alike), 3 saturation, 5 unreachable precondition.
+
+Each ``cmd_*(args, output)`` writes only through ``output(path)``, a binary
+handle on a new sibling of ``path`` (:func:`util.replacing`). After the
+command returns, whatever its code (``calibrate``'s 3 too), :func:`main`
+flushes stdout and renames every staged file into place; any exception, a
+failed flush included, deletes them all: a failed command writes nothing.
 
 Every command takes one ``--seed``; internal randomness is derived from it
 per role, so identical invocations produce byte-identical output files.
@@ -30,7 +35,7 @@ import gc
 import math
 import os
 import sys
-from contextlib import closing
+from contextlib import ExitStack, closing
 from functools import partial
 from pathlib import Path
 
@@ -43,7 +48,6 @@ from .conformal import (
     calibrate,
     evaluate,
     load_threshold,
-    save_threshold,
 )
 from .qtc import METHODS, recalibrate
 from .scores import DataFormatError, LabeledDataset, load_dataset
@@ -156,11 +160,11 @@ def _load_labeled(path) -> LabeledDataset:
 # --- commands ---
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args, output) -> int:
     spec = PredictorSpec(args.predictor, args.lam, args.kreg)
     cal = _load_labeled(args.cal)
     threshold = calibrate(spec, cal, args.alpha, derive_seed(args.seed, "calibrate"))
-    save_threshold(threshold, args.out)
+    output(args.out).write(format_kv(threshold.to_kv()).encode())
     print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
     if threshold.is_saturated:
         print("warning: calibration saturated", file=sys.stderr)
@@ -168,7 +172,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_recalibrate(args) -> int:
+def cmd_recalibrate(args, output) -> int:
     spec = PredictorSpec(args.predictor, args.lam, args.kreg)
     alphas = parse_alpha_grid(args.alpha)
     source = _load_labeled(args.source)
@@ -176,34 +180,30 @@ def cmd_recalibrate(args) -> int:
     calibrator = Calibrator(spec, source, derive_seed(args.seed, "recalibrate"))
     if len(alphas) == 1:
         threshold, est = recalibrate(calibrator, target, alphas[0], args.method)
-        # nested, so that neither file is renamed into place unless both are
-        with replacing(args.out) as out, replacing(str(args.out) + ".qtc") as sidecar:
-            out.write(format_kv(threshold.to_kv()).encode())
-            sidecar.write(format_kv(est.to_kv()).encode())
+        output(args.out).write(format_kv(threshold.to_kv()).encode())
+        output(f"{args.out}.qtc").write(format_kv(est.to_kv()).encode())
         print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
         return 0
-    with replacing(args.out) as fh:
-        fh.write(b"method,predictor,alpha,tau,q,estimate,seed\n")
-        for alpha in alphas:
-            threshold, est = recalibrate(calibrator, target, alpha, args.method)
-            fields = map(format_float, [alpha, threshold.tau, est.q_threshold, est.value])
-            fh.write((",".join([args.method, spec.kind, *fields, str(args.seed)]) + "\n").encode())
+    fh = output(args.out)
+    fh.write(b"method,predictor,alpha,tau,q,estimate,seed\n")
+    for alpha in alphas:
+        threshold, est = recalibrate(calibrator, target, alpha, args.method)
+        fields = map(format_float, [alpha, threshold.tau, est.q_threshold, est.value])
+        fh.write((",".join([args.method, spec.kind, *fields, str(args.seed)]) + "\n").encode())
     print(f"wrote {len(alphas)} rows to {args.out}")
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, output) -> int:
     out = Path(args.out)
-    fresh = not out.exists() or out.stat().st_size == 0
-    if not fresh:
-        with open(out, "r", encoding="utf-8", errors="replace") as fh:
-            if fh.readline().rstrip("\n") != EVAL_CSV_HEADER:
-                raise DataFormatError(f"{out} exists but its first line is not the report header")
-        with open(out, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            # a row appended after a last line without its newline would join it
-            if fh.read(1) != b"\n":
-                raise DataFormatError(f"{out} does not end with a newline")
+    rows = out.read_bytes() if out.exists() else b""
+    if not rows:
+        rows = (EVAL_CSV_HEADER + "\n").encode()
+    elif rows.splitlines()[0] != EVAL_CSV_HEADER.encode():
+        raise DataFormatError(f"{out} exists but its first line is not the report header")
+    elif not rows.endswith(b"\n"):
+        # a row added after a last line without its newline would join it
+        raise DataFormatError(f"{out} does not end with a newline")
     threshold = load_threshold(args.threshold)
     test = _load_labeled(args.test)
     report = evaluate(threshold, test, derive_seed(args.seed, "evaluate"))
@@ -211,15 +211,12 @@ def cmd_evaluate(args) -> int:
     fields = map(format_float, [*stats, report.median_set_size])
     labels = [threshold.method, threshold.spec.kind]
     row = ",".join([*labels, *fields, str(report.n_eval), str(args.seed)])
-    with open(out, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(EVAL_CSV_HEADER + "\n")
-        fh.write(row + "\n")
+    output(out).write(rows + (row + "\n").encode())
     print(f"coverage={format_float(report.coverage)} avg_set_size={format_float(report.avg_set_size)}")
     return 0
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args, output) -> int:
     from .regression import build_corpus, predict_tau, train, write_model
     # checked before fitting: the later rename of one file would replace the other
     pred_out = args.pred_out
@@ -231,25 +228,19 @@ def cmd_baseline(args) -> int:
     corpus = build_corpus(cal, spec, args.alpha, args.shifts, args.extractor, args.bins, seed)
     model = train(corpus)
     print(f"corpus_size={corpus.size} final_loss={format_float(model.final_loss)}")
-    threshold = None
+    write_model(model, output(args.model_out))
     if args.target is not None:
         target = load_dataset(args.target)
         tau = predict_tau(model, target, source_ref=cal)
         tag = f"baseline:{args.extractor}:alpha={format_float(args.alpha)}"
         method = f"baseline-{args.extractor}"
         threshold = Threshold(tau=tau, alpha=args.alpha, spec=spec, source_tag=tag, method=method)
-    # nested, so that the model is renamed into place only with its threshold
-    with replacing(args.model_out) as fh:
-        write_model(model, fh)
-        if threshold is not None:
-            with replacing(args.pred_out or str(args.model_out) + ".tau") as tau_fh:
-                tau_fh.write(format_kv(threshold.to_kv()).encode())
-    if threshold is not None:
+        output(args.pred_out or f"{args.model_out}.tau").write(format_kv(threshold.to_kv()).encode())
         print(f"predicted_tau={format_float(threshold.tau)}")
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, output) -> int:
     from .toymodel import ToyClassifier, ToyModelParams, oracle_beta, run_theorem_trial
     src = ToyModelParams(gamma=args.gamma, c=args.c, p=args.psrc)
     tgt = ToyModelParams(gamma=args.gamma, c=args.c, p=args.ptgt)
@@ -267,9 +258,10 @@ def cmd_simulate(args) -> int:
 
     # concurrent trials hold at most MAX_DRAWS draws together
     reports = util.map_jobs(trial_report, args.trials, max_workers=MAX_DRAWS // args.n)
-    with replacing(args.out) as fh, closing(reports):
-        fh.write(b"trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
-                 b"beta_true,beta_qtc,bound,violated,coverage\n")
+    fh = output(args.out)
+    fh.write(b"trial_id,n,alpha,delta,p_src,p_tgt,w_inv,w_sp,"
+             b"beta_true,beta_qtc,bound,violated,coverage\n")
+    with closing(reports):
         for trial, report in enumerate(reports):
             violations += report.violated
             coverage_err += abs(report.achieved_target_coverage - (1.0 - args.alpha))
@@ -430,7 +422,10 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(_with_config(parser, argv))
-        return args.func(args)
+        with ExitStack() as stack:
+            code = args.func(args, lambda path: stack.enter_context(replacing(path)))
+            sys.stdout.flush()
+        return code
     except (util.CodedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
@@ -441,6 +436,11 @@ def run() -> None:
     cshift.cli`` and of the ``cshift`` script. Freezing the collector first
     spares the interpreter's final sweeps numpy's objects."""
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # else the interpreter's flush at exit fails again, reports it and exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()
     sys.exit(code)
 

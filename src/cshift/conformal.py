@@ -60,7 +60,6 @@ from .util import (
     reading,
     row_reduce,
     row_uniforms,
-    write_kv,
 )
 
 KINDS = ("tps", "aps", "raps")
@@ -403,10 +402,6 @@ def evaluate(threshold: Threshold, test: LabeledDataset, seed: int = 0) -> Cover
 
 
 # --- key-value serialization (consumed by the CLI; see FORMATS.md) ---
-
-
-def save_threshold(threshold: Threshold, path) -> None:
-    write_kv(path, threshold.to_kv())
 
 
 def load_threshold(path) -> Threshold:

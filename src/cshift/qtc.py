@@ -41,10 +41,6 @@ class QtcEstimate:
     value: float
     alpha: float
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-
     def to_kv(self) -> dict:
         """The pairs of a ``.qtc`` sidecar, in file order (see FORMATS.md)."""
         return {

@@ -8,6 +8,7 @@ base class of the errors that carry their own CLI exit code."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import os
@@ -295,10 +296,14 @@ def replacing(path):
     On an error it is deleted, and ``path`` keeps its old bytes; a reader
     that maps the old file keeps them too. Blocks nest: an error in an
     inner block, its failed rename included, deletes the files of the
-    enclosing blocks as well. So a command that writes all of its files
-    before the innermost block ends renames none of them unless all are
-    complete."""
+    enclosing blocks as well. The CLI enters one block per output of a
+    command on one ``contextlib.ExitStack`` (see :mod:`cshift.cli`), so
+    that a failed command renames none of its files. A ``path`` that is a
+    directory is refused as the block starts: its rename would fail only
+    after the blocks nested in it had renamed their files."""
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "xb")
@@ -315,13 +320,6 @@ def replacing(path):
         with suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-def write_kv(path, pairs: dict) -> None:
-    """Write a flat key=value text file (see :func:`format_kv`) through
-    :func:`replacing`."""
-    with replacing(path) as fh:
-        fh.write(format_kv(pairs).encode())
 
 
 def read_kv(path) -> dict:

@@ -30,9 +30,9 @@ from cshift.cli import (
     main,
     parse_alpha_grid,
 )
-from cshift.conformal import PredictorSpec, Threshold, load_threshold, save_threshold
+from cshift.conformal import PredictorSpec, Threshold, load_threshold
 from cshift.scores import DataFormatError, LabeledDataset, load_dataset, save_dataset
-from cshift.util import format_float, read_kv
+from cshift.util import format_float, format_kv, read_kv
 
 
 def _cal_csv(path, n=80, n_classes=5, seed=3):
@@ -230,6 +230,17 @@ def test_recalibrate_without_its_sidecar_leaves_the_threshold_file(tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["src.csv", "tgt.csv", "thr.txt.qtc"] + (["thr.txt"] if old is not None else [])
     )
+
+
+def test_recalibrate_onto_a_directory_writes_no_sidecar(tmp_path, capsys):
+    src, tgt = _source_and_target(tmp_path)
+    out = tmp_path / "thr.txt"
+    out.mkdir()  # refused as it is staged: the sidecar would be renamed first
+    argv = ["recalibrate", "--predictor", "tps", "--alpha", "0.1", "--source", str(src),
+            "--target", str(tgt), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src.csv", "tgt.csv", "thr.txt"]
 
 
 def test_recalibrate_grid_labels_rows_with_clean_alphas(tmp_path):
@@ -538,7 +549,7 @@ def test_truncated_or_flipped_dataset_loads_or_names_the_file(tmp_path_factory, 
         assert str(exc).startswith(f"{path}: ")
         loaded = None
     thr = work / "thr.txt"
-    save_threshold(Threshold(tau=0.5, alpha=0.1, spec=PredictorSpec.tps()), thr)
+    thr.write_text(format_kv(Threshold(tau=0.5, alpha=0.1, spec=PredictorSpec.tps()).to_kv()))
     argv = ["evaluate", "--test", str(path), "--threshold", str(thr), "--out", str(work / "r.csv")]
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = main(argv)
@@ -1214,6 +1225,61 @@ def test_identical_invocations_reproduce_bytes(tmp_path):
         assert a.read() == b.read()
 
 
+# --- a failed command writes nothing ---
+
+
+class _BrokenStdout:
+    """A stdout whose every write and flush fails, like a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+def _failing_forms(tmp_path):
+    """(argv, {output path: bytes written before the run, or None}) by form."""
+    src, tgt = _source_and_target(tmp_path)
+    cal, thr = _calibrated_threshold(tmp_path)
+    report = tmp_path / "report.csv"
+    report.write_text(EVAL_CSV_HEADER + "\nnone,tps,0.1,0.5,0.9,1.5,1.0,10,0\n")
+    alpha = ["--predictor", "tps", "--alpha", "0.1"]
+    recal = ["recalibrate", "--predictor", "tps", "--source", str(src), "--target", str(tgt)]
+    return {
+        "calibrate": (["calibrate", *alpha, "--cal", str(cal), "--out", str(tmp_path / "c.thr")],
+                      {"c.thr": None}),
+        "recalibrate": ([*recal, "--alpha", "0.1", "--out", str(tmp_path / "r.thr")],
+                        {"r.thr": b"tau=0.5\n", "r.thr.qtc": None}),
+        "grid": ([*recal, "--alpha", "0.05:0.2:0.05", "--out", str(tmp_path / "g.csv")],
+                 {"g.csv": None}),
+        "evaluate": (["evaluate", "--test", str(cal), "--threshold", str(thr),
+                      "--out", str(report)], {"report.csv": report.read_bytes()}),
+        "baseline": (["baseline", *alpha, "--extractor", "chr", "--bins", "5", "--shifts", "6",
+                      "--cal", str(src), "--target", str(tgt),
+                      "--model-out", str(tmp_path / "m.bin")], {"m.bin": None, "m.bin.tau": None}),
+        "simulate": (["simulate", "--trials", "3", "--n", "500", "--out", str(tmp_path / "t.csv")],
+                     {"t.csv": b"trial_id\n0\n"}),
+    }
+
+
+@pytest.mark.parametrize("form", ["calibrate", "recalibrate", "grid", "evaluate", "baseline",
+                                  "simulate"])
+def test_a_command_whose_stdout_fails_exits_2_and_changes_no_output(tmp_path, monkeypatch,
+                                                                      capsys, form):
+    argv, before = _failing_forms(tmp_path)[form]
+    for name, old in before.items():
+        if old is not None:
+            (tmp_path / name).write_bytes(old)
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    after = {name: (tmp_path / name).read_bytes() if (tmp_path / name).exists() else None
+             for name in before}
+    assert after == before
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 # --- the process entry point ---
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1269,3 +1335,19 @@ def test_the_process_entry_point_matches_main(tmp_path, monkeypatch, capsys, arg
     files = [{f.name: f.read_bytes() for f in side.iterdir()} for side in sides]
     assert files[0] == files[1]
     assert ("thr.txt" in files[1]) == (code == 3)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_stdout_on_a_full_device_exits_2_with_one_error_line(tmp_path):
+    _cal_csv(tmp_path / "cal.csv", n=120)
+    argv = ["-m", "cshift.cli", "calibrate", "--predictor", "tps", "--alpha", "0.1",
+            "--cal", "cal.csv", "--out", "thr.txt"]
+    # buffered, as a terminal-less stdout is by default, so that the first
+    # write to the device happens at a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC))
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path, stdout=full,
+                             stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (2, "error: [Errno 28] No space left on device\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv"]

@@ -19,10 +19,9 @@ from cshift.conformal import (
     load_threshold,
     max_tau,
     prediction_set,
-    save_threshold,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix, load_dataset, save_dataset
-from cshift.util import ceil_count, read_kv, row_uniforms
+from cshift.util import ceil_count, format_kv, read_kv, row_uniforms
 
 TPS = PredictorSpec.tps()
 APS = PredictorSpec.aps()
@@ -145,7 +144,7 @@ def test_raps_with_kreg_equal_to_the_class_count_saturates_at_one(lam, tmp_path)
     assert max_tau(spec, 3) == 1.0
     thr = calibrate(spec, labeled(4, 3, seed=0), alpha=0.01, seed=0)
     assert thr.is_saturated
-    save_threshold(thr, tmp_path / "thr.kv")
+    (tmp_path / "thr.kv").write_text(format_kv(thr.to_kv()))
     assert read_kv(tmp_path / "thr.kv")["tau"] == "1.0"
 
 
@@ -172,7 +171,7 @@ def test_a_zero_threshold_holds_the_classes_of_score_one(tmp_path):
     values = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])
     data = LabeledDataset(ScoreMatrix(values), np.array([0, 0, 1, 2]))
     threshold = Threshold(tau=0.0, alpha=0.1, spec=TPS)
-    save_threshold(threshold, tmp_path / "thr.kv")
+    (tmp_path / "thr.kv").write_text(format_kv(threshold.to_kv()))
     assert load_threshold(tmp_path / "thr.kv") == threshold
     assert evaluate(threshold, data) == CoverageReport(
         coverage=0.25, avg_set_size=0.5, median_set_size=0.5, n_eval=4
@@ -574,7 +573,7 @@ def test_threshold_file_round_trip(tmp_path):
     d = labeled(30, 4, seed=5)
     thr = calibrate(RAPS, d, 0.15, seed=8)
     path = tmp_path / "thr.txt"
-    save_threshold(thr, path)
+    path.write_text(format_kv(thr.to_kv()))
     back = load_threshold(path)
     assert back.tau == thr.tau
     assert back.alpha == thr.alpha
@@ -590,5 +589,5 @@ def test_threshold_file_round_trip_keeps_predictor_and_method(tmp_path, spec, me
         tau=0.1 + 1 / 3, alpha=0.07, spec=spec, source_tag=f"{method}:alpha=0.07", method=method
     )
     path = tmp_path / "thr.txt"
-    save_threshold(thr, path)
+    path.write_text(format_kv(thr.to_kv()))
     assert load_threshold(path) == thr

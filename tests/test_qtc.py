@@ -24,7 +24,7 @@ from cshift.qtc import (
     top_confidences,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
-from cshift.util import read_kv, write_kv
+from cshift.util import format_kv, read_kv
 
 TPS = PredictorSpec.tps()
 
@@ -282,7 +282,7 @@ def test_estimate_file_round_trip(tmp_path):
     tgt = unlabeled(15, 3, seed=81)
     est = estimate_beta_qtc(src, tgt, 0.25)
     path = tmp_path / "est.txt"
-    write_kv(path, est.to_kv())
+    path.write_text(format_kv(est.to_kv()))
     kv = read_kv(path)
     assert list(kv) == ["method", "q", "value", "alpha"]
     assert kv["method"] == est.method

@@ -15,17 +15,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import labeled
-from cshift.conformal import PredictorSpec, Threshold, load_threshold, save_threshold
+from cshift.conformal import PredictorSpec, Threshold, load_threshold
 from cshift.regression import build_corpus, load_model, train, write_model
 from cshift import util
 from cshift.util import (
     ceil_count,
     derive_seed,
     format_float,
+    format_kv,
     read_kv,
     replacing,
     row_uniforms,
-    write_kv,
 )
 
 
@@ -131,7 +131,7 @@ def test_row_uniforms_negative_seed():
 def test_kv_round_trip(tmp_path):
     path = tmp_path / "kv.txt"
     tag = "calibrate:tps:n=4:alpha=0.1"
-    write_kv(path, {"tau": 0.4, "alpha": np.float64(0.1), "source_tag": tag})
+    path.write_text(format_kv({"tau": 0.4, "alpha": np.float64(0.1), "source_tag": tag}))
     back = read_kv(path)
     assert back["tau"] == "0.4"
     assert back["alpha"] == "0.1"
@@ -170,9 +170,8 @@ def test_kv_rejects_missing_separator(tmp_path):
 def intact_files(tmp_path_factory):
     """Bytes of one threshold, config and model file, each with its reader."""
     d = tmp_path_factory.mktemp("intact")
-    save_threshold(
-        Threshold(0.93, 0.1, PredictorSpec.raps(0.1, 2), "calibrate:raps:n=100:alpha=0.1"), d / "thr"
-    )
+    threshold = Threshold(0.93, 0.1, PredictorSpec.raps(0.1, 2), "calibrate:raps:n=100:alpha=0.1")
+    (d / "thr").write_text(format_kv(threshold.to_kv()))
     (d / "cfg").write_text("# run\ncal=cal.csv\npredictor=raps\nlambda=0.1\nkreg=2\nalpha=0.1\n")
     corpus = build_corpus(labeled(100, 3, seed=22), PredictorSpec.tps(), 0.2, 2, "acr", seed=1)
     with replacing(d / "model") as fh:
