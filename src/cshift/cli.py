@@ -288,6 +288,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def exit(self, status=0, message=None):
+        # --help's text is flushed here, inside main, so that a stdout that
+        # cannot be written fails like any other command
+        sys.stdout.flush()
+        super().exit(status, message)
+
 
 def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Insert each pair of ``--config FILE`` as the token ``--key=value``

@@ -31,18 +31,11 @@ from . import util
 from .conformal import PredictorSpec, calibrate, max_tau
 from .qtc import top_confidences
 from .scores import Dataset, LabeledDataset, ScoreMatrix
-from .util import derive_seed, format_float, format_kv, parse_kv, reading
-
-EXTRACTORS = util.EXTRACTORS
+from .util import derive_seed, format_float, format_kv
 
 # The file is laid out as an MLP with no hidden layer (``layers=d,1``), so
 # readers of the MLP layout read it unchanged.
 MODEL_MAGIC = b"CSHIFTMLP1"
-
-
-def _check_extractor(name: str) -> None:
-    if name not in EXTRACTORS:
-        raise ValueError(f"extractor must be one of {EXTRACTORS}, got {name!r}")
 
 
 def _confidence_histogram(confidences: np.ndarray, bins: int) -> np.ndarray:
@@ -50,8 +43,6 @@ def _confidence_histogram(confidences: np.ndarray, bins: int) -> np.ndarray:
 
     Interior edges belong to the upper bin; the last bin includes 1.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
     idx = np.minimum(np.floor(confidences * bins).astype(np.int64), bins - 1)
     counts = np.bincount(idx, minlength=bins)
     return counts / confidences.size
@@ -69,7 +60,8 @@ def extract_features(
     ``source_ref`` is required for ``dcr`` and ignored otherwise. Labels
     are never consulted.
     """
-    _check_extractor(extractor)
+    if extractor not in util.EXTRACTORS:
+        raise ValueError(f"extractor must be one of {util.EXTRACTORS}, got {extractor!r}")
     conf = top_confidences(data)
     if extractor == "acr":
         values = np.array([conf.mean()])
@@ -245,8 +237,8 @@ class LinearRegressor:
     spec: PredictorSpec
     alpha: float
     n_classes: int
+    final_loss: float
     offset_base: float | None = None
-    final_loss: float | None = None
 
     @property
     def d(self) -> int:
@@ -319,10 +311,6 @@ def _floats(values) -> str:
     return ",".join(format_float(v) for v in values)
 
 
-def _optional(text: str) -> float | None:
-    return None if text == "none" else float(text)
-
-
 def write_model(model: LinearRegressor, fh) -> None:
     """The bytes of a model file, written to ``fh``, open for binary
     writing."""
@@ -333,7 +321,7 @@ def write_model(model: LinearRegressor, fh) -> None:
         "alpha": float(model.alpha),
         "n_classes": model.n_classes,
         "offset_base": "none" if model.offset_base is None else float(model.offset_base),
-        "final_loss": "none" if model.final_loss is None else float(model.final_loss),
+        "final_loss": float(model.final_loss),
         "feat_mean": _floats(model.feat_mean),
         "feat_std": _floats(model.feat_std),
         "blob_bytes": 8 * (model.d + 1),
@@ -341,46 +329,3 @@ def write_model(model: LinearRegressor, fh) -> None:
     fh.write(MODEL_MAGIC + b"\n" + format_kv(header).encode())
     fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
     fh.write(np.array([model.bias], dtype="<f8").tobytes())
-
-
-def load_model(path) -> LinearRegressor:
-    """Read a model file; every error names the file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    with reading(path):
-        # the header ends with its first "blob_bytes=" line; the blob follows
-        pos = raw.find(b"\nblob_bytes=")
-        end = raw.find(b"\n", pos + 1) if pos >= 0 else -1
-        if not raw.startswith(MODEL_MAGIC + b"\n") or end < 0:
-            raise ValueError("not a model file")
-        kv = parse_kv(raw[len(MODEL_MAGIC) + 1 : end].decode().split("\n"), first_lineno=2)
-        blob = raw[end + 1 :]
-        _check_extractor(kv["extractor"])
-        if len(blob) != int(kv["blob_bytes"]):
-            raise ValueError(f"blob has {len(blob)} bytes, header says {kv['blob_bytes']}")
-        d, sep, out = kv["layers"].partition(",")
-        if not (d.isdigit() and int(d) >= 1 and sep and out == "1"):
-            raise ValueError(f"layers must be d,1 with d >= 1 inputs, got {kv['layers']}")
-        d = int(d)
-        if len(blob) != 8 * (d + 1):
-            raise ValueError(f"blob has {len(blob)} bytes, {d} weights and a bias need {8 * (d + 1)}")
-        feat_mean = np.array([float(s) for s in kv["feat_mean"].split(",")])
-        feat_std = np.array([float(s) for s in kv["feat_std"].split(",")])
-        if feat_mean.size != d or feat_std.size != d:
-            raise ValueError(
-                f"feat_mean has {feat_mean.size} and feat_std {feat_std.size} entries "
-                f"for {d} inputs"
-            )
-        coef = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-        return LinearRegressor(
-            weights=coef[:-1],
-            bias=float(coef[-1]),
-            feat_mean=feat_mean,
-            feat_std=feat_std,
-            extractor_id=kv["extractor"],
-            spec=PredictorSpec.from_kv(kv),
-            alpha=float(kv["alpha"]),
-            n_classes=int(kv["n_classes"]),
-            offset_base=_optional(kv["offset_base"]),
-            final_loss=_optional(kv["final_loss"]),
-        )

@@ -1340,14 +1340,17 @@ def test_the_process_entry_point_matches_main(tmp_path, monkeypatch, capsys, arg
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_a_stdout_on_a_full_device_exits_2_with_one_error_line(tmp_path):
     _cal_csv(tmp_path / "cal.csv", n=120)
-    argv = ["-m", "cshift.cli", "calibrate", "--predictor", "tps", "--alpha", "0.1",
-            "--cal", "cal.csv", "--out", "thr.txt"]
+    calibrate = ["calibrate", "--predictor", "tps", "--alpha", "0.1", "--cal", "cal.csv",
+                 "--out", "thr.txt"]
     # buffered, as a terminal-less stdout is by default, so that the first
     # write to the device happens at a flush
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(SRC))
-    with open("/dev/full", "w") as full:
-        run = subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path, stdout=full,
-                             stderr=subprocess.PIPE, text=True, timeout=60)
-    assert (run.returncode, run.stderr) == (2, "error: [Errno 28] No space left on device\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv"]
+    # --help's text, printed as argparse exits, fails the same way
+    for argv in (calibrate, ["--help"], ["calibrate", "--help"]):
+        with open("/dev/full", "w") as full:
+            run = subprocess.run([sys.executable, "-m", "cshift.cli", *argv], env=env,
+                                 cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True,
+                                 timeout=60)
+        assert (run.returncode, run.stderr) == (2, "error: [Errno 28] No space left on device\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv"]

@@ -127,6 +127,20 @@ def test_calibrator_scores_once_for_any_level(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), 1.5, 0.0, -0.2])
+def test_calibrator_refuses_alpha_outside_the_unit_interval_before_scoring(monkeypatch, alpha):
+    # Threshold checks alpha too, but only after the scores: NaN would first
+    # fail in ceil_count, and 1.5 would score the whole calibration set
+    def fail(*args):
+        raise AssertionError("scored before alpha was checked")
+
+    monkeypatch.setattr(conformal, "conformity_scores", fail)
+    calibrator = Calibrator(TPS, labeled(50, 4, seed=3))
+    with pytest.raises(ValueError) as info:
+        calibrator.threshold(alpha)
+    assert str(info.value) == f"alpha must lie in (0, 1), got {alpha}"
+
+
 def test_raps_saturation_uses_penalized_maximum():
     spec = PredictorSpec.raps(0.5, 1)
     cal = labeled(4, 3, seed=0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from cshift.regression import (
     _dirichlet_jitter,
     build_corpus,
     extract_features,
-    load_model,
     predict_tau,
     synthetic_shift,
     temperature_scale,
@@ -19,7 +20,7 @@ from cshift.regression import (
     write_model,
 )
 from cshift.scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
-from cshift.util import derive_seed, replacing
+from cshift.util import derive_seed, parse_kv, replacing
 
 TPS = PredictorSpec.tps()
 
@@ -88,7 +89,8 @@ def test_pcr_per_class_means_with_empty_fallback():
 
 
 def test_unknown_extractor_rejected():
-    with pytest.raises(ValueError, match="extractor"):
+    message = "extractor must be one of ('acr', 'dcr', 'chr', 'chr-minus', 'pcr'), got 'mean'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         extract_features(unlabeled(3, 2, seed=0), "mean")
 
 
@@ -351,13 +353,6 @@ def _save(model, path):
         write_model(model, fh)
 
 
-def _small_model_file(path):
-    corpus = build_corpus(labeled(100, 3, seed=22), TPS, 0.2, 2, "acr", seed=1)
-    model = train(corpus)
-    _save(model, path)
-    return model
-
-
 def test_model_file_round_trip(tmp_path):
     d = labeled(140, 5, seed=20)
     corpus = build_corpus(d, PredictorSpec.raps(0.1, 2), 0.1, 3, "chr", bins=6, seed=9)
@@ -368,66 +363,18 @@ def test_model_file_round_trip(tmp_path):
     assert b"\nlayers=6,1\n" in data and data.endswith(
         np.append(model.weights, model.bias).astype("<f8").tobytes()
     )
-    back = load_model(path)
-    assert back.d == model.d
-    assert back.extractor_id == model.extractor_id
-    assert back.spec == model.spec
-    assert back.final_loss == model.final_loss
-    np.testing.assert_array_equal(back.weights, model.weights)
-    assert back.bias == model.bias
-    target = unlabeled(30, 5, seed=21)
-    assert predict_tau(back, target) == predict_tau(model, target)
-
-
-def test_model_file_rejects_truncated_blob(tmp_path):
-    path = tmp_path / "model.bin"
-    _small_model_file(path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(ValueError):
-        load_model(path)
-
-
-def test_model_file_missing_header_key_names_file_and_key(tmp_path):
-    path = tmp_path / "model.bin"
-    _small_model_file(path)
-    data = path.read_bytes()
-    start = data.index(b"\nextractor=") + 1
-    path.write_bytes(data[:start] + data[data.index(b"\n", start) + 1 :])
-    with pytest.raises(ValueError, match=r"model\.bin missing key 'extractor'"):
-        load_model(path)
-
-
-def _header_line(data: bytes, key: bytes) -> tuple[int, int]:
-    start = data.index(b"\n" + key + b"=") + 1
-    return start, data.index(b"\n", start)
-
-
-@pytest.mark.parametrize(
-    "key, value, message",
-    [
-        (b"blob_bytes", b"abc", "invalid literal for int() with base 10: 'abc'"),
-        (b"blob_bytes", b"8", "header says 8"),
-        (b"extractor", b"acr\xff", "can't decode byte 0xff"),
-        (b"extractor", b"zzz", "extractor must be one of"),
-        (b"feat_mean", b"0.5,0.5", "feat_mean has 2 and feat_std 1 entries for 1 inputs"),
-        (b"feat_std", b"", "could not convert string to float: ''"),
-        (b"layers", b"1", "layers must be d,1 with d >= 1 inputs, got 1"),
-        (b"layers", b"0,1", "layers must be d,1 with d >= 1 inputs, got 0,1"),
-        (b"layers", b"1,64,1", "layers must be d,1 with d >= 1 inputs, got 1,64,1"),
-        (b"layers", b"2,1", "blob has 16 bytes, 2 weights and a bias need 24"),
-    ],
-)
-def test_model_file_errors_name_the_file(tmp_path, key, value, message):
-    path = tmp_path / "model.bin"
-    _small_model_file(path)
-    data = path.read_bytes()
-    start, end = _header_line(data, key)
-    path.write_bytes(data[: start + len(key) + 1] + value + data[end:])
-    with pytest.raises(ValueError) as info:
-        load_model(path)
-    assert str(info.value).startswith(f"{path}: ")
-    assert message in str(info.value)
+    # the header runs from the magic line to its blob_bytes line, in
+    # FORMATS.md's key order; the blob is all that follows
+    end = data.index(b"\n", data.index(b"\nblob_bytes=") + 1) + 1
+    magic, _, header = data[:end].decode().partition("\n")
+    kv = parse_kv(header.splitlines())
+    assert (magic, kv["offset_base"]) == ("CSHIFTMLP1", "none")
+    assert list(kv) == [
+        "layers", "extractor", "predictor", "lambda", "kreg", "alpha", "n_classes",
+        "offset_base", "final_loss", "feat_mean", "feat_std", "blob_bytes",
+    ]
+    assert int(kv["blob_bytes"]) == len(data) - end == 8 * (model.d + 1)
+    assert float(kv["final_loss"]) == model.final_loss
 
 
 class _FailingFloat:
@@ -437,7 +384,7 @@ class _FailingFloat:
 
 def test_failed_model_save_keeps_the_old_file(tmp_path):
     path = tmp_path / "model.bin"
-    model = _small_model_file(path)
+    _save(train(build_corpus(labeled(100, 3, seed=22), TPS, 0.2, 2, "acr", seed=1)), path)
     before = path.read_bytes()
     # the weights fail to convert after the header is written
     other = train(build_corpus(labeled(100, 3, seed=23), TPS, 0.2, 2, "acr", seed=2))
@@ -446,4 +393,3 @@ def test_failed_model_save_keeps_the_old_file(tmp_path):
         _save(other, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
-    assert load_model(path).final_loss == model.final_loss

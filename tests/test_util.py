@@ -14,9 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import labeled
 from cshift.conformal import PredictorSpec, Threshold, load_threshold
-from cshift.regression import build_corpus, load_model, train, write_model
 from cshift import util
 from cshift.util import (
     ceil_count,
@@ -24,7 +22,6 @@ from cshift.util import (
     format_float,
     format_kv,
     read_kv,
-    replacing,
     row_uniforms,
 )
 
@@ -168,28 +165,23 @@ def test_kv_rejects_missing_separator(tmp_path):
 
 @pytest.fixture(scope="module")
 def intact_files(tmp_path_factory):
-    """Bytes of one threshold, config and model file, each with its reader."""
+    """Bytes of one threshold and one config file, each with its reader."""
     d = tmp_path_factory.mktemp("intact")
     threshold = Threshold(0.93, 0.1, PredictorSpec.raps(0.1, 2), "calibrate:raps:n=100:alpha=0.1")
     (d / "thr").write_text(format_kv(threshold.to_kv()))
     (d / "cfg").write_text("# run\ncal=cal.csv\npredictor=raps\nlambda=0.1\nkreg=2\nalpha=0.1\n")
-    corpus = build_corpus(labeled(100, 3, seed=22), PredictorSpec.tps(), 0.2, 2, "acr", seed=1)
-    with replacing(d / "model") as fh:
-        write_model(train(corpus), fh)
-    readers = {"thr": load_threshold, "cfg": read_kv, "model": load_model}
+    readers = {"thr": load_threshold, "cfg": read_kv}
     return d, {name: ((d / name).read_bytes(), read) for name, read in readers.items()}
 
 
-@pytest.mark.parametrize("name", ["thr", "cfg", "model"])
+@pytest.mark.parametrize("name", ["thr", "cfg"])
 @settings(max_examples=150)
 @given(data=st.data())
 def test_corrupted_files_load_or_fail_naming_the_file(intact_files, name, data):
     d, files = intact_files
     raw, read = files[name]
     read(d / name)
-    header = raw.index(b"\n", raw.find(b"\nblob_bytes=") + 1) + 1 if name == "model" else len(raw)
-    # half the positions fall in the model's header, where the parser works
-    pos = data.draw(st.one_of(st.integers(0, header - 1), st.integers(0, len(raw) - 1)))
+    pos = data.draw(st.integers(0, len(raw) - 1))
     if data.draw(st.booleans()):
         mutated = raw[:pos]
     else:
