@@ -26,11 +26,21 @@ per CPU of the affinity mask at once, in this process and in workers
 forked from it, as many at once as hold at most ``MAX_DRAWS`` draws
 together; elsewhere all in this process. It writes the same rows,
 summary, warnings and errors as one loop over the trials would.
+
+The process entry :func:`run` keeps freed memory in the process: under
+glibc it raises the heap-trim threshold to 128 MiB and the mmap
+threshold to 32 MiB (:func:`keep_freed_memory`) before the command runs,
+and the forked ``simulate`` workers inherit it. Otherwise glibc hands the
+freed top of each heap back to the kernel, and the next ``simulate``
+trial or ``evaluate`` row block faults the same pages in again. An
+environment that sets either threshold itself keeps its values, and
+:func:`main` leaves malloc as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import math
 import os
@@ -288,6 +298,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse's own drops an OSError from the write, which is where an
+        # unbuffered stdout fails (a buffered one fails at exit's flush)
+        if message:
+            (file or sys.stderr).write(message)
+
     def exit(self, status=0, message=None):
         # --help's text is flushed here, inside main, so that a stdout that
         # cannot be written fails like any other command
@@ -437,10 +453,39 @@ def main(argv=None) -> int:
         return getattr(exc, "exit_code", 2)
 
 
+# mallopt's parameter numbers, from glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory() -> bool:
+    """Under glibc, set ``M_TRIM_THRESHOLD`` to 128 MiB and
+    ``M_MMAP_THRESHOLD`` to 32 MiB, so that freed trial arrays and row-block
+    temporaries stay in the heap for the next trial or block instead of
+    being trimmed and faulted in again. True if it set them; False off
+    glibc, or where the environment sets either threshold."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not this name
+        glibc = None
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if (not glibc or "MALLOC_TRIM_THRESHOLD_" in os.environ
+            or "MALLOC_MMAP_THRESHOLD_" in os.environ
+            or "glibc.malloc.trim_threshold" in tunables
+            or "glibc.malloc.mmap_threshold" in tunables):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    return True
+
+
 def run() -> None:
     """Exit with :func:`main`'s code: the entry point of ``python -m
-    cshift.cli`` and of the ``cshift`` script. Freezing the collector first
+    cshift.cli`` and of the ``cshift`` script. It sets the malloc policy of
+    :func:`keep_freed_memory` first; freezing the collector at the end
     spares the interpreter's final sweeps numpy's objects."""
+    keep_freed_memory()
     code = main()
     try:
         sys.stdout.flush()

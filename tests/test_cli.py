@@ -1342,15 +1342,78 @@ def test_a_stdout_on_a_full_device_exits_2_with_one_error_line(tmp_path):
     _cal_csv(tmp_path / "cal.csv", n=120)
     calibrate = ["calibrate", "--predictor", "tps", "--alpha", "0.1", "--cal", "cal.csv",
                  "--out", "thr.txt"]
-    # buffered, as a terminal-less stdout is by default, so that the first
-    # write to the device happens at a flush
+    # buffered, as a terminal-less stdout is by default, the first write to
+    # the device happens at a flush; unbuffered, at the write itself
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(SRC))
-    # --help's text, printed as argparse exits, fails the same way
-    for argv in (calibrate, ["--help"], ["calibrate", "--help"]):
-        with open("/dev/full", "w") as full:
-            run = subprocess.run([sys.executable, "-m", "cshift.cli", *argv], env=env,
-                                 cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True,
-                                 timeout=60)
-        assert (run.returncode, run.stderr) == (2, "error: [Errno 28] No space left on device\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv"]
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        # --help's text, printed as argparse exits, fails the same way
+        for argv in (calibrate, ["--help"], ["calibrate", "--help"]):
+            with open("/dev/full", "w") as full:
+                run = subprocess.run([sys.executable, "-m", "cshift.cli", *argv],
+                                     env={**env, **unbuffered}, cwd=tmp_path, stdout=full,
+                                     stderr=subprocess.PIPE, text=True, timeout=60)
+            message = "error: [Errno 28] No space left on device\n"
+            assert (run.returncode, run.stderr) == (2, message), (unbuffered, argv)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv"]
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# every spelling by which an environment sets a threshold that the policy sets
+MALLOC_ENV = [("MALLOC_TRIM_THRESHOLD_", "0"), ("MALLOC_MMAP_THRESHOLD_", "65536"),
+              ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0"),
+              ("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=65536")]
+
+
+def _policy_python(code, **env):
+    """Run ``code`` in a fresh interpreter on ``src``, with none of the
+    environment's malloc thresholds unless given."""
+    names = {name for name, _ in MALLOC_ENV}
+    env = {**{k: v for k, v in os.environ.items() if k not in names}, **env}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc policy applies under glibc only")
+def test_the_malloc_policy_keeps_evaluate_from_faulting_its_blocks_in_again():
+    # a 2000 x 1000 aps evaluate runs row blocks on every CPU; without the
+    # policy glibc trims each block's freed temporaries, and five evaluates
+    # then fault in 2-37k pages (on 2 CPUs and on 1), against at most a few
+    # hundred with it
+    code = """if True:
+        import resource
+        import numpy as np
+        from cshift import cli
+        from cshift.conformal import PredictorSpec, Threshold, evaluate
+        from cshift.scores import LabeledDataset, ScoreMatrix
+        applied = cli.keep_freed_memory()
+        rng = np.random.default_rng(0)
+        values = rng.random((2000, 1000))
+        values /= values.sum(axis=1, keepdims=True)
+        test = LabeledDataset(ScoreMatrix(values), rng.integers(0, 1000, 2000))
+        threshold = Threshold(tau=0.9, alpha=0.1, spec=PredictorSpec("aps"))
+        evaluate(threshold, test, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed in range(1, 6):
+            evaluate(threshold, test, seed=seed)
+        print(applied, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    run = _policy_python(code)
+    assert run.returncode == 0, run.stderr
+    applied, faults = run.stdout.split()
+    assert applied == "True"
+    assert int(faults) <= 2000
+
+
+@pytest.mark.parametrize("name, value", MALLOC_ENV)
+def test_an_environment_that_sets_a_malloc_threshold_keeps_it(name, value):
+    run = _policy_python("from cshift import cli; print(cli.keep_freed_memory())",
+                         **{name: value})
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
