@@ -67,7 +67,7 @@ def main():
     for log_t in (-0.6, -0.2, 0.2, 0.5, 0.9):
         shifted = temperature_scale(source_values, math.exp(log_t))
         target = UnlabeledDataset(ScoreMatrix(shifted))
-        tau_hat = predict_tau(model, target, source_ref=source)
+        tau_hat = predict_tau(model, target)
         # the oracle cheats: it uses the labels deployment would not have
         revealed = LabeledDataset(ScoreMatrix(shifted), source.labels)
         tau_star = calibrate(spec, revealed, ALPHA, seed=0).tau

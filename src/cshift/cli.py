@@ -241,7 +241,7 @@ def cmd_baseline(args, output) -> int:
     write_model(model, output(args.model_out))
     if args.target is not None:
         target = load_dataset(args.target)
-        tau = predict_tau(model, target, source_ref=cal)
+        tau = predict_tau(model, target)
         tag = f"baseline:{args.extractor}:alpha={format_float(args.alpha)}"
         method = f"baseline-{args.extractor}"
         threshold = Threshold(tau=tau, alpha=args.alpha, spec=spec, source_tag=tag, method=method)

@@ -66,11 +66,11 @@ def quantile_q(data: Dataset, c: float) -> float:
     """Level-c confidence quantile of a dataset: the ceil(c * n)-th smallest
     top confidence.
 
-    ``c`` must lie in (0, 1]. Levels below 1/n fall back to the first order
-    statistic with a warning.
+    ``c`` must lie in [0, 1]. Levels below 1/n, 0 included, fall back to the
+    first order statistic with a warning.
     """
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1], got {c}")
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"quantile level must lie in [0, 1], got {c}")
     s = data.scores.sorted_top
     n = s.size
     if c * n < 1.0 - 1e-9:
@@ -124,7 +124,7 @@ def estimate_tau_qtc_st(source: Calibrator, target: Dataset, alpha: float) -> Qt
     """Self-trained variant: shift the calibrated threshold itself.
 
     The source threshold tau at alpha is read as a quantile level (for raps,
-    divided by the maximal tau so it lands in (0, 1]), translated through
+    divided by the maximal tau so it lands in [0, 1]), translated through
     the source confidence quantile, and re-measured on the target; the raps
     scale factor is applied back to the result. Saturated source
     calibrations are rejected: the shifted threshold is undefined there.

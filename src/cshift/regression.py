@@ -6,8 +6,6 @@ synthetic family: temperature scaling of the score rows followed by a
 label-preserving Dirichlet jitter. Feature extractors:
 
 * ``acr``: mean top confidence (d = 1).
-* ``dcr``: ``acr`` minus the source's ``acr``; the regression target is the
-  threshold offset rather than the threshold (d = 1).
 * ``chr``: normalized histogram of top confidence over ``bins`` equal bins
   of [0, 1]; a value exactly on an interior edge counts toward the upper
   bin and the last bin is closed at 1 (d = bins).
@@ -39,8 +37,9 @@ from .qtc import top_confidences
 from .scores import Dataset, LabeledDataset, ScoreMatrix
 from .util import derive_seed, format_float, format_kv
 
-# The file is laid out as an MLP with no hidden layer (``layers=d,1``), so
-# readers of the MLP layout read it unchanged.
+# The file is laid out as an MLP with no hidden layer (``layers=d,1``) and
+# keeps the ``offset_base=none`` line of that layout, so readers of it read
+# the file unchanged.
 MODEL_MAGIC = b"CSHIFTMLP1"
 
 
@@ -54,27 +53,15 @@ def _confidence_histogram(confidences: np.ndarray, bins: int) -> np.ndarray:
     return counts / confidences.size
 
 
-def extract_features(
-    data: Dataset,
-    extractor: str,
-    bins: int = 10,
-    source_ref: Dataset | None = None,
-) -> np.ndarray:
+def extract_features(data: Dataset, extractor: str, bins: int = 10) -> np.ndarray:
     """Summarize a dataset's scores for threshold regression, as a 1-D
-    float64 array of the extractor's d entries.
-
-    ``source_ref`` is required for ``dcr`` and ignored otherwise. Labels
-    are never consulted.
+    float64 array of the extractor's d entries. Labels are never consulted.
     """
     if extractor not in util.EXTRACTORS:
         raise ValueError(f"extractor must be one of {util.EXTRACTORS}, got {extractor!r}")
     conf = top_confidences(data)
     if extractor == "acr":
         values = np.array([conf.mean()])
-    elif extractor == "dcr":
-        if source_ref is None:
-            raise ValueError("dcr requires a source reference dataset")
-        values = np.array([conf.mean() - top_confidences(source_ref).mean()])
     elif extractor in ("chr", "chr-minus"):
         if bins < 2:
             raise ValueError(f"{extractor} needs bins >= 2, got {bins}")
@@ -153,7 +140,6 @@ class RegressionCorpus:
     spec: PredictorSpec
     alpha: float
     n_classes: int
-    offset_base: float | None = None
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[0] != self.targets.shape[0]:
@@ -183,15 +169,15 @@ def build_corpus(
 
     Entry 0 is always the identity shift (temperature 1, no jitter), so its
     target is the source's own calibrated tau. Log-temperatures are uniform
-    on [-1, 1] and Dirichlet concentrations uniform on [5, 100]. Entries
-    whose calibration saturates are dropped with a warning; an empty corpus
-    is an error.
+    on [-1, 1] and Dirichlet concentrations uniform on [5, 100]. Whether a
+    calibration saturates depends only on alpha and n, which every entry
+    shares, so a saturated entry 0 means an empty corpus, an error raised
+    before any shifted copy is made.
     """
     if n_shifts < 1:
         raise ValueError(f"empty corpus: n_shifts must be >= 1, got {n_shifts}")
     feature_rows = []
     targets = []
-    offset_base = None
     for j in range(n_shifts):
         if j == 0:
             shifted = source
@@ -202,20 +188,11 @@ def build_corpus(
             shifted = synthetic_shift(source, log_t, kappa, derive_seed(seed, f"jitter-{j}"))
         threshold = calibrate(spec, shifted, alpha, derive_seed(seed, f"cal-{j}"))
         if threshold.is_saturated:
-            warnings.warn(f"corpus entry {j}: calibration saturated; dropped", stacklevel=2)
-            if j == 0 and extractor == "dcr":
-                raise ValueError("dcr needs an unsaturated identity entry for its offset base")
-            continue
-        if j == 0:
-            offset_base = threshold.tau
-        feature = extract_features(shifted, extractor, bins, source_ref=source)
-        target = threshold.tau
-        if extractor == "dcr":
-            target -= offset_base
-        feature_rows.append(feature)
-        targets.append(target)
-    if not feature_rows:
-        raise ValueError("empty corpus: every entry's calibration saturated")
+            raise ValueError(
+                f"empty corpus: alpha={alpha:g} saturates every entry's calibration at n={source.n}"
+            )
+        feature_rows.append(extract_features(shifted, extractor, bins))
+        targets.append(threshold.tau)
     return RegressionCorpus(
         features=np.array(feature_rows),
         targets=np.array(targets),
@@ -223,7 +200,6 @@ def build_corpus(
         spec=spec,
         alpha=alpha,
         n_classes=source.L,
-        offset_base=offset_base if extractor == "dcr" else None,
     )
 
 
@@ -284,7 +260,6 @@ class LinearRegressor:
     alpha: float
     n_classes: int
     final_loss: float
-    offset_base: float | None = None
 
     @property
     def d(self) -> int:
@@ -323,32 +298,26 @@ def train(corpus: RegressionCorpus) -> LinearRegressor:
         spec=corpus.spec,
         alpha=corpus.alpha,
         n_classes=corpus.n_classes,
-        offset_base=corpus.offset_base,
         final_loss=float(np.mean(residual**2)),
     )
 
 
-def predict_tau(
-    model: LinearRegressor, target: Dataset, source_ref: Dataset | None = None
-) -> float:
+def predict_tau(model: LinearRegressor, target: Dataset) -> float:
     """Predicted threshold for a target's scores, clamped to the valid range.
 
     The features come from the model's own extractor; ``chr`` has the
-    model's input size d as its bin count and ``chr-minus`` d + 1.
-    ``source_ref`` is required for ``dcr`` models, whose stored offset base
-    is added back before clamping. A target whose features have another
-    size than the model's input (a ``pcr`` model given another class count)
-    is rejected.
+    model's input size d as its bin count and ``chr-minus`` d + 1. The
+    model and the target are all it needs: no extractor reads the source.
+    A target whose features have another size than the model's input (a
+    ``pcr`` model given another class count) is rejected.
     """
     bins = model.d + 1 if model.extractor_id == "chr-minus" else model.d
-    feature = extract_features(target, model.extractor_id, bins, source_ref)
+    feature = extract_features(target, model.extractor_id, bins)
     if feature.size != model.d:
         raise ValueError(f"feature dimension {feature.size} does not match model input {model.d}")
     x = (feature - model.feat_mean) / model.feat_std
     with _one_blas_thread():
         out = float(x @ model.weights) + model.bias
-    if model.offset_base is not None:
-        out += model.offset_base
     return float(np.clip(out, 0.0, max_tau(model.spec, model.n_classes)))
 
 
@@ -368,7 +337,7 @@ def write_model(model: LinearRegressor, fh) -> None:
         **model.spec.to_kv(),
         "alpha": float(model.alpha),
         "n_classes": model.n_classes,
-        "offset_base": "none" if model.offset_base is None else float(model.offset_base),
+        "offset_base": "none",
         "final_loss": float(model.final_loss),
         "feat_mean": _floats(model.feat_mean),
         "feat_std": _floats(model.feat_std),

@@ -34,7 +34,7 @@ _CEIL_SNAP = 1e-9
 
 # The feature extractors of cshift.regression, named here so that the CLI
 # can list them without importing that module.
-EXTRACTORS = ("acr", "dcr", "chr", "chr-minus", "pcr")
+EXTRACTORS = ("acr", "chr", "chr-minus", "pcr")
 
 
 class CodedError(Exception):

@@ -18,6 +18,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -343,6 +344,48 @@ def test_qtc_st_on_saturated_source_exits_3(tmp_path, capsys):
     )
     assert rc == 3
     assert "saturat" in capsys.readouterr().err
+
+
+def _zero_tau_source_and_target(tmp_path):
+    """A tps source whose threshold is 0 at alpha 0.1 to 0.3: 19 one-hot
+    rows of the right class and one of top confidence 0.7, against a target
+    of top confidences 0.8 and 0.55, ten rows each."""
+    src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+    write_csv(src, np.array([[1.0, 0.0]] * 19 + [[0.3, 0.7]]), [0] * 19 + [1])
+    write_csv(tgt, np.array([[0.8, 0.2]] * 10 + [[0.55, 0.45]] * 10))
+    return src, tgt
+
+
+def test_qtc_st_on_a_zero_source_threshold_reads_the_first_order_statistic(tmp_path):
+    # tau 0 is the quantile level 0: the source's least top confidence, 0.7,
+    # which half the target falls below
+    src, tgt = _zero_tau_source_and_target(tmp_path)
+    out = tmp_path / "thr.txt"
+    argv = ["recalibrate", "--predictor", "tps", "--alpha", "0.1", "--method", "qtc-st",
+            "--source", str(src), "--target", str(tgt), "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught] == [
+        "quantile level 0 is below 1/n for n=20; using the first order statistic"
+    ]
+    assert load_threshold(out).tau == 0.5
+    assert read_kv(f"{out}.qtc")["q"] == "0.7"
+
+
+def test_qtc_st_grid_through_a_zero_source_threshold(tmp_path):
+    src, tgt = _zero_tau_source_and_target(tmp_path)
+    out = tmp_path / "grid.csv"
+    argv = ["recalibrate", "--predictor", "tps", "--alpha", "0.1:0.3:0.1", "--method", "qtc-st",
+            "--source", str(src), "--target", str(tgt), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "quantile level 0 is below 1/n", UserWarning)
+        assert main(argv) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "qtc-st,tps,0.1,0.5,0.7,0.5,0",
+        "qtc-st,tps,0.2,0.5,0.7,0.5,0",
+        "qtc-st,tps,0.3,0.5,0.7,0.5,0",
+    ]
 
 
 # --- evaluate ---
@@ -686,6 +729,19 @@ def test_baseline_zero_shifts_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(
         "error: argument --shifts: must be an integer >= 1, got 0\n"
     )
+
+
+def test_baseline_at_a_saturating_alpha_exits_2_with_one_line_and_no_files(tmp_path):
+    # every corpus entry has the source's n, so the identity entry's
+    # saturation ends the command before a shifted copy is calibrated
+    _cal_csv(tmp_path / "cal.csv", n=60)  # ceil(0.99 * 61) = 61 > 60
+    _unlabeled_csv(tmp_path / "tgt.csv", n=40)
+    run = _python(["-m", "cshift.cli", "baseline", "--cal", "cal.csv", "--predictor", "tps",
+                   "--alpha", "0.01", "--extractor", "acr", "--target", "tgt.csv",
+                   "--model-out", "m"], cwd=tmp_path)
+    message = "error: empty corpus: alpha=0.01 saturates every entry's calibration at n=60\n"
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv", "tgt.csv"]
 
 
 # --- simulate ---
@@ -1181,6 +1237,7 @@ _BASELINE_REQUIRED = ["baseline", "--cal", "c", "--predictor", "tps", "--alpha",
         (["baseline", "--shifts", "1001"], "argument --shifts: must be an integer <= 1000, got 1001"),
         (["baseline", "--shifts", "-2"], "argument --shifts: must be an integer >= 1, got -2"),
         (["baseline", "--shifts", "9.5"], "argument --shifts: invalid int value: '9.5'"),
+        (["baseline", "--extractor", "dcr"], "argument --extractor: invalid choice: 'dcr'"),
     ],
 )
 def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):

@@ -83,17 +83,18 @@ def test_quantile_q_order_statistics():
 
 def test_quantile_q_rejects_bad_c():
     d = unlabeled(5, 3, seed=1)
-    with pytest.raises(ValueError):
-        quantile_q(d, 0.0)
-    with pytest.raises(ValueError):
-        quantile_q(d, 1.1)
+    for c in (-0.1, 1.1):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            quantile_q(d, c)
 
 
 def test_quantile_q_warns_below_first_order_statistic():
     d = unlabeled(5, 3, seed=2)
-    with pytest.warns(UserWarning):
-        v = quantile_q(d, 0.05)  # 0.05 * 5 < 1, floored to the minimum
-    assert v == pytest.approx(top_confidences(d).min())
+    # c * 5 < 1, floored to the minimum; level 0 is the limit from above
+    for c in (0.05, 0.0):
+        with pytest.warns(UserWarning, match="below 1/n"):
+            v = quantile_q(d, c)
+        assert v == top_confidences(d).min()
 
 
 @pytest.mark.parametrize(

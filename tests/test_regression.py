@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,17 +36,6 @@ def test_acr_hand_example():
     f = extract_features(_unlabeled_rows([[0.9, 0.1], [0.7, 0.3]]), "acr")
     assert f.tolist() == [pytest.approx(0.8)]
     assert f.dtype == np.float64 and f.shape == (1,)
-
-
-def test_dcr_self_difference_is_zero():
-    d = unlabeled(9, 3, seed=1)
-    f = extract_features(d, "dcr", source_ref=d)
-    assert f[0] == 0.0
-
-
-def test_dcr_requires_reference():
-    with pytest.raises(ValueError, match="source"):
-        extract_features(unlabeled(5, 3, seed=2), "dcr")
 
 
 def test_chr_hand_example():
@@ -91,7 +81,7 @@ def test_pcr_per_class_means_with_empty_fallback():
 
 
 def test_unknown_extractor_rejected():
-    message = "extractor must be one of ('acr', 'dcr', 'chr', 'chr-minus', 'pcr'), got 'mean'"
+    message = "extractor must be one of ('acr', 'chr', 'chr-minus', 'pcr'), got 'mean'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         extract_features(unlabeled(3, 2, seed=0), "mean")
 
@@ -111,10 +101,9 @@ def test_extractors_ignore_row_order(seed):
     perm = np.random.default_rng(seed).permutation(13)
     a = UnlabeledDataset(ScoreMatrix(v))
     b = UnlabeledDataset(ScoreMatrix(v[perm]))
-    ref = unlabeled(6, 4, seed=5)
-    for extractor in ("acr", "dcr", "chr", "chr-minus", "pcr"):
-        fa = extract_features(a, extractor, bins=5, source_ref=ref)
-        fb = extract_features(b, extractor, bins=5, source_ref=ref)
+    for extractor in ("acr", "chr", "chr-minus", "pcr"):
+        fa = extract_features(a, extractor, bins=5)
+        fb = extract_features(b, extractor, bins=5)
         np.testing.assert_allclose(fa, fb, atol=1e-15)
 
 
@@ -159,19 +148,19 @@ def test_corpus_rejects_zero_shifts():
         build_corpus(d, TPS, 0.1, n_shifts=0, extractor="acr")
 
 
-def test_corpus_dcr_targets_are_offsets():
-    d = labeled(250, 5, seed=12)
-    corpus = build_corpus(d, TPS, 0.1, n_shifts=4, extractor="dcr", seed=6)
-    assert corpus.offset_base is not None
-    assert corpus.targets[0] == pytest.approx(0.0)
-    assert corpus.features[0, 0] == pytest.approx(0.0)
-
-
-def test_corpus_drops_saturated_entries():
+def test_corpus_drops_saturated_entries(monkeypatch):
     d = labeled(6, 3, seed=13)
-    # alpha so small every calibration saturates at n=6
-    with pytest.raises(ValueError, match="empty corpus"):
-        build_corpus(d, TPS, 0.01, n_shifts=3, extractor="acr", seed=0)
+    # alpha so small every calibration saturates at n=6; every entry has that
+    # n, so the identity entry's saturation ends the corpus before any
+    # shifted copy is made, and without a warning per entry
+    monkeypatch.setattr(
+        "cshift.regression.synthetic_shift", lambda *a: pytest.fail("a shifted copy was made")
+    )
+    message = "empty corpus: alpha=0.01 saturates every entry's calibration at n=6"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_corpus(d, TPS, 0.01, n_shifts=3, extractor="acr", seed=0)
 
 
 def _design(model, features):
@@ -209,9 +198,22 @@ def test_fit_residual_is_orthogonal_to_every_design_column(m, d, constant_column
     corpus = _random_corpus(features, rng.uniform(0.0, 1.0, size=m))
     model = train(corpus)
     design = _design(model, features)
-    residual = design @ np.append(model.weights, model.bias) - corpus.targets
+    fitted = design @ np.append(model.weights, model.bias)
+    residual = fitted - corpus.targets
     np.testing.assert_allclose(design.T @ residual, 0.0, rtol=0, atol=1e-12)
     assert model.final_loss == pytest.approx(np.mean(residual**2), rel=1e-12, abs=1e-30)
+    # a constant added to every feature row and another added to the targets
+    # move each fitted threshold by the second: standardizing centers the
+    # first away and the column of ones takes up the second. The two solves
+    # differ by rounding, which the design's conditioning over the singular
+    # values lstsq keeps magnifies
+    shift, offset = rng.uniform(-1.0, 1.0, size=d), rng.uniform(-1.0, 1.0)
+    moved = train(_random_corpus(features + shift, corpus.targets + offset))
+    moved_fitted = _design(moved, features + shift) @ np.append(moved.weights, moved.bias)
+    s = np.linalg.svd(design, compute_uv=False)
+    kept = s[s > np.finfo(float).eps * max(design.shape) * s[0]]
+    cond = kept[0] / kept[-1]
+    np.testing.assert_allclose(moved_fitted, fitted + offset, rtol=0, atol=1e-12 * cond)
 
 
 def test_fit_recovers_a_target_linear_in_the_features():
@@ -257,7 +259,6 @@ def test_duplicated_corpus_trains_identically():
         spec=corpus.spec,
         alpha=corpus.alpha,
         n_classes=corpus.n_classes,
-        offset_base=corpus.offset_base,
     )
     a = train(corpus)
     b = train(doubled)
@@ -302,7 +303,7 @@ def test_baseline_beats_the_uncalibrated_source_tau_under_a_margin_shift():
         kept = np.mean([abs(source_tau - tau) for _, tau in targets])
         for extractor in ("chr", "pcr"):
             model = train(build_corpus(source, TPS, 0.1, 90, extractor, seed=source_seed))
-            fitted = np.mean([abs(predict_tau(model, t, source_ref=source) - tau) for t, tau in targets])
+            fitted = np.mean([abs(predict_tau(model, t) - tau) for t, tau in targets])
             assert fitted < kept, (source_seed, extractor, fitted, kept)
 
 
@@ -316,7 +317,6 @@ def test_zero_weight_model_outputs_bias():
         spec=TPS,
         alpha=0.1,
         n_classes=4,
-        offset_base=None,
         final_loss=0.0,
     )
     assert model.d == 1
@@ -328,16 +328,16 @@ def test_zero_weight_model_outputs_bias():
     assert predict_tau(model, target) == 0.0
 
 
-@pytest.mark.parametrize("extractor", ["acr", "dcr", "chr", "chr-minus", "pcr"])
+@pytest.mark.parametrize("extractor", ["acr", "chr", "chr-minus", "pcr"])
 def test_predict_uses_the_models_extractor_and_bins(extractor):
     source = labeled(120, 4, seed=19)
     corpus = build_corpus(source, TPS, 0.1, n_shifts=3, extractor=extractor, bins=6, seed=0)
     model = train(corpus)
     target = unlabeled(50, 4, seed=23)
-    feature = extract_features(target, extractor, 6, source_ref=source)
+    feature = extract_features(target, extractor, 6)
     x = (feature - model.feat_mean) / model.feat_std
-    out = float(x @ model.weights) + model.bias + (model.offset_base or 0.0)
-    assert predict_tau(model, target, source_ref=source) == np.clip(out, 0.0, 1.0)
+    out = float(x @ model.weights) + model.bias
+    assert predict_tau(model, target) == np.clip(out, 0.0, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:pcr")
