@@ -115,6 +115,16 @@ def parse_alpha_grid(text: str) -> list[float]:
     return [level(format_float(v)) for v in values]
 
 
+def alpha_grid(text: str) -> float | list[float]:
+    """One level, or the inclusive grid ``start:stop:step`` as a list
+    (:func:`parse_alpha_grid`), as an argparse ``type=``: the syntax, not
+    the point count, tells a grid, and a bad one is a usage error."""
+    try:
+        return parse_alpha_grid(text) if ":" in text else level(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def level(text: str) -> float:
     """One miscoverage level in (0, 1). As an argparse ``type=``, its name
     is what a rejection says: ``invalid level value: '0'``."""
@@ -176,7 +186,7 @@ def cmd_calibrate(args, output) -> int:
     threshold = calibrate(spec, cal, args.alpha, derive_seed(args.seed, "calibrate"))
     output(args.out).write(format_kv(threshold.to_kv()).encode())
     print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
-    if threshold.is_saturated:
+    if threshold.saturated:
         print("warning: calibration saturated", file=sys.stderr)
         return 3
     return 0
@@ -184,23 +194,22 @@ def cmd_calibrate(args, output) -> int:
 
 def cmd_recalibrate(args, output) -> int:
     spec = PredictorSpec(args.predictor, args.lam, args.kreg)
-    alphas = parse_alpha_grid(args.alpha)
     source = _load_labeled(args.source)
     target = load_dataset(args.target)
     calibrator = Calibrator(spec, source, derive_seed(args.seed, "recalibrate"))
-    if len(alphas) == 1:
-        threshold, est = recalibrate(calibrator, target, alphas[0], args.method)
+    if not isinstance(args.alpha, list):
+        threshold, est = recalibrate(calibrator, target, args.alpha, args.method)
         output(args.out).write(format_kv(threshold.to_kv()).encode())
         output(f"{args.out}.qtc").write(format_kv(est.to_kv()).encode())
         print(f"tau={format_float(threshold.tau)} alpha={format_float(threshold.alpha)}")
         return 0
     fh = output(args.out)
     fh.write(b"method,predictor,alpha,tau,q,estimate,seed\n")
-    for alpha in alphas:
+    for alpha in args.alpha:
         threshold, est = recalibrate(calibrator, target, alpha, args.method)
         fields = map(format_float, [alpha, threshold.tau, est.q_threshold, est.value])
         fh.write((",".join([args.method, spec.kind, *fields, str(args.seed)]) + "\n").encode())
-    print(f"wrote {len(alphas)} rows to {args.out}")
+    print(f"wrote {len(args.alpha)} rows to {args.out}")
     return 0
 
 
@@ -241,10 +250,8 @@ def cmd_baseline(args, output) -> int:
     write_model(model, output(args.model_out))
     if args.target is not None:
         target = load_dataset(args.target)
-        tau = predict_tau(model, target)
-        tag = f"baseline:{args.extractor}:alpha={format_float(args.alpha)}"
         method = f"baseline-{args.extractor}"
-        threshold = Threshold(tau=tau, alpha=args.alpha, spec=spec, source_tag=tag, method=method)
+        threshold = Threshold(predict_tau(model, target), args.alpha, spec, method)
         output(args.pred_out or f"{args.model_out}.tau").write(format_kv(threshold.to_kv()).encode())
         print(f"predicted_tau={format_float(threshold.tau)}")
     return 0
@@ -392,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="labeled source calibration scores")
     p.add_argument("--target", required=True, help="unlabeled target scores")
     add_predictor(p)
-    p.add_argument("--alpha", required=True, help="level or inclusive grid start:stop:step")
+    p.add_argument("--alpha", required=True, type=alpha_grid,
+                   help="level or inclusive grid start:stop:step")
     p.add_argument("--method", choices=METHODS, default="qtc", help="default %(default)s")
     p.add_argument("--out", required=True, help="threshold file (single alpha) or csv (grid)")
 

@@ -18,7 +18,7 @@ Three prediction-set constructions are provided:
 Calibration picks the smallest tau whose calibration-set coverage count
 reaches ``ceil((1 - alpha) * (n + 1))``, realized as that order statistic of
 the per-row conformity scores. When the required count exceeds n the
-threshold saturates at the maximal tau and is flagged in ``source_tag``.
+threshold saturates at the maximal tau and is flagged ``saturated``.
 
 All randomness is counter-based: row i of a dataset always receives the
 same smoothing uniform for a given seed, so results do not depend on
@@ -54,7 +54,6 @@ from .scores import LabeledDataset
 from .util import (
     CodedError,
     ceil_count,
-    format_float,
     map_row_blocks,
     read_kv,
     reading,
@@ -132,39 +131,35 @@ def max_tau(spec: PredictorSpec, n_classes: int) -> float:
 
 @dataclass(frozen=True)
 class Threshold:
-    """A calibrated threshold, the level it was calibrated at and the
-    predictor whose conformity score it thresholds: a threshold file.
+    """A threshold, the miscoverage level alpha it aims at and the predictor
+    whose conformity score it thresholds: a threshold file.
 
-    ``source_tag`` records provenance; a saturated calibration appends
-    ``:saturated`` to it. ``method`` is what produced the threshold:
-    ``none``, a recalibration method or ``baseline-<extractor>``.
+    ``method`` is what produced it: ``none``, a recalibration method or
+    ``baseline-<extractor>``. ``beta`` is the source level that ``qtc`` and
+    ``qtc-sc`` calibrated at, and None for every other method.
+    ``saturated`` marks a calibration whose order statistic lies beyond n.
     """
 
     tau: float
     alpha: float
     spec: PredictorSpec
-    source_tag: str = ""
     method: str = "none"
+    beta: float | None = None
+    saturated: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.beta is not None and not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
-    @property
-    def is_saturated(self) -> bool:
-        return "saturated" in self.source_tag
-
     def to_kv(self) -> dict:
         """The pairs of a threshold file, in file order (see FORMATS.md)."""
-        pairs = {
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "source_tag": self.source_tag,
-            "method": self.method,
-        }
-        return pairs | self.spec.to_kv()
+        beta = {} if self.beta is None else {"beta": self.beta}
+        rest = {"saturated": "true" if self.saturated else "false", "method": self.method}
+        return {"tau": self.tau, "alpha": self.alpha} | beta | rest | self.spec.to_kv()
 
 
 @dataclass(frozen=True)
@@ -349,26 +344,20 @@ class Calibrator:
     def threshold(self, alpha: float) -> Threshold:
         """The k-th smallest calibration conformity score with
         k = ceil((1 - alpha) * (n + 1)); if k > n the threshold saturates at
-        the maximal tau for the predictor and ``source_tag`` gains a
-        ``:saturated`` marker."""
+        the maximal tau for the predictor and is flagged ``saturated``."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         spec, n = self.spec, self.cal.n
         k = max(1, ceil_count((1.0 - alpha) * (n + 1)))
-        tag = f"calibrate:{spec.kind}:n={n}:alpha={format_float(alpha)}"
         if k > n:
-            return Threshold(
-                tau=max_tau(spec, self.cal.L), alpha=alpha, spec=spec, source_tag=tag + ":saturated"
-            )
+            return Threshold(tau=max_tau(spec, self.cal.L), alpha=alpha, spec=spec, saturated=True)
         if self._sorted_scores is None:
             u = _smoothing(spec, n, self.seed)
             # the fresh score array is sorted where it lies, without a copy
             scores = conformity_scores(spec, self.cal.scores.values, self.cal.labels, u)
             scores.sort()
             self._sorted_scores = scores
-        return Threshold(
-            tau=float(self._sorted_scores[k - 1]), alpha=alpha, spec=spec, source_tag=tag
-        )
+        return Threshold(tau=float(self._sorted_scores[k - 1]), alpha=alpha, spec=spec)
 
 
 def calibrate(spec: PredictorSpec, cal: LabeledDataset, alpha: float, seed: int = 0) -> Threshold:
@@ -405,14 +394,20 @@ def evaluate(threshold: Threshold, test: LabeledDataset, seed: int = 0) -> Cover
 
 
 def load_threshold(path) -> Threshold:
-    """The threshold a file records, its predictor and method included;
-    every error, a missing ``predictor`` included, names the file."""
+    """The threshold a file records, its predictor, method, beta and
+    saturation included; every error, a missing ``predictor`` included,
+    names the file. A file without ``saturated`` is not saturated, and
+    keys it does not know (an older file's provenance line) are ignored."""
     kv = read_kv(path)
     with reading(path):
+        saturated = kv.get("saturated", "false")
+        if saturated not in ("true", "false"):
+            raise ValueError(f"saturated must be true or false, got {saturated!r}")
         return Threshold(
             tau=float(kv["tau"]),
             alpha=float(kv["alpha"]),
             spec=PredictorSpec.from_kv(kv),
-            source_tag=kv.get("source_tag", ""),
             method=kv.get("method", "none"),
+            beta=float(kv["beta"]) if "beta" in kv else None,
+            saturated=saturated == "true",
         )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import Calibrator, SaturationError, Threshold, max_tau
 from .scores import Dataset
-from .util import ceil_count, format_float, row_reduce
+from .util import ceil_count, row_reduce
 
 METHODS = ("qtc", "qtc-sc", "qtc-st")
 
@@ -33,22 +33,15 @@ class QtcEstimate:
 
     ``q_threshold`` is the confidence quantile the estimate was computed
     against; it is always an attained top confidence of the dataset it was
-    taken from.
+    taken from. The method and the target alpha are the threshold's.
     """
 
-    method: str
     q_threshold: float
     value: float
-    alpha: float
 
     def to_kv(self) -> dict:
         """The pairs of a ``.qtc`` sidecar, in file order (see FORMATS.md)."""
-        return {
-            "method": self.method,
-            "q": self.q_threshold,
-            "value": self.value,
-            "alpha": self.alpha,
-        }
+        return {"q": self.q_threshold, "value": self.value}
 
 
 def top_confidences(data: Dataset) -> np.ndarray:
@@ -99,7 +92,7 @@ def estimate_beta_qtc(source_cal: Dataset, target: Dataset, alpha: float) -> Qtc
     _check_compatible(source_cal, target)
     q = quantile_q(target, alpha)
     count = _count_below(source_cal, q)
-    return QtcEstimate(method="qtc", q_threshold=q, value=count / source_cal.n, alpha=alpha)
+    return QtcEstimate(q_threshold=q, value=count / source_cal.n)
 
 
 def estimate_beta_qtc_sc(source_cal: Dataset, target: Dataset, alpha: float) -> QtcEstimate:
@@ -112,12 +105,7 @@ def estimate_beta_qtc_sc(source_cal: Dataset, target: Dataset, alpha: float) -> 
     _check_compatible(source_cal, target)
     q = quantile_q(source_cal, 1.0 - alpha)
     below = _count_below(target, q)
-    return QtcEstimate(
-        method="qtc-sc",
-        q_threshold=q,
-        value=(target.n - below) / target.n,
-        alpha=alpha,
-    )
+    return QtcEstimate(q_threshold=q, value=(target.n - below) / target.n)
 
 
 def estimate_tau_qtc_st(source: Calibrator, target: Dataset, alpha: float) -> QtcEstimate:
@@ -131,19 +119,14 @@ def estimate_tau_qtc_st(source: Calibrator, target: Dataset, alpha: float) -> Qt
     """
     _check_compatible(source.cal, target)
     base = source.threshold(alpha)
-    if base.is_saturated:
+    if base.saturated:
         raise SaturationError(
             f"source threshold saturated at tau={base.tau:g}; qtc-st is undefined"
         )
     scale = max_tau(source.spec, source.cal.L)
     q = quantile_q(source.cal, base.tau / scale)
     below = _count_below(target, q)
-    return QtcEstimate(
-        method="qtc-st",
-        q_threshold=q,
-        value=scale * (below / target.n),
-        alpha=alpha,
-    )
+    return QtcEstimate(q_threshold=q, value=scale * (below / target.n))
 
 
 def recalibrate(
@@ -154,17 +137,17 @@ def recalibrate(
 
     ``qtc`` and ``qtc-sc`` estimate a level beta, clamp it to
     [1/(n+1), 1 - 1/(n+1)] so the follow-up calibration cannot saturate,
-    and calibrate on the source at beta. ``qtc-st`` returns the shifted
-    threshold directly, with alpha recorded for provenance. The threshold
-    carries the calibrator's predictor and ``method``. One
-    :class:`~cshift.conformal.Calibrator` serves any number of levels.
+    and calibrate on the source at beta; the threshold records that
+    ``beta``. ``qtc-st`` returns the shifted threshold directly. Either way
+    the threshold records the target ``alpha``, the calibrator's predictor
+    and ``method``. One :class:`~cshift.conformal.Calibrator` serves any
+    number of levels.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "qtc-st":
         est = estimate_tau_qtc_st(source, target, alpha)
-        tag = f"recalibrate:qtc-st:alpha={format_float(alpha)}"
-        return Threshold(est.value, alpha, spec=source.spec, source_tag=tag, method=method), est
+        return Threshold(est.value, alpha, spec=source.spec, method=method), est
     if method == "qtc":
         est = estimate_beta_qtc(source.cal, target, alpha)
     else:
@@ -173,9 +156,5 @@ def recalibrate(
     lo = 1.0 / (n + 1)
     beta = min(max(est.value, lo), 1.0 - lo)
     base = source.threshold(beta)
-    tag = (
-        f"recalibrate:{method}:alpha={format_float(alpha)}"
-        f":beta={format_float(beta)}:{base.source_tag}"
-    )
-    return replace(base, source_tag=tag, method=method), est
+    return replace(base, alpha=alpha, beta=beta, method=method), est
 

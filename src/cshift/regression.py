@@ -187,7 +187,7 @@ def build_corpus(
             kappa = rng.uniform(5.0, 100.0)
             shifted = synthetic_shift(source, log_t, kappa, derive_seed(seed, f"jitter-{j}"))
         threshold = calibrate(spec, shifted, alpha, derive_seed(seed, f"cal-{j}"))
-        if threshold.is_saturated:
+        if threshold.saturated:
             raise ValueError(
                 f"empty corpus: alpha={alpha:g} saturates every entry's calibration at n={source.n}"
             )

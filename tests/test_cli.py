@@ -98,7 +98,7 @@ def test_calibrate_writes_threshold(tmp_path, capsys):
     assert threshold.spec.kind == "tps"
     assert threshold.method == "none"
     assert 0.0 < threshold.tau <= 1.0
-    assert not threshold.is_saturated
+    assert not threshold.saturated
 
 
 def test_missing_input_exits_2_and_names_the_path(tmp_path, capsys):
@@ -149,7 +149,8 @@ def test_calibrate_saturation_writes_threshold_then_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "saturated" in capsys.readouterr().err
     threshold = load_threshold(out)
-    assert threshold.is_saturated
+    assert threshold.saturated
+    assert read_kv(out)["saturated"] == "true"
     assert threshold.tau == 1.0
 
 
@@ -212,7 +213,7 @@ def test_recalibrate_writes_threshold_and_estimate_sidecar(tmp_path):
     assert threshold.spec.kind == "tps"
     assert 0.0 < threshold.tau <= 1.0
     est = read_kv(str(out) + ".qtc")
-    assert est["method"] == "qtc"
+    assert list(est) == ["q", "value"]
     assert 0.0 <= float(est["value"]) <= 1.0
 
 
@@ -318,6 +319,33 @@ def test_recalibrate_grid_row_count(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 7
     assert lines[-1].split(",")[2] == "0.94"
+
+
+def test_recalibrate_one_point_grid_writes_a_one_row_csv(tmp_path, capsys):
+    src, tgt = _source_and_target(tmp_path)
+    out = tmp_path / "g.csv"
+    argv = ["recalibrate", "--predictor", "tps", "--alpha", "0.1:0.1:0.05", "--source", str(src),
+            "--target", str(tgt), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote 1 rows to {out}\n"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "method,predictor,alpha,tau,q,estimate,seed"
+    assert [line.split(",")[:3] for line in lines[1:]] == [["qtc", "tps", "0.1"]]
+    assert not (tmp_path / "g.csv.qtc").exists()
+
+
+def test_recalibrate_qtc_records_the_target_alpha_and_its_beta(tmp_path, capsys):
+    data = Path(__file__).resolve().parent / "data"
+    thr, report = tmp_path / "qtc.thr", tmp_path / "report.csv"
+    assert main(["recalibrate", "--source", str(data / "cal.csv"), "--target",
+                 str(data / "target.csv"), "--predictor", "tps", "--alpha", "0.1",
+                 "--method", "qtc", "--out", str(thr)]) == 0
+    assert capsys.readouterr().out.endswith(" alpha=0.1\n")
+    kv = read_kv(thr)
+    assert (kv["alpha"], kv["beta"], kv["saturated"]) == ("0.1", "0.09", "false")
+    assert main(["evaluate", "--test", str(data / "cal.csv"), "--threshold", str(thr),
+                 "--out", str(report)]) == 0
+    assert report.read_text().splitlines()[1].split(",")[:3] == ["qtc", "tps", "0.1"]
 
 
 def test_qtc_st_on_saturated_source_exits_3(tmp_path, capsys):
@@ -526,6 +554,11 @@ def test_evaluate_raps_threshold_missing_penalty_key_exits_2(tmp_path, capsys, m
         ("tau=abc\nalpha=0.1\npredictor=tps\n", "could not convert string to float: 'abc'"),
         ("tau=nan\nalpha=0.1\npredictor=tps\n", "tau must be finite and >= 0, got nan"),
         (b"tau=0.5\nalpha=0.1\npredictor=tps\xff\n", "can't decode byte 0xff"),
+        ("tau=0.5\nalpha=0.1\nsaturated=yes\npredictor=tps\n",
+         "saturated must be true or false, got 'yes'"),
+        ("tau=0.5\nalpha=0.1\nbeta=abc\npredictor=tps\n",
+         "could not convert string to float: 'abc'"),
+        ("tau=0.5\nalpha=0.1\nbeta=1.5\npredictor=tps\n", "beta must lie in (0, 1), got 1.5"),
     ],
 )
 def test_evaluate_unreadable_threshold_names_the_file_and_exits_2(
@@ -1087,6 +1120,19 @@ def test_config_bad_method_value_rejected(tmp_path, capsys):
     assert "argument --method: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_config_bad_alpha_grid_names_the_line_and_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "recal.cfg"
+    cfg.write_text("alpha=0.1:abc:0.1\n")
+    out = tmp_path / "g.csv"
+    argv = ["recalibrate", "--config", str(cfg), "--predictor", "tps", "--source", "never.csv",
+            "--target", "never.csv", "--out", str(out)]
+    assert main(argv) == 2  # before any input is read
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:1: argument --alpha: could not convert string to float: 'abc'\n"
+    )
+    assert not out.exists()
+
+
 def _defaults(argv):
     args = vars(build_parser().parse_args(argv))
     return {k: v for k, v in args.items() if k not in ("command", "func")}
@@ -1100,7 +1146,7 @@ def test_each_command_gets_its_defaults_from_the_parser():
     assert _defaults(["recalibrate", "--source", "s", "--target", "t", "--predictor", "aps",
                       "--alpha", "0.1", "--out", "o"]) == dict(
         config=None, seed=0, source="s", target="t", predictor="aps", lam=None, kreg=None,
-        alpha="0.1", method="qtc", out="o",
+        alpha=0.1, method="qtc", out="o",
     )
     assert _defaults(["evaluate", "--test", "t", "--threshold", "h", "--out", "o"]) == dict(
         config=None, seed=0, test="t", threshold="h", out="o"

@@ -91,22 +91,22 @@ def test_calibrate_order_statistic_hand_example():
     cal = _two_class_cal([0.9, 0.8, 0.6, 0.4])
     thr = calibrate(TPS, cal, alpha=0.5, seed=0)
     assert thr.tau == pytest.approx(0.4)
-    assert not thr.is_saturated
-    assert "tps" in thr.source_tag and "n=4" in thr.source_tag
+    assert not thr.saturated
+    assert thr.beta is None
 
 
 def test_calibrate_saturates_when_k_exceeds_n():
     cal = _two_class_cal([0.9, 0.8, 0.6, 0.4])
     thr = calibrate(TPS, cal, alpha=0.05, seed=0)
     assert thr.tau == 1.0
-    assert thr.is_saturated
+    assert thr.saturated
 
 
 def test_calibrate_single_row_boundary():
     cal = _two_class_cal([0.7])
     thr = calibrate(TPS, cal, alpha=0.4, seed=0)
     assert thr.tau == 1.0
-    assert thr.is_saturated
+    assert thr.saturated
 
 
 def test_calibrator_scores_once_for_any_level(monkeypatch):
@@ -120,7 +120,7 @@ def test_calibrator_scores_once_for_any_level(monkeypatch):
     for spec in specs:
         calls.clear()
         calibrator = Calibrator(spec, d, seed=4)
-        assert calibrator.threshold(0.001).is_saturated
+        assert calibrator.threshold(0.001).saturated
         assert not calls  # k > n needs no scores
         for alpha in alphas:
             assert calibrator.threshold(alpha) == expected[spec, alpha]
@@ -145,7 +145,7 @@ def test_raps_saturation_uses_penalized_maximum():
     spec = PredictorSpec.raps(0.5, 1)
     cal = labeled(4, 3, seed=0)
     thr = calibrate(spec, cal, alpha=0.01, seed=0)
-    assert thr.is_saturated
+    assert thr.saturated
     assert thr.tau == pytest.approx(1.0 + 0.5 * 2)
     assert max_tau(spec, 3) == pytest.approx(2.0)
 
@@ -157,16 +157,16 @@ def test_raps_with_kreg_equal_to_the_class_count_saturates_at_one(lam, tmp_path)
     spec = PredictorSpec.raps(lam, 3)
     assert max_tau(spec, 3) == 1.0
     thr = calibrate(spec, labeled(4, 3, seed=0), alpha=0.01, seed=0)
-    assert thr.is_saturated
+    assert thr.saturated
     (tmp_path / "thr.kv").write_text(format_kv(thr.to_kv()))
     assert read_kv(tmp_path / "thr.kv")["tau"] == "1.0"
 
 
 def test_threshold_range_validation():
     with pytest.raises(ValueError):
-        Threshold(tau=-0.1, alpha=0.1, spec=TPS, source_tag="x")
+        Threshold(tau=-0.1, alpha=0.1, spec=TPS)
     with pytest.raises(ValueError):
-        Threshold(tau=0.5, alpha=1.0, spec=TPS, source_tag="x")
+        Threshold(tau=0.5, alpha=1.0, spec=TPS)
 
 
 def test_predictor_spec_validation():
@@ -214,9 +214,7 @@ def test_raps_kreg_must_fit_class_count():
 
 def test_evaluate_saturated_threshold_covers_everything():
     d = labeled(50, 4, seed=6)
-    thr = Threshold(
-        tau=1.0, alpha=0.05, spec=TPS, source_tag="calibrate:tps:n=4:alpha=0.05:saturated"
-    )
+    thr = Threshold(tau=1.0, alpha=0.05, spec=TPS, saturated=True)
     rep = evaluate(thr, d, seed=0)
     assert rep.coverage == 1.0
     assert rep.avg_set_size == pytest.approx(4.0)
@@ -231,7 +229,7 @@ def test_empirical_calibration_on_the_calibration_set():
     for spec in (TPS, APS, PredictorSpec.raps(0.05, 2)):
         for alpha in (0.1, 0.25):
             thr = calibrate(spec, d, alpha, seed=21)
-            if thr.is_saturated:
+            if thr.saturated:
                 continue
             k = int(np.ceil((1 - alpha) * (n + 1)))
             rep = evaluate(thr, d, seed=21)
@@ -591,7 +589,7 @@ def test_threshold_file_round_trip(tmp_path):
     back = load_threshold(path)
     assert back.tau == thr.tau
     assert back.alpha == thr.alpha
-    assert back.source_tag == thr.source_tag
+    assert back.saturated == thr.saturated
     assert back.spec == RAPS
     assert back.method == "none"
 
@@ -599,9 +597,17 @@ def test_threshold_file_round_trip(tmp_path):
 @pytest.mark.parametrize("method", ["none", "qtc", "qtc-sc", "qtc-st", "baseline-chr"])
 @pytest.mark.parametrize("spec", [TPS, APS, RAPS], ids=lambda spec: spec.kind)
 def test_threshold_file_round_trip_keeps_predictor_and_method(tmp_path, spec, method):
+    # qtc and qtc-sc record the level they calibrated at; a plain
+    # calibration stands in for a saturated one
+    beta = 0.1 / 3 if method in ("qtc", "qtc-sc") else None
     thr = Threshold(
-        tau=0.1 + 1 / 3, alpha=0.07, spec=spec, source_tag=f"{method}:alpha=0.07", method=method
+        tau=0.1 + 1 / 3, alpha=0.07, spec=spec, method=method, beta=beta,
+        saturated=method == "none",
     )
     path = tmp_path / "thr.txt"
     path.write_text(format_kv(thr.to_kv()))
     assert load_threshold(path) == thr
+    kv = read_kv(path)
+    beta_key = [] if beta is None else ["beta"]
+    assert list(kv) == ["tau", "alpha", *beta_key, "saturated", "method", *spec.to_kv()]
+    assert kv["saturated"] == ("true" if method == "none" else "false")

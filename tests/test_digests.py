@@ -57,23 +57,23 @@ EXPECTED = {
     "calibrate-tps": [0, "tau=0.9374706123446231 alpha=0.1\n"],
     "calibrate-aps": [0, "tau=0.9402945747250707 alpha=0.1\n"],
     "calibrate-raps": [0, "tau=0.8988169026708471 alpha=0.1\n"],
-    "recalibrate-qtc": [0, "tau=0.9538277765245295 alpha=0.09\n"],
-    "recalibrate-qtc-sc": [0, "tau=0.9188672930992815 alpha=0.09\n"],
+    "recalibrate-qtc": [0, "tau=0.9538277765245295 alpha=0.1\n"],
+    "recalibrate-qtc-sc": [0, "tau=0.9188672930992815 alpha=0.1\n"],
     "recalibrate-qtc-st": [0, "tau=0.9523 alpha=0.1\n"],
     "recalibrate-grid": [0, "wrote 6 rows to grid.csv\n"],
     "evaluate-tps": [0, "coverage=0.905 avg_set_size=3.465\n"],
     "evaluate-qtc": [0, "coverage=0.915 avg_set_size=4.06\n"],
-    "cal_aps.thr": "04d6c3af2e2ac61578fa44561a9275f9760da0f03cde6ef9109e9e8eb408cd4a",
-    "cal_raps.thr": "47d93b1c60268f6e3982f4a4722008c15a1e510560c34b18e003313f03ed1520",
-    "cal_tps.thr": "cec418b16c5ba41b1835ed9cd51f1d3feb8528bf2f075c670569f641ea6779e0",
+    "cal_aps.thr": "78b6c99601c5ff28021762dec71b13b360c5ff7de9845330b253a44c556d029f",
+    "cal_raps.thr": "07da9b7cba00ac16da9f6c6ed265e414141c7c03144d82570a6a653090bd718e",
+    "cal_tps.thr": "cc83afdcd7941865061131b097907e95b4fef3544be88839b08fed9a6b770bab",
     "grid.csv": "e70f6118b05f6109939dda7fa85d270c89cbe8cebe26c6e04599c871d5afcafd",
-    "qtc.thr": "6abd87ec21a2006bcdcedbbb3b583050e8aee99fd7fe98a4eb527d78d5c34448",
-    "qtc.thr.qtc": "32b2db58409ce58ce86bbf96ecebca3fcc2c06608eaddbca0c3268334fc3c223",
-    "qtc_sc.thr": "f09f3f875896e87769419138b4d29c87005d510e3df8e8a805a5a2dcccafa14e",
-    "qtc_sc.thr.qtc": "c1d343e9c9ba4d6970748585e7a64e95766664d3a9ee45566ea37d6c647b964d",
-    "qtc_st.thr": "ebc6e5274648ae01a8681119420aa5ef915d62f44d595c1ffd2c5b454d76a632",
-    "qtc_st.thr.qtc": "dbfef88e9a993556ce6536b2e7f4308fc21f6658684616dc5e19481d48566e33",
-    "report.csv": "bb0ed81d7f3bc40be4a8eef0214ec85a41f2a71064367f3bc5120496ef0df25a",
+    "qtc.thr": "589e5bb87c20efa0e630193e6449e9f7a8eca280086209d0dfd3fc501319ad69",
+    "qtc.thr.qtc": "1bea4d9080389398d3dfbffc86197782e500d7fb4e2befdec98b535d38d6c2c2",
+    "qtc_sc.thr": "92947cb875a28ba04f98c1d373ed910bc4974126738edf41c6bcf9381c70b897",
+    "qtc_sc.thr.qtc": "38c619e7b0663ebf8e61f39329b265ce05f5c3161eeacf0f8161ab8793ca8455",
+    "qtc_st.thr": "6abcb423088a2f83b083b914e3719effa06314461b8d04ae2b893c87058ad636",
+    "qtc_st.thr.qtc": "e283c9f92adba1a40c0371737735b9bc69ddba392221097a47ae62461df4c27d",
+    "report.csv": "c64b4b3d3ee458cd944bc13eb63feaf89d1de17957e586d7b61b58ea3dd75019",
 }
 
 

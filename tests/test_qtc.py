@@ -125,7 +125,6 @@ def test_beta_qtc_hand_example():
     est = estimate_beta_qtc(source, target, alpha=0.5)
     assert est.q_threshold == pytest.approx(0.3)
     assert est.value == pytest.approx(0.5)  # 0.2 and 0.25 fall strictly below 0.3
-    assert est.method == "qtc"
 
 
 def test_beta_qtc_self_consistency_spot():
@@ -146,7 +145,6 @@ def test_beta_qtc_sc_hand_example():
     est = estimate_beta_qtc_sc(source, target, alpha=0.2)
     assert est.q_threshold == pytest.approx(0.8)  # 8th of ten order statistics
     assert est.value == pytest.approx(0.5)  # 1 - 2/4
-    assert est.method == "qtc-sc"
 
 
 def test_beta_qtc_sc_when_target_sits_above_source():
@@ -179,7 +177,6 @@ def test_tau_qtc_st_hand_example():
     est = estimate_tau_qtc_st(Calibrator(TPS, source, seed=0), target, alpha=0.2)
     assert est.q_threshold == pytest.approx(0.8)
     assert est.value == pytest.approx(0.5)
-    assert est.method == "qtc-st"
 
 
 def test_tau_qtc_st_self_consistency():
@@ -229,7 +226,8 @@ def test_recalibrate_clamps_degenerate_beta_low():
     target = _rows_with_top([t] * 10, n_classes)
     assert float(top_confidences(target).max()) < tmin
     thr = recalibrate(Calibrator(TPS, source, seed=0), target, 0.1, method="qtc")[0]
-    assert not thr.is_saturated
+    assert not thr.saturated
+    assert (thr.alpha, thr.beta) == (0.1, 1 / 61)
     s = np.sort(conformity_scores(TPS, source.scores.values, source.labels, None))
     assert thr.tau == pytest.approx(s[-1])  # beta clamped to 1/(n+1), k lands on n
 
@@ -251,7 +249,8 @@ def test_recalibrate_qtc_st_passes_tau_through():
     assert used == est
     assert thr.tau == est.value
     assert thr.alpha == 0.15
-    assert "qtc-st" in thr.source_tag
+    assert thr.method == "qtc-st"
+    assert thr.beta is None
 
 
 def test_recalibrate_rejects_unknown_method():
@@ -285,8 +284,6 @@ def test_estimate_file_round_trip(tmp_path):
     path = tmp_path / "est.txt"
     path.write_text(format_kv(est.to_kv()))
     kv = read_kv(path)
-    assert list(kv) == ["method", "q", "value", "alpha"]
-    assert kv["method"] == est.method
+    assert list(kv) == ["q", "value"]
     assert float(kv["q"]) == est.q_threshold
     assert float(kv["value"]) == est.value
-    assert float(kv["alpha"]) == est.alpha
