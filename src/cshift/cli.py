@@ -35,6 +35,13 @@ freed top of each heap back to the kernel, and the next ``simulate``
 trial or ``evaluate`` row block faults the same pages in again. An
 environment that sets either threshold itself keeps its values, and
 :func:`main` leaves malloc as it finds it.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+loads, whatever the environment says. OpenBLAS would otherwise start its
+threads at ``import numpy`` in every command, and no command gains from
+them: the only BLAS calls are the baseline's least-squares solve and
+prediction, whose bits would then depend on the CPU count. A process that
+loaded numpy before this module keeps numpy's own thread count.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ from contextlib import ExitStack, closing
 from functools import partial
 from pathlib import Path
 
+# before numpy loads, which starts OpenBLAS's threads (see the docstring)
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import util
 from .conformal import (
     KINDS,
@@ -59,7 +69,7 @@ from .conformal import (
     evaluate,
     load_threshold,
 )
-from .qtc import METHODS, recalibrate
+from .qtc import recalibrate
 from .scores import DataFormatError, LabeledDataset, load_dataset
 from .util import derive_seed, format_float, format_kv, parse_kv, reading, replacing
 
@@ -81,14 +91,12 @@ MAX_SHIFTS = 10**3
 
 
 def parse_alpha_grid(text: str) -> list[float]:
-    """Parse ``0.1`` or an inclusive grid ``start:stop:step``.
+    """Parse an inclusive grid ``start:stop:step``.
 
     The stop endpoint is included when it lies within 1e-12 of a grid
     point. Grids of more than ``MAX_ALPHA_GRID_POINTS`` points are
     rejected before any point is built.
     """
-    if ":" not in text:
-        return [level(text)]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"alpha grid must be start:stop:step, got {text!r}")
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_predictor(p)
     p.add_argument("--alpha", required=True, type=alpha_grid,
                    help="level or inclusive grid start:stop:step")
-    p.add_argument("--method", choices=METHODS, default="qtc", help="default %(default)s")
+    p.add_argument("--method", choices=util.METHODS, default="qtc", help="default %(default)s")
     p.add_argument("--out", required=True, help="threshold file (single alpha) or csv (grid)")
 
     p = add("evaluate", cmd_evaluate, "evaluate a threshold on labeled scores")

@@ -52,6 +52,8 @@ import numpy as np
 
 from .scores import LabeledDataset
 from .util import (
+    EXTRACTORS,
+    METHODS,
     CodedError,
     ceil_count,
     map_row_blocks,
@@ -395,19 +397,25 @@ def evaluate(threshold: Threshold, test: LabeledDataset, seed: int = 0) -> Cover
 
 def load_threshold(path) -> Threshold:
     """The threshold a file records, its predictor, method, beta and
-    saturation included; every error, a missing ``predictor`` included,
-    names the file. A file without ``saturated`` is not saturated, and
-    keys it does not know (an older file's provenance line) are ignored."""
+    saturation included. ``method`` must be ``none``, a recalibration
+    method or ``baseline-<extractor>``. Every error, a missing
+    ``predictor`` included, names the file. A file without ``saturated``
+    is not saturated, and keys it does not know (an older file's
+    provenance line) are ignored."""
     kv = read_kv(path)
     with reading(path):
         saturated = kv.get("saturated", "false")
         if saturated not in ("true", "false"):
             raise ValueError(f"saturated must be true or false, got {saturated!r}")
+        method = kv.get("method", "none")
+        if method not in ("none", *METHODS, *(f"baseline-{e}" for e in EXTRACTORS)):
+            raise ValueError(f"method must be none, one of {METHODS} or baseline-<extractor>, "
+                             f"got {method!r}")
         return Threshold(
             tau=float(kv["tau"]),
             alpha=float(kv["alpha"]),
             spec=PredictorSpec.from_kv(kv),
-            method=kv.get("method", "none"),
+            method=method,
             beta=float(kv["beta"]) if "beta" in kv else None,
             saturated=saturated == "true",
         )

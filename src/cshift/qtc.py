@@ -22,9 +22,7 @@ import numpy as np
 
 from .conformal import Calibrator, SaturationError, Threshold, max_tau
 from .scores import Dataset
-from .util import ceil_count, row_reduce
-
-METHODS = ("qtc", "qtc-sc", "qtc-st")
+from .util import METHODS, ceil_count, row_reduce
 
 
 @dataclass(frozen=True)

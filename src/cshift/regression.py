@@ -15,18 +15,16 @@ label-preserving Dirichlet jitter. Feature extractors:
 
 The model is ``tau = x . w + b`` over features ``x`` standardized per
 coordinate, fit by minimum-norm least squares in one solve; the
-standardization statistics are stored in the model. The solve and the
-prediction run with OpenBLAS on one thread, so that their bits do not
-depend on the CPU count.
+standardization statistics are stored in the model. OpenBLAS may split
+a large solve over threads, which sums in another order, so its last bits
+depend on the thread count. The ``cshift`` command loads numpy with one
+OpenBLAS thread (:mod:`cshift.cli`); a library caller that wants the
+command's bits sets ``OPENBLAS_NUM_THREADS=1`` before importing numpy.
 """
 
 from __future__ import annotations
 
-import ctypes
-import itertools
-import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,46 +204,6 @@ def build_corpus(
 # --- the fit itself ---
 
 
-def _openblas_threads():
-    """The ``(get, set)`` thread-count functions of a loaded OpenBLAS, found
-    as threadpoolctl finds them: a shared object named ``*openblas*`` in
-    ``/proc/self/maps``, and its symbols by prefix and suffix. None where
-    there is none (another BLAS, or no ``/proc``)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = {line.split(None, 5)[-1].strip() for line in fh}
-    except OSError:
-        return None
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "", "_64")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread and restore its count
-    after: a solve split over threads sums in another order, so its last
-    bits would depend on the CPU count. A no-op without OpenBLAS."""
-    found = _openblas_threads()
-    if found is None:
-        yield
-        return
-    get, set_ = found
-    old = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(old)
-
-
 @dataclass(eq=False)
 class LinearRegressor:
     """Weight vector and bias over standardized features, with the
@@ -286,9 +244,8 @@ def train(corpus: RegressionCorpus) -> LinearRegressor:
     np.subtract(corpus.features, feat_mean, out=x)
     x /= feat_std
     design[:, -1] = 1.0
-    with _one_blas_thread():
-        coef = np.linalg.lstsq(design, corpus.targets, rcond=None)[0]
-        residual = design @ coef - corpus.targets
+    coef = np.linalg.lstsq(design, corpus.targets, rcond=None)[0]
+    residual = design @ coef - corpus.targets
     return LinearRegressor(
         weights=coef[:-1],
         bias=float(coef[-1]),
@@ -316,8 +273,7 @@ def predict_tau(model: LinearRegressor, target: Dataset) -> float:
     if feature.size != model.d:
         raise ValueError(f"feature dimension {feature.size} does not match model input {model.d}")
     x = (feature - model.feat_mean) / model.feat_std
-    with _one_blas_thread():
-        out = float(x @ model.weights) + model.bias
+    out = float(x @ model.weights) + model.bias
     return float(np.clip(out, 0.0, max_tau(model.spec, model.n_classes)))
 
 

@@ -32,8 +32,10 @@ NARROW_COLUMNS = 8
 # integers in exact arithmetic but may land a few ulp above one in floats.
 _CEIL_SNAP = 1e-9
 
-# The feature extractors of cshift.regression, named here so that the CLI
-# can list them without importing that module.
+# The recalibration methods of cshift.qtc and the feature extractors of
+# cshift.regression, named here so that the CLI and the threshold-file
+# reader can list them without importing those modules.
+METHODS = ("qtc", "qtc-sc", "qtc-st")
 EXTRACTORS = ("acr", "chr", "chr-minus", "pcr")
 
 
@@ -141,11 +143,12 @@ def map_jobs(job, n_jobs: int, max_workers: int):
         sys.stdout.flush()
         sys.stderr.flush()
         # Forking a process that has other threads can deadlock a child that
-        # takes a lock one of them held. The only other threads here are
-        # BLAS's (OpenBLAS starts them at import numpy), no Python thread of
-        # ours runs now, and the workers never call BLAS; so the warning that
-        # CPython 3.12+ gives for any fork of a multi-threaded process is
-        # silenced for these forks only.
+        # takes a lock one of them held. No Python thread of ours runs now,
+        # and the only other threads can be BLAS's: OpenBLAS starts them at
+        # import numpy unless told to use one, as the cshift command does.
+        # The workers never call BLAS, so the warning that CPython 3.12+
+        # gives for any fork of a multi-threaded process is silenced for
+        # these forks only.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             for k in range(1, workers):

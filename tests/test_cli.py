@@ -27,6 +27,7 @@ from cshift import cli, regression, toymodel, util
 from cshift.cli import (
     EVAL_CSV_HEADER,
     MAX_ALPHA_GRID_POINTS,
+    alpha_grid,
     build_parser,
     main,
     parse_alpha_grid,
@@ -49,7 +50,7 @@ def _unlabeled_csv(path, n=60, n_classes=5, seed=9):
 
 
 def test_alpha_grid_parsing():
-    assert parse_alpha_grid("0.25") == [0.25]
+    assert alpha_grid("0.25") == 0.25
     # float-step noise must not leak into grid labels
     assert parse_alpha_grid("0.7:0.9:0.1") == [0.7, 0.8, 0.9]
     assert parse_alpha_grid("0.05:0.2:0.05") == [0.05, 0.1, 0.15, 0.2]
@@ -559,6 +560,10 @@ def test_evaluate_raps_threshold_missing_penalty_key_exits_2(tmp_path, capsys, m
         ("tau=0.5\nalpha=0.1\nbeta=abc\npredictor=tps\n",
          "could not convert string to float: 'abc'"),
         ("tau=0.5\nalpha=0.1\nbeta=1.5\npredictor=tps\n", "beta must lie in (0, 1), got 1.5"),
+        # a comma in the method would add a column to the report row
+        ("tau=0.5\nalpha=0.1\nmethod=qtc,evil\npredictor=tps\n",
+         "method must be none, one of ('qtc', 'qtc-sc', 'qtc-st') or baseline-<extractor>, "
+         "got 'qtc,evil'"),
     ],
 )
 def test_evaluate_unreadable_threshold_names_the_file_and_exits_2(
@@ -1388,9 +1393,10 @@ def test_a_command_whose_stdout_fails_exits_2_and_changes_no_output(tmp_path, mo
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _python(args, cwd=None):
-    """Run this interpreter on ``src`` at a fixed help width."""
-    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+def _python(args, cwd=None, **env):
+    """Run this interpreter on ``src`` at a fixed help width, with ``env``
+    added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80", **env}
     return subprocess.run(
         [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=60
     )
@@ -1404,6 +1410,36 @@ def test_importing_the_cli_leaves_the_baseline_and_toy_model_unloaded():
     run = _python(["-c", code, *modules])
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[True, False, False, False]\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_the_cli_loads_numpy_with_one_blas_thread_whatever_the_environment_says():
+    # OpenBLAS starts its threads at import numpy; an exported count must
+    # neither start them nor split the baseline's solve
+    code = "import os, cshift.cli; print(len(os.listdir('/proc/self/task')))"
+    run = _python(["-c", code], OPENBLAS_NUM_THREADS="4")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "1\n"
+
+
+def test_the_package_root_loads_numpy_at_the_first_exported_name():
+    code = """if True:
+        import sys, cshift
+        print("numpy" in sys.modules)
+        homes = {getattr(cshift, name).__module__ for name in cshift.__all__}
+        print(sorted(homes), "numpy" in sys.modules)
+        try:
+            cshift.nothing
+        except AttributeError as exc:
+            print(exc)
+    """
+    run = _python(["-c", code], OPENBLAS_NUM_THREADS="4")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "False",
+        "['cshift.conformal', 'cshift.qtc', 'cshift.scores'] True",
+        "module 'cshift' has no attribute 'nothing'",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,6 @@ from cshift.regression import (
     RegressionCorpus,
     _confidence_histogram,
     _dirichlet_jitter,
-    _one_blas_thread,
-    _openblas_threads,
     build_corpus,
     extract_features,
     predict_tau,
@@ -395,21 +393,3 @@ def test_failed_model_save_keeps_the_old_file(tmp_path):
         _save(other, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
-
-
-def test_the_solve_runs_on_one_openblas_thread_and_restores_the_count():
-    found = _openblas_threads()
-    if found is None:
-        pytest.skip("numpy's BLAS here is not a loaded OpenBLAS")
-    get, set_ = found
-    before = get()
-    set_(2)  # a count other than 1, whatever the CPU count
-    try:
-        with _one_blas_thread():
-            assert get() == 1
-        assert get() == 2
-        with pytest.raises(RuntimeError), _one_blas_thread():
-            raise RuntimeError
-        assert get() == 2
-    finally:
-        set_(before)
