@@ -245,10 +245,6 @@ def cmd_evaluate(args, output) -> int:
 
 def cmd_baseline(args, output) -> int:
     from .regression import build_corpus, predict_tau, train, write_model
-    # checked before fitting: the later rename of one file would replace the other
-    pred_out = args.pred_out
-    if pred_out is not None and Path(pred_out).resolve() == Path(args.model_out).resolve():
-        raise ValueError(f"--pred-out {pred_out} is the --model-out file")
     spec = PredictorSpec(args.predictor, args.lam, args.kreg)
     cal = _load_labeled(args.cal)
     seed = derive_seed(args.seed, "corpus")
@@ -260,7 +256,7 @@ def cmd_baseline(args, output) -> int:
         target = load_dataset(args.target)
         method = f"baseline-{args.extractor}"
         threshold = Threshold(predict_tau(model, target), args.alpha, spec, method)
-        output(args.pred_out or f"{args.model_out}.tau").write(format_kv(threshold.to_kv()).encode())
+        output(f"{args.model_out}.tau").write(format_kv(threshold.to_kv()).encode())
         print(f"predicted_tau={format_float(threshold.tau)}")
     return 0
 
@@ -431,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--model-out", required=True, help="model file to write")
-    p.add_argument("--target", help="optional target scores to predict a threshold for")
-    p.add_argument("--pred-out", help="threshold file for the prediction (default MODEL_OUT.tau)")
+    p.add_argument("--target", help="optional target scores to predict a threshold for, "
+                                    "written to MODEL_OUT.tau")
 
     p = add("simulate", cmd_simulate, "run deviation-bound trials on the two-feature model")
     add_defaulted(

@@ -12,23 +12,23 @@ Two file formats are supported (see FORMATS.md):
   row. A file must be entirely labeled or entirely unlabeled.
 * A little-endian binary container with magic ``CSHIFT01``.
 
-Memory: a binary load maps the file read-only, and the mapping is the
-matrix, without a copy. :func:`save_dataset` never rewrites a file in place:
-it writes a sibling file and renames it over the destination, so a live
-dataset keeps the old file's bytes. Another program must not rewrite a
-binary file in place while a dataset maps it: a truncated mapping kills the
-process with SIGBUS, and changed bytes change the matrix. Each live binary
-dataset holds one file descriptor, that of its mapping. A caller's array, a
-writable mapping included, is copied once, so a matrix never shares memory
-a caller can write, and the caller's array stays writable. Labels follow
-the same rule. An array that the library has just built for a dataset
-(``ScoreMatrix._adopt``, ``LabeledDataset._adopt``) is validated the same
-way and kept without the copy. A CSV load adopts its own table: the labels
-are taken out of the parsed ``(n, L + 1)`` table, the score columns are
-moved to the front of the table's buffer, and that buffer becomes the
-matrix, so the load holds the matrix about once. A CSV save formats about
-:data:`CSV_BLOCK_ENTRIES` entries at a time, so its memory does not grow
-with the dataset.
+Memory: a caller's array is copied once, into a C-ordered float64 matrix
+(int64 labels), so a matrix never shares memory with a caller. An array
+that the library has just built for a dataset (``ScoreMatrix._adopt``,
+``LabeledDataset._adopt``) is validated the same way and kept as it is
+when it already has that layout and dtype. A binary load maps the file
+read-only and adopts two views of the mapping as the matrix and the
+labels. :func:`save_dataset` never rewrites a file in place: it writes a
+sibling file and renames it over the destination, so a live dataset keeps
+the old file's bytes. Another program must not rewrite a binary file in
+place while a dataset maps it: a truncated mapping kills the process with
+SIGBUS, and changed bytes change the matrix. Each live binary dataset
+holds one file descriptor, that of its mapping. A CSV load adopts its own
+table: the labels are taken out of the parsed ``(n, L + 1)`` table, the
+score columns are moved to the front of the table's buffer, and that
+buffer becomes the matrix, so the load holds the matrix about once. A
+CSV save formats about :data:`CSV_BLOCK_ENTRIES` entries at a time, so
+its memory does not grow with the dataset.
 Validation finds the minimum, the maximum, the row sums and the largest
 row-sum deviation in one pass over row blocks
 (:func:`cshift.util.map_row_blocks`, on every CPU of the process's
@@ -70,20 +70,6 @@ class DataFormatError(ValueError):
     """A score file or matrix violates the documented format."""
 
 
-def _immutable(values: np.ndarray) -> bool:
-    """True when no caller can write the array's memory: it belongs to a
-    ``bytes`` object, or to a read-only mapping, as for ``np.frombuffer``
-    over a binary load's mapping."""
-    base = values
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap):
-        # a read-only view may still sit on a writable mapping
-        with memoryview(base.obj) as whole:
-            return whole.readonly
-    return isinstance(base, bytes)
-
-
 def _scan(values: np.ndarray) -> tuple[float, float, np.ndarray, float]:
     """Minimum, maximum, row sums and largest ``|row sum - 1|`` of
     ``values`` in one pass over its row blocks. A NaN anywhere makes both
@@ -102,16 +88,13 @@ def _scan(values: np.ndarray) -> tuple[float, float, np.ndarray, float]:
 
 
 def _validated_scores(values: np.ndarray, adopt: bool = False) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
+    # a caller's array is copied once; an adopted one is kept when it is
+    # already C-ordered float64
+    values = (np.asarray if adopt else np.array)(values, dtype=np.float64, order="C")
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 2:
         raise DataFormatError(
             f"score matrix must be 2-D with at least 1 row and 2 classes, got shape {values.shape}"
         )
-    # The result is C-contiguous and no caller can write it: anything but
-    # an immutable or adopted C-contiguous buffer is copied once, before
-    # the scan.
-    if not (values.flags.c_contiguous and (adopt or _immutable(values))):
-        values = np.array(values, order="C")
     # NaN fails both comparisons, so the scan's min/max picks the path; the
     # clip (which keeps -0.0) only runs when it would change an entry.
     low, high, sums, worst = _scan(values)
@@ -157,9 +140,10 @@ class ScoreMatrix:
 
     @classmethod
     def _adopt(cls, values: np.ndarray) -> ScoreMatrix:
-        """A matrix over ``values``, a C-contiguous float64 array that the
-        library has just built and no one else holds: validated like any
-        other, but not copied. ``values`` becomes read-only."""
+        """A matrix over ``values``, an array that the library has just
+        built and no one else holds: validated like any other, and kept
+        without a copy when it is C-ordered float64. ``values`` becomes
+        read-only."""
         matrix = cls.__new__(cls)
         object.__setattr__(matrix, "values", _validated_scores(values, adopt=True))
         return matrix
@@ -183,7 +167,8 @@ class ScoreMatrix:
 
 
 def _validated_labels(labels: np.ndarray, scores: ScoreMatrix, adopt: bool = False) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    # as for scores
+    labels = (np.asarray if adopt else np.array)(labels, dtype=np.int64, order="C")
     if labels.ndim != 1 or labels.shape[0] != scores.n:
         raise DataFormatError(
             f"labels must be 1-D of length {scores.n}, got shape {labels.shape}"
@@ -194,11 +179,6 @@ def _validated_labels(labels: np.ndarray, scores: ScoreMatrix, adopt: bool = Fal
         raise DataFormatError(
             f"label {labels[row - 1]} outside [0, {scores.L - 1}] at row {row}"
         )
-    # as for scores: a binary load's immutable buffer or an adopted array
-    # is kept, anything else is copied once, so the caller's array stays
-    # writable
-    if not (labels.flags.c_contiguous and (adopt or _immutable(labels))):
-        labels = np.array(labels, order="C")
     labels.setflags(write=False)
     return labels
 
@@ -215,9 +195,10 @@ class LabeledDataset:
 
     @classmethod
     def _adopt(cls, scores: ScoreMatrix, labels: np.ndarray) -> LabeledDataset:
-        """A dataset over ``labels``, an int64 array that the library has
-        just built and no one else holds: validated like any other, but not
-        copied. ``labels`` becomes read-only."""
+        """A dataset over ``labels``, an array that the library has just
+        built and no one else holds: validated like any other, and kept
+        without a copy when it is C-ordered int64. ``labels`` becomes
+        read-only."""
         dataset = cls.__new__(cls)
         object.__setattr__(dataset, "scores", scores)
         object.__setattr__(dataset, "labels", _validated_labels(labels, scores, adopt=True))
@@ -349,11 +330,11 @@ def _load_binary(path) -> Dataset:
     values = np.frombuffer(
         blob, dtype="<f8", count=n * L, offset=head_size
     ).reshape(n, L)
-    scores = ScoreMatrix(values)
+    scores = ScoreMatrix._adopt(values)
     if not has_labels:
         return UnlabeledDataset(scores)
     labels = np.frombuffer(blob, dtype="<i8", count=n, offset=head_size + 8 * n * L)
-    return LabeledDataset(scores, labels)
+    return LabeledDataset._adopt(scores, labels)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -12,6 +12,7 @@ import math
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,8 +198,7 @@ def test_criterion_7_imagenet_scores_pass_through(tmp_path):
         assert abs(coverage - known_coverage) <= 0.02, f"{kind}: coverage {coverage}"
 
 
-OUT = object()  # placeholders swapped for per-run paths below
-OUT2 = object()
+OUT = object()  # placeholder swapped for a per-run path below
 
 
 def test_criterion_8_every_command_reruns_byte_identical(tmp_path):
@@ -240,8 +240,8 @@ def test_criterion_8_every_command_reruns_byte_identical(tmp_path):
         ),
         (
             "baseline",
-            ["baseline", "--predictor", "tps", "--alpha", "0.1", "--extractor", "chr", "--bins", "4", "--shifts", "5", "--cal", str(cal), "--target", str(tgt), "--seed", "5", "--model-out", OUT, "--pred-out", OUT2],
-            ["", None],
+            ["baseline", "--predictor", "tps", "--alpha", "0.1", "--extractor", "chr", "--bins", "4", "--shifts", "5", "--cal", str(cal), "--target", str(tgt), "--seed", "5", "--model-out", OUT],
+            ["", ".tau"],
         ),
         (
             "simulate",
@@ -252,17 +252,8 @@ def test_criterion_8_every_command_reruns_byte_identical(tmp_path):
     for label, template, suffixes in cases:
         runs = []
         for tag in ("first", "second"):
-            out1 = tmp_path / f"{label}-{tag}-out1"
-            out2 = tmp_path / f"{label}-{tag}-out2"
-            argv = [
-                str(out1) if a is OUT else str(out2) if a is OUT2 else a for a in template
-            ]
+            out = tmp_path / f"{label}-{tag}-out"
+            argv = [str(out) if a is OUT else a for a in template]
             assert main(argv) == 0, label
-            blobs = []
-            for suffix in suffixes:
-                # None marks the secondary output path, plain suffixes the first
-                path = out2 if suffix is None else str(out1) + suffix
-                with open(path, "rb") as fh:
-                    blobs.append(fh.read())
-            runs.append(blobs)
+            runs.append([Path(f"{out}{suffix}").read_bytes() for suffix in suffixes])
         assert runs[0] == runs[1], f"{label} rerun changed its output bytes"

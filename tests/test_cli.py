@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import labeled, sample_labels, softmax_rows, write_csv
-from cshift import cli, regression, toymodel, util
+from cshift import cli, toymodel, util
 from cshift.cli import (
     EVAL_CSV_HEADER,
     MAX_ALPHA_GRID_POINTS,
@@ -664,7 +664,6 @@ def test_baseline_trains_saves_and_predicts(tmp_path, capsys):
     tgt = tmp_path / "tgt.csv"
     _unlabeled_csv(tgt, n=40)
     model_out = tmp_path / "model.bin"
-    pred_out = tmp_path / "tau.txt"
     rc = main(
         [
             "baseline",
@@ -684,8 +683,6 @@ def test_baseline_trains_saves_and_predicts(tmp_path, capsys):
             str(tgt),
             "--model-out",
             str(model_out),
-            "--pred-out",
-            str(pred_out),
         ]
     )
     assert rc == 0
@@ -693,7 +690,7 @@ def test_baseline_trains_saves_and_predicts(tmp_path, capsys):
     assert "corpus_size=" in printed
     assert "predicted_tau=" in printed
     assert model_out.exists()
-    threshold = load_threshold(pred_out)
+    threshold = load_threshold(tmp_path / "model.bin.tau")
     assert threshold.method == "baseline-chr"
     assert threshold.spec.kind == "tps"
     assert 0.0 <= threshold.tau <= 1.0
@@ -722,25 +719,6 @@ def test_baseline_without_its_threshold_leaves_the_model_file(tmp_path, capsys, 
     assert (model_out.read_bytes() if model_out.exists() else None) == old
     # no temporary file is left behind either
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
-
-
-@pytest.mark.parametrize("same", ["model.bin", "./model.bin", "link.bin"])
-def test_baseline_pred_out_naming_the_model_file_exits_2_before_training(
-    tmp_path, monkeypatch, capsys, same
-):
-    cal = tmp_path / "cal.csv"
-    _cal_csv(cal, n=60)
-    model_out = tmp_path / "model.bin"
-    model_out.write_bytes(b"old model")
-    (tmp_path / "link.bin").symlink_to(model_out)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(regression, "train", lambda *a, **k: pytest.fail("training started"))
-    argv = ["baseline", "--predictor", "tps", "--alpha", "0.1", "--extractor", "chr",
-            "--cal", str(cal), "--target", str(cal), "--model-out", str(model_out),
-            "--pred-out", same]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: --pred-out {same} is the --model-out file\n"
-    assert model_out.read_bytes() == b"old model"
 
 
 def test_baseline_zero_shifts_exits_2(tmp_path, capsys):
@@ -1160,7 +1138,6 @@ def test_each_command_gets_its_defaults_from_the_parser():
                       "--extractor", "chr", "--model-out", "m"]) == dict(
         config=None, seed=0, cal="c", predictor="tps", lam=None, kreg=None, alpha=0.1,
         extractor="chr", bins=10, shifts=90, model_out="m", target=None,
-        pred_out=None,
     )
     assert _defaults(["simulate", "--out", "o"]) == dict(
         config=None, seed=0, trials=100, n=10000, alpha=0.02, delta=0.1, psrc=0.9, ptgt=0.7,

@@ -310,18 +310,27 @@ def test_binary_load_is_a_read_only_view_of_a_read_only_mapping(tmp_path):
     assert peak <= 0.1 * size
 
 
-@pytest.mark.parametrize("access", [mmap.ACCESS_WRITE, mmap.ACCESS_COPY])
+@pytest.mark.parametrize(
+    "access",
+    [mmap.ACCESS_WRITE, mmap.ACCESS_COPY, mmap.ACCESS_READ, pytest.param(None, id="bytes")],
+)
 @pytest.mark.parametrize("read_only_view", [False, True])
 def test_a_writable_mapping_is_copied(tmp_path, access, read_only_view):
+    # a read-only mapping and a bytes buffer are a caller's arrays too
     v = softmax_rows(4, 3, seed=8)
     path = tmp_path / "raw"
     path.write_bytes(v.tobytes())
-    with open(path, "r+b") as fh:
-        mapping = mmap.mmap(fh.fileno(), 0, access=access)
+    if access is None:
+        mapping = v.tobytes()
+    else:
+        with open(path, "r+b") as fh:
+            mapping = mmap.mmap(fh.fileno(), 0, access=access)
     buffer = memoryview(mapping).toreadonly() if read_only_view else mapping
-    m = ScoreMatrix(np.frombuffer(buffer).reshape(v.shape))
-    assert _mapping(m.values) is not buffer
-    mapping[:8] = np.float64(0.0).tobytes()
+    source = np.frombuffer(buffer).reshape(v.shape)
+    m = ScoreMatrix(source)
+    assert not np.shares_memory(m.values, source)
+    if access in (mmap.ACCESS_WRITE, mmap.ACCESS_COPY):
+        mapping[:8] = np.float64(0.0).tobytes()
     np.testing.assert_array_equal(m.values, v)
 
 
