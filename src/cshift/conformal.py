@@ -176,9 +176,10 @@ class CoverageReport:
 
 def _check_applicable(spec: PredictorSpec, n_classes: int) -> None:
     if spec.kind == "raps" and spec.k_reg > n_classes:
-        raise ValueError(
-            f"k_reg={spec.k_reg} exceeds the class count {n_classes}"
-        )
+        raise ValueError(f"k_reg={spec.k_reg} exceeds the class count {n_classes}")
+    # every entry is at most max_tau, so no penalty overflows once it is finite
+    if not math.isfinite(max_tau(spec, n_classes)):
+        raise ValueError(f"lambda={spec.lam:g} overflows the raps penalty at {n_classes} classes")
 
 
 def _descending(values: np.ndarray) -> np.ndarray:

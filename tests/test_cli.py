@@ -655,6 +655,28 @@ def test_non_finite_lambda_and_tau_exit_2_and_write_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "recalibrate-qtc-st", "evaluate"])
+def test_a_finite_lambda_whose_raps_penalty_overflows_exits_2_and_writes_nothing(
+    tmp_path, capsys, command
+):
+    # 1e308 per rank past kreg overflows the largest threshold, 1 + 5e308,
+    # before any score is computed
+    cal, tgt, thr, out = (tmp_path / name for name in ("cal.csv", "tgt.csv", "thr.txt", "out"))
+    _cal_csv(cal)
+    _unlabeled_csv(tgt)
+    thr.write_text("tau=0.5\nalpha=0.1\nmethod=none\npredictor=raps\nlambda=1e308\nkreg=0\n")
+    raps = ["--predictor", "raps", "--lambda", "1e308", "--kreg", "0", "--alpha", "0.1"]
+    argv = {
+        "calibrate": ["calibrate", "--cal", str(cal), *raps],
+        "recalibrate-qtc-st": ["recalibrate", "--source", str(cal), "--target", str(tgt), *raps,
+                               "--method", "qtc-st"],
+        "evaluate": ["evaluate", "--test", str(cal), "--threshold", str(thr)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: lambda=1e+308 overflows the raps penalty at 5 classes\n"
+    assert not out.exists()
+
+
 # --- baseline ---
 
 

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cshift.toymodel as toymodel
+from cshift.conformal import PredictorSpec, Threshold, evaluate
+from cshift.qtc import recalibrate
 from cshift.toymodel import (
     PreconditionError,
+    _margin_cdf,
     _sigmoid,
     ToyClassifier,
     ToyModelParams,
@@ -213,7 +217,7 @@ def test_trial_uses_supplied_oracle_and_is_deterministic():
     assert a.violated == (abs(a.beta_qtc - FIXTURE_BETA) > a.bound)
 
 
-def test_trial_frees_its_source_and_target_before_the_evaluation_set():
+def test_trial_memory_peaks_at_recalibration():
     n = 2 * 10**5
     # the untraced run imports what the row-block threads lazily load
     run_theorem_trial(SRC, TGT, CLF, 0.02, n=n, delta=0.1, seed=5, beta_oracle=FIXTURE_BETA)
@@ -225,10 +229,54 @@ def test_trial_frees_its_source_and_target_before_the_evaluation_set():
         tracemalloc.stop()
     # the peak is at recalibration: the source (3 x 8n bytes) and target
     # (2 x 8n) sets, their sorted top confidences and the calibration scores
-    # with their sorted copy (4 x 8n), and one row-block budget. Keeping the
-    # source, target and calibrator alive while the evaluation set was
-    # drawn and scored peaked at about 16 x 8n here
+    # with their sorted copy (4 x 8n), and one row-block budget; the
+    # coverage is read off the closed form, with no further draw
     assert peak <= 9 * 8 * n + 8 * BLOCK_ENTRIES
+
+
+def _logit_of_miss(tau):
+    """-logit(tau): a label is covered at tau when its margin y * z reaches it."""
+    return math.log1p(-tau) - math.log(tau)
+
+
+def test_trial_draws_two_sets_and_reads_its_coverage_off_the_closed_form(monkeypatch):
+    roles, draws, thresholds = [], [], []
+
+    def derive(seed, role):
+        roles.append(role)
+        return derive_seed(seed, role)
+
+    def draw(params, n, seed):
+        draws.append(params)
+        return sample(params, n, seed)
+
+    def recal(*args):
+        result = recalibrate(*args)
+        thresholds.append(result[0])
+        return result
+
+    for name, fn in (("derive_seed", derive), ("sample", draw), ("recalibrate", recal)):
+        monkeypatch.setattr(toymodel, name, fn)
+    rep = run_theorem_trial(SRC, TGT, CLF, 0.02, n=4000, delta=0.1, seed=5, beta_oracle=FIXTURE_BETA)
+    assert roles == ["trial-source", "trial-target"]
+    assert draws == [SRC, TGT]
+    tau = thresholds[0].tau
+    assert 0.5 < tau < 1.0
+    exact = 1 - _margin_cdf_reference(TGT, CLF, _logit_of_miss(tau))
+    assert math.isclose(rep.achieved_target_coverage, float(exact), rel_tol=2.0**-40)
+
+
+@pytest.mark.parametrize("tau, coverage", [(0.0, 0.0), (1.0, 1.0)])
+def test_trial_coverage_at_the_edges_of_tau(monkeypatch, tau, coverage):
+    # a tps threshold of 1 admits every class; one of 0 admits a class only
+    # at a score of exactly 1, which a finite margin never reaches
+    def recal(*args):
+        threshold, est = recalibrate(*args)
+        return Threshold(tau, threshold.alpha, threshold.spec), est
+
+    monkeypatch.setattr(toymodel, "recalibrate", recal)
+    rep = run_theorem_trial(SRC, TGT, CLF, 0.02, n=500, delta=0.1, seed=5, beta_oracle=FIXTURE_BETA)
+    assert rep.achieved_target_coverage == coverage
 
 
 def test_trial_precondition_rejects_large_alpha():
@@ -354,7 +402,7 @@ def _monte_carlo_reference(source, target, clf, alpha, n, seed):
     return wrong_source.size / n, wrong_target.size / n, beta
 
 
-@pytest.mark.parametrize(
+ONE_SHOT_SETTINGS = pytest.mark.parametrize(
     "source, target, clf, alpha",
     [
         (SRC, TGT, CLF, 0.02),
@@ -365,6 +413,9 @@ def _monte_carlo_reference(source, target, clf, alpha, n, seed):
     ],
     ids=["defaults", "negative-w_sp", "negative-w_sp-wide", "spurious-outweighs"],
 )
+
+
+@ONE_SHOT_SETTINGS
 def test_oracles_agree_with_a_one_shot_monte_carlo_draw(source, target, clf, alpha):
     n = 10**6
     eps_source, eps_target, beta = _monte_carlo_reference(source, target, clf, alpha, n, seed=8)
@@ -377,6 +428,18 @@ def test_oracles_agree_with_a_one_shot_monte_carlo_draw(source, target, clf, alp
     ratio = exact / alpha
     se = math.sqrt(exact * (1 - exact) / n + ratio**2 * alpha * (1 - alpha) / n)
     assert abs(beta - exact) <= 5 * se
+
+
+@ONE_SHOT_SETTINGS
+@pytest.mark.parametrize("tau", [0.3, 0.9])
+def test_closed_form_coverage_agrees_with_evaluate_on_one_draw(source, target, clf, alpha, tau):
+    # the target's tps coverage at tau; below tau = 1/2 a right draw can be
+    # miscovered too
+    n = 10**6
+    test = to_dataset(sample(target, n, seed=8), clf)
+    found = evaluate(Threshold(tau, alpha, PredictorSpec.tps()), test).coverage
+    exact = 1.0 - _margin_cdf(target, clf, _logit_of_miss(tau))
+    assert abs(found - exact) <= 5 * math.sqrt(exact * (1 - exact) / n)
 
 
 @given(params=_params, clf=_classifiers, n=st.integers(1, 300), seed=st.integers(0, 2**32))
@@ -415,6 +478,22 @@ def _event_rate_reference(params, clf, s):
     x = (abs(Fraction(clf.w_sp)) - s) / Fraction(clf.w_inv)
     reach = min(max((x - gamma) / (c - gamma), Fraction(0)), Fraction(1))
     return _wrong_way_rate_reference(params, clf) * reach
+
+
+def _margin_cdf_reference(params, clf, t):
+    """P[y * z < t] exactly, for y * z = w_inv * |x_inv| + w_sp * s with
+    |x_inv| uniform on [gamma, c] and s = +1 with probability p, else -1:
+    :func:`_event_rate_reference` over both signs of s. t = +inf and -inf
+    are the margins of tau = 0 and tau = 1."""
+    if math.isinf(t):
+        return Fraction(t > 0)
+    gamma, c = Fraction(params.gamma), Fraction(params.c)
+    w_inv, w_sp, p, t = (Fraction(v) for v in (clf.w_inv, clf.w_sp, params.p, t))
+
+    def below(x):
+        return min(max((x / w_inv - gamma) / (c - gamma), Fraction(0)), Fraction(1))
+
+    return p * below(t - w_sp) + (1 - p) * below(t + w_sp)
 
 
 def _error_rate_slack(params, clf):
@@ -464,6 +543,33 @@ def test_oracles_equal_the_one_shot_reference(source, p_target, clf, alpha):
     s = abs(Fraction(clf.w_sp)) - Fraction(clf.w_inv) * x
     assert _event_rate_reference(target, clf, s) == Fraction(alpha)
     assert math.isclose(found, float(_event_rate_reference(source, clf, s)), rel_tol=2.0**-50)
+
+
+@given(params=_params, clf=_classifiers, t=st.one_of(_reals, st.sampled_from([math.inf, -math.inf])))
+# the reach lands exactly on gamma, at t = 0 and at t > 0
+@example(params=ToyModelParams(0.5, 1.0, 0.3), clf=ToyClassifier(1.0, 0.5), t=0.0)
+@example(params=ToyModelParams(0.5, 1.0, 0.3), clf=ToyClassifier(1.0, 0.25), t=0.25)
+# the reach lands exactly on c
+@example(params=ToyModelParams(0.5, 1.0, 0.3), clf=ToyClassifier(1.0, -1.0), t=0.0)
+@example(params=ToyModelParams(0.5, 1.0, 0.3), clf=ToyClassifier(2.0, 0.5), t=1.5)
+# the margins of tau = 0 and tau = 1
+@example(params=SRC, clf=CLF, t=math.inf)
+@example(params=SRC, clf=CLF, t=-math.inf)
+def test_margin_cdf_equals_the_exact_reference(params, clf, t):
+    exact = _margin_cdf_reference(params, clf, t)
+    found = _margin_cdf(params, clf, t)
+    if math.isinf(t):
+        assert found == exact
+        return
+    # the error-rate slack with the threshold's margin added to |w_sp|, and
+    # twice the roundings
+    reach = (abs(t) + abs(clf.w_sp)) / clf.w_inv
+    slack = 8 * 2.0**-52 * ((reach + params.gamma) / (params.c - params.gamma) + 1) + 1e-300
+    assert abs(found - exact) <= slack
+    if t <= 0.0:
+        # below the margin 0 only wrong draws remain, at a top-confidence
+        # logit of at least -t
+        assert exact == _event_rate_reference(params, clf, -Fraction(t))
 
 
 # the target threshold at alpha = 0.02 that the retired Monte Carlo oracle
