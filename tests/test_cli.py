@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import labeled, sample_labels, softmax_rows, write_csv
 from cshift import cli, toymodel, util
@@ -795,6 +795,68 @@ def test_simulate_float_flags_must_be_finite(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, code", [("-5e-1", 0), ("-1e-3", 5)])
+def test_simulate_reads_a_negative_value_in_scientific_notation(tmp_path, capsys, value, code):
+    # argparse's own negative-number pattern has no exponent, so the spaced
+    # form once read the value as an unknown flag and exited 2
+    runs = []
+    for name, spelling in (("spaced", ["--wsp", value]), ("joined", [f"--wsp={value}"])):
+        out = tmp_path / f"{name}.csv"
+        rc = main(["simulate", "--trials", "2", "--n", "500", *spelling, "--out", str(out)])
+        runs.append((rc, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    assert runs[0][0] == code
+    assert runs[1] == runs[0]
+
+
+# each float flag of simulate with a range around its valid values
+SIMULATE_FLOAT_RANGES = {
+    "alpha": (1e-3, 0.1), "delta": (1e-3, 0.999), "psrc": (0.0, 1.0), "ptgt": (0.0, 1.0),
+    "winv": (1e-3, 10.0), "wsp": (-10.0, 10.0), "gamma": (0.0, 1.0), "c": (0.5, 10.0),
+}
+EDGE_VALUES = ["0", "-1", "nan", "inf", "1e308", "1e-320", "-1e-3"]
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_simulate_argv_fuzz_exits_0_2_or_5_and_writes_only_on_success(tmp_path_factory, data):
+    # at most 3 trials run in this process: no worker is forked
+    argv = ["simulate", "--trials", str(data.draw(st.integers(1, 3), label="trials")),
+            "--n", str(data.draw(st.integers(1, 200), label="n"))]
+    # at most two flags take an edge value, so that many runs get past parsing
+    edged = data.draw(st.sets(st.sampled_from(sorted(SIMULATE_FLOAT_RANGES)), max_size=2))
+    for flag, (low, high) in SIMULATE_FLOAT_RANGES.items():
+        if flag in edged:
+            value = data.draw(st.sampled_from(EDGE_VALUES), label=flag)
+        else:
+            value = data.draw(st.none() | st.floats(low, high).map(repr), label=flag)
+        if value is not None:
+            joined = data.draw(st.booleans(), label=f"{flag} joined")
+            argv += [f"--{flag}={value}"] if joined else [f"--{flag}", value]
+    out = tmp_path_factory.mktemp("simulate") / "trials.csv"
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--out", str(out)])
+    assert rc in (0, 2, 5), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert out.exists() == (rc == 0)
+
+
+def test_simulate_computes_the_oracle_and_the_bound_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    for name in ("oracle_beta", "theorem_bound"):
+        def counted(*args, fn=getattr(toymodel, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(toymodel, name, counted)
+    # every trial runs in this process, where a call from a trial would count
+    monkeypatch.setattr(util, "worker_count", lambda: 1)
+    assert main(["simulate", "--trials", "5", "--n", "500", "--out", str(tmp_path / "t.csv")]) == 0
+    assert calls == ["oracle_beta", "theorem_bound"]
+
+
 def test_simulate_alpha_at_error_rate_exits_5(tmp_path, capsys):
     out = tmp_path / "trials.csv"
     rc = main(
@@ -864,7 +926,7 @@ def _fail_on_trials(monkeypatch, failing, seed=0, trials=10):
     run_theorem_trial = toymodel.run_theorem_trial
 
     def trial(*args):
-        i = trial_of[args[6]]
+        i = trial_of[args[5]]
         if i in failing:
             time.sleep(failing[i])
             raise ValueError(f"trial {i} failed in process {os.getpid()}")
@@ -926,7 +988,7 @@ def test_simulate_runs_as_many_trials_at_once_as_max_draws_allows(tmp_path, monk
     def trial(*args):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return toymodel.TheoremTrialReport(0.02, 0.02, 1.0, False, 0.98)
+        return toymodel.TheoremTrialReport(0.02, 0.98)
 
     monkeypatch.setattr(toymodel, "run_theorem_trial", trial)
     argv = ["simulate", "--trials", "4", "--n", str(n), "--out", str(tmp_path / "t.csv")]
@@ -947,6 +1009,28 @@ def test_simulate_flushes_buffered_output_before_starting_workers(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("before;trials=4 ")
     assert run.stdout.count("before;") == 1
+
+
+def test_simulate_forks_its_workers_from_a_single_threaded_process(tmp_path):
+    # the CLI pins OpenBLAS to one thread before numpy loads, whatever the
+    # environment says; each fork records the threads of the forking process
+    if not os.path.isdir("/proc/self/task") or util.worker_count() < 2:
+        pytest.skip("needs /proc and at least two CPUs")
+    code = (
+        "import os, sys\n"
+        "threads, fork = [], os.fork\n"
+        "def counting_fork():\n"
+        "    threads.append(len(os.listdir('/proc/self/task')))\n"
+        "    return fork()\n"
+        "os.fork = counting_fork\n"
+        "from cshift import cli\n"
+        "rc = cli.main(['simulate', '--trials', '8', '--n', '200000', '--out', sys.argv[1]])\n"
+        "print(rc, threads)\n"
+    )
+    run = _python(["-c", code, str(tmp_path / "t.csv")], OPENBLAS_NUM_THREADS="4")
+    assert run.returncode == 0, run.stderr
+    forks = min(util.worker_count(), 8 // 2) - 1
+    assert run.stdout.splitlines()[-1] == f"0 {[1] * forks}"
 
 
 def test_simulate_config_with_a_monte_carlo_draw_count_exits_2(tmp_path, capsys):
@@ -1288,6 +1372,9 @@ _BASELINE_REQUIRED = ["baseline", "--cal", "c", "--predictor", "tps", "--alpha",
         (["baseline", "--shifts", "-2"], "argument --shifts: must be an integer >= 1, got -2"),
         (["baseline", "--shifts", "9.5"], "argument --shifts: invalid int value: '9.5'"),
         (["baseline", "--extractor", "dcr"], "argument --extractor: invalid choice: 'dcr'"),
+        (["simulate", "--out", "o", "--ptgt", "-1e-3"],
+         "argument --ptgt: must be a number in [0, 1], got -1e-3"),
+        (["simulate", "--out", "o", "--wsp", "-x"], "argument --wsp: expected one argument"),
     ],
 )
 def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):

@@ -116,7 +116,15 @@ def test_quantile_q_warns_only_below_the_snap_of_one(product, k, warns):
 def test_quantile_q_monotone_in_c(seed, c_pair):
     lo, hi = sorted(c_pair)
     d = unlabeled(23, 4, seed=seed % 997)
-    assert quantile_q(d, lo) <= quantile_q(d, hi)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert quantile_q(d, lo) <= quantile_q(d, hi)
+    # a level below 1/n falls back to the first order statistic, and only
+    # such a level warns
+    assert [str(w.message) for w in caught] == [
+        f"quantile level {c:g} is below 1/n for n=23; using the first order statistic"
+        for c in (lo, hi) if c * 23 < 1.0 - 1e-9
+    ]
 
 
 def test_beta_qtc_hand_example():

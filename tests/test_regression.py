@@ -99,10 +99,17 @@ def test_extractors_ignore_row_order(seed):
     perm = np.random.default_rng(seed).permutation(13)
     a = UnlabeledDataset(ScoreMatrix(v))
     b = UnlabeledDataset(ScoreMatrix(v[perm]))
+    # pcr warns, once per dataset, exactly when some class is never predicted
+    empty = sorted(set(range(4)) - set(np.argmax(v, axis=1).tolist()))
     for extractor in ("acr", "chr", "chr-minus", "pcr"):
-        fa = extract_features(a, extractor, bins=5)
-        fb = extract_features(b, extractor, bins=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fa = extract_features(a, extractor, bins=5)
+            fb = extract_features(b, extractor, bins=5)
         np.testing.assert_allclose(fa, fb, atol=1e-15)
+        warns = extractor == "pcr" and empty
+        message = f"pcr: classes {empty} never predicted; using 1/L for them"
+        assert [str(w.message) for w in caught] == ([message] * 2 if warns else [])
 
 
 def test_temperature_scale_identity_and_flattening():
