@@ -36,9 +36,9 @@ def make_pool(seed):
 def main():
     values, labels = make_pool(derive_seed(MASTER_SEED, "pool"))
     specs = [
-        ("tps", PredictorSpec.tps()),
-        ("aps", PredictorSpec.aps()),
-        ("raps(0.1, 2)", PredictorSpec.raps(0.1, 2)),
+        ("tps", PredictorSpec("tps")),
+        ("aps", PredictorSpec("aps")),
+        ("raps(0.1, 2)", PredictorSpec("raps", 0.1, 2)),
     ]
     print(f"pool of {N_POOL} examples, {N_CLASSES} classes, alpha={ALPHA}")
     print(f"guarantee: mean coverage in [{1 - ALPHA}, {1 - ALPHA} + 1/(n_cal+1)]")

@@ -48,7 +48,7 @@ def main():
     target_hidden = UnlabeledDataset(ScoreMatrix(target_values))
     target_revealed = LabeledDataset(ScoreMatrix(target_values), target_labels)
 
-    spec = PredictorSpec.tps()
+    spec = PredictorSpec("tps")
     acc_src = float(np.mean(np.argmax(source_values, 1) == source.labels))
     acc_tgt = float(np.mean(np.argmax(target_values, 1) == target_labels))
     print(f"source accuracy {acc_src:.3f}, target accuracy {acc_tgt:.3f} "

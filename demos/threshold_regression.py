@@ -47,7 +47,7 @@ def labels_from(values, seed):
 
 
 def main():
-    spec = PredictorSpec.tps()
+    spec = PredictorSpec("tps")
     source_values = family(N, seed=derive_seed(SEED, "source"))
     source = LabeledDataset(
         ScoreMatrix(source_values), labels_from(source_values, derive_seed(SEED, "labels"))

@@ -72,7 +72,7 @@ from .conformal import (
 )
 from .qtc import recalibrate
 from .scores import DataFormatError, LabeledDataset, load_dataset
-from .util import derive_seed, format_float, format_kv, parse_kv, reading, replacing
+from .util import derive_seed, format_float, format_kv, format_row, parse_kv, reading, replacing
 
 EVAL_CSV_HEADER = "method,predictor,alpha,tau,coverage,avg_set_size,median_set_size,n_eval,seed"
 
@@ -216,8 +216,8 @@ def cmd_recalibrate(args, output) -> int:
     fh.write(b"method,predictor,alpha,tau,q,estimate,seed\n")
     for alpha in args.alpha:
         threshold, est = recalibrate(calibrator, target, alpha, args.method)
-        fields = map(format_float, [alpha, threshold.tau, est.q_threshold, est.value])
-        fh.write((",".join([args.method, spec.kind, *fields, str(args.seed)]) + "\n").encode())
+        row = [args.method, spec.kind, alpha, threshold.tau, est.q_threshold, est.value, args.seed]
+        fh.write((format_row(row) + "\n").encode())
     print(f"wrote {len(args.alpha)} rows to {args.out}")
     return 0
 
@@ -235,10 +235,9 @@ def cmd_evaluate(args, output) -> int:
     threshold = load_threshold(args.threshold)
     test = _load_labeled(args.test)
     report = evaluate(threshold, test, derive_seed(args.seed, "evaluate"))
-    stats = [threshold.alpha, threshold.tau, report.coverage, report.avg_set_size]
-    fields = map(format_float, [*stats, report.median_set_size])
-    labels = [threshold.method, threshold.spec.kind]
-    row = ",".join([*labels, *fields, str(report.n_eval), str(args.seed)])
+    row = format_row([threshold.method, threshold.spec.kind, threshold.alpha, threshold.tau,
+                      report.coverage, report.avg_set_size, report.median_set_size,
+                      report.n_eval, args.seed])
     output(out).write(rows + (row + "\n").encode())
     print(f"coverage={format_float(report.coverage)} avg_set_size={format_float(report.avg_set_size)}")
     return 0
@@ -271,8 +270,8 @@ def cmd_simulate(args, output) -> int:
     clf = ToyClassifier(w_inv=args.winv, w_sp=args.wsp)
     beta = oracle_beta(src, tgt, clf, args.alpha)
     bound = theorem_bound(src, tgt, clf, args.n, args.delta)
-    fixed = [args.alpha, args.delta, args.psrc, args.ptgt, args.winv, args.wsp]
-    setting = ",".join([str(args.n), *map(format_float, fixed)])
+    setting = format_row([args.n, args.alpha, args.delta, args.psrc, args.ptgt, args.winv,
+                          args.wsp])
     violations = 0
     coverage_err = 0.0
     max_share = 0.0
@@ -293,10 +292,9 @@ def cmd_simulate(args, output) -> int:
             violations += violated
             coverage_err += abs(report.achieved_target_coverage - (1.0 - args.alpha))
             max_share = max(max_share, deviation / bound)
-            found = [beta, report.beta_qtc, bound]
-            row = [str(trial), setting, *map(format_float, found), str(int(violated))]
-            row.append(format_float(report.achieved_target_coverage))
-            fh.write((",".join(row) + "\n").encode())
+            row = [trial, setting, beta, report.beta_qtc, bound, int(violated),
+                   report.achieved_target_coverage]
+            fh.write((format_row(row) + "\n").encode())
     print(
         f"trials={args.trials} violation_fraction={format_float(violations / args.trials)} "
         f"mean_coverage_error={format_float(coverage_err / args.trials)} "
@@ -311,11 +309,12 @@ def cmd_simulate(args, output) -> int:
 class _Parser(argparse.ArgumentParser):
     """Raises ``ValueError`` on a usage error, so that ``main`` reports a bad
     flag or config line like any other bad input and returns 2. Unlike
-    argparse's, its negative numbers include ``-1e-3``, a value, not a flag."""
+    argparse's, its negative numbers include ``-1e-3`` and ``-inf``: values."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)

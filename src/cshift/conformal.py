@@ -97,18 +97,6 @@ class PredictorSpec:
         elif self.lam is not None or self.k_reg is not None:
             raise ValueError(f"lambda/kreg are only valid with raps, not {self.kind}")
 
-    @classmethod
-    def tps(cls) -> "PredictorSpec":
-        return cls("tps")
-
-    @classmethod
-    def aps(cls) -> "PredictorSpec":
-        return cls("aps")
-
-    @classmethod
-    def raps(cls, lam: float, k_reg: int) -> "PredictorSpec":
-        return cls("raps", lam=lam, k_reg=k_reg)
-
     def to_kv(self) -> dict:
         """The ``predictor``, ``lambda`` and ``kreg`` pairs of a threshold or
         model file (see FORMATS.md)."""
@@ -120,7 +108,7 @@ class PredictorSpec:
     def from_kv(cls, kv: dict) -> "PredictorSpec":
         """Inverse of :meth:`to_kv`; a missing key raises ``KeyError``."""
         if kv["predictor"] == "raps":
-            return cls.raps(float(kv["lambda"]), int(kv["kreg"]))
+            return cls("raps", float(kv["lambda"]), int(kv["kreg"]))
         return cls(kv["predictor"])
 
 

@@ -33,7 +33,7 @@ from . import util
 from .conformal import PredictorSpec, calibrate, max_tau
 from .qtc import top_confidences
 from .scores import Dataset, LabeledDataset, ScoreMatrix
-from .util import derive_seed, format_float, format_kv
+from .util import derive_seed, format_kv, format_row
 
 # The file is laid out as an MLP with no hidden layer (``layers=d,1``) and
 # keeps the ``offset_base=none`` line of that layout, so readers of it read
@@ -280,10 +280,6 @@ def predict_tau(model: LinearRegressor, target: Dataset) -> float:
 # --- model file format (see FORMATS.md) ---
 
 
-def _floats(values) -> str:
-    return ",".join(format_float(v) for v in values)
-
-
 def write_model(model: LinearRegressor, fh) -> None:
     """The bytes of a model file, written to ``fh``, open for binary
     writing."""
@@ -295,8 +291,8 @@ def write_model(model: LinearRegressor, fh) -> None:
         "n_classes": model.n_classes,
         "offset_base": "none",
         "final_loss": float(model.final_loss),
-        "feat_mean": _floats(model.feat_mean),
-        "feat_std": _floats(model.feat_std),
+        "feat_mean": format_row(model.feat_mean),
+        "feat_std": format_row(model.feat_std),
         "blob_bytes": 8 * (model.d + 1),
     }
     fh.write(MODEL_MAGIC + b"\n" + format_kv(header).encode())

@@ -30,7 +30,7 @@ buffer becomes the matrix, so the load holds the matrix about once. A
 CSV save formats about :data:`CSV_BLOCK_ENTRIES` entries at a time, so
 its memory does not grow with the dataset.
 Validation finds the minimum, the maximum, the row sums and the largest
-row-sum deviation in one pass over row blocks
+row-sum deviation in one pass over row blocks, and again after a clip
 (:func:`cshift.util.map_row_blocks`, on every CPU of the process's
 affinity mask for a large matrix), with the same bits as a whole-matrix
 pass, and adds no full-size temporaries unless an entry lies outside
@@ -108,8 +108,7 @@ def _validated_scores(values: np.ndarray, adopt: bool = False) -> np.ndarray:
             raise DataFormatError(f"score outside [0, 1] beyond tolerance at row {row}")
         out = values if values.flags.writeable else np.empty(values.shape)
         values = np.clip(values, 0.0, 1.0, out=out)
-        sums = values.sum(axis=1)
-        worst = np.abs(sums - 1.0).max()
+        _, _, sums, worst = _scan(values)
     # Row deviations are only materialized when some row is off by more
     # than the strict tolerance. Only those rows are renormalized, so
     # matrices which already satisfy it round-trip bit-exactly.

@@ -253,7 +253,7 @@ def run_theorem_trial(
             classify(clf, sample(params_target, n, derive_seed(seed, "trial-target")))
         )
     )
-    calibrator = Calibrator(PredictorSpec.tps(), source_ds)
+    calibrator = Calibrator(PredictorSpec("tps"), source_ds)
     threshold, est = recalibrate(calibrator, target_ds, alpha, "qtc")
     tau = threshold.tau
     if 0.0 < tau < 1.0:

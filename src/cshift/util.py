@@ -1,10 +1,10 @@
 """Shared helpers: guarded order-statistic indices, seeded streams, the row
 blocks that every full-matrix pass runs over, independent jobs run in
 forked worker processes in job order, row reductions that keep
-numpy's bits on narrow matrices, the one codec of every
-``key=value`` record (threshold, sidecar, config, model header), the
-sibling-and-rename write of every file that is written whole, and the
-base class of the errors that carry their own CLI exit code."""
+numpy's bits on narrow matrices, the one codec of every record (the
+``key=value`` threshold, sidecar, config and model header, and the CSV
+rows), the sibling-and-rename write of every file that is written whole,
+and the base class of the errors that carry their own CLI exit code."""
 
 from __future__ import annotations
 
@@ -256,13 +256,17 @@ def row_reduce(ufunc, values: np.ndarray, dtype=None, out=None) -> np.ndarray:
     return out
 
 
+def format_row(fields) -> str:
+    """The fields joined by commas, without a line end, by the one rule of
+    every record: a float in :func:`format_float` form, anything else
+    through ``str``."""
+    return ",".join(format_float(v) if isinstance(v, float) else str(v) for v in fields)
+
+
 def format_kv(pairs: dict) -> str:
-    """One ``key=value`` line per pair, in dict order; floats in
-    :func:`format_float` form, anything else through ``str``."""
-    return "".join(
-        f"{key}={format_float(value) if isinstance(value, float) else value}\n"
-        for key, value in pairs.items()
-    )
+    """One ``key=value`` line per pair, in dict order, each value rendered
+    by :func:`format_row`."""
+    return "".join(f"{key}={format_row([value])}\n" for key, value in pairs.items())
 
 
 def parse_kv(lines, first_lineno: int = 1) -> dict:

@@ -32,7 +32,7 @@ def test_criterion_1_split_coverage_mean_lands_in_sandwich():
     started = time.monotonic()
     pool_values = softmax_rows(4000, 10, seed=101)
     pool_labels = sample_labels(pool_values, seed=102)
-    specs = [PredictorSpec.tps(), PredictorSpec.aps(), PredictorSpec.raps(0.1, 2)]
+    specs = [PredictorSpec("tps"), PredictorSpec("aps"), PredictorSpec("raps", 0.1, 2)]
     totals = [0.0 for _ in specs]
     n_splits = 200
     for split in range(n_splits):
@@ -116,7 +116,7 @@ def test_criterion_5_temperature_shift_gap_is_at_least_halved():
         sample_labels(temperature_scale(target_values, sharpen), seed=504),
     )
     target_unlabeled = UnlabeledDataset(ScoreMatrix(target_values))
-    spec = PredictorSpec.tps()
+    spec = PredictorSpec("tps")
     plain = calibrate(spec, source, alpha, seed=1)
     shifted, _ = recalibrate(Calibrator(spec, source, seed=2), target_unlabeled, alpha, "qtc")
     gap_plain = abs(evaluate(plain, target_labeled, seed=3).coverage - (1 - alpha))
@@ -129,7 +129,7 @@ def test_criterion_5_temperature_shift_gap_is_at_least_halved():
 def test_criterion_6_interpolation_and_histogram_features():
     # a single-entry corpus must be fit exactly
     d = labeled(120, 4, seed=62)
-    corpus = build_corpus(d, PredictorSpec.tps(), 0.2, n_shifts=1, extractor="acr", seed=63)
+    corpus = build_corpus(d, PredictorSpec("tps"), 0.2, n_shifts=1, extractor="acr", seed=63)
     model = train(corpus)
     assert model.final_loss <= 1e-6
 

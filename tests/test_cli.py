@@ -32,7 +32,7 @@ from cshift.cli import (
     main,
     parse_alpha_grid,
 )
-from cshift.conformal import PredictorSpec, Threshold, load_threshold
+from cshift.conformal import KINDS, PredictorSpec, Threshold, load_threshold
 from cshift.scores import DataFormatError, LabeledDataset, load_dataset, save_dataset
 from cshift.util import format_float, format_kv, read_kv
 
@@ -630,7 +630,7 @@ def test_truncated_or_flipped_dataset_loads_or_names_the_file(tmp_path_factory, 
         assert str(exc).startswith(f"{path}: ")
         loaded = None
     thr = work / "thr.txt"
-    thr.write_text(format_kv(Threshold(tau=0.5, alpha=0.1, spec=PredictorSpec.tps()).to_kv()))
+    thr.write_text(format_kv(Threshold(tau=0.5, alpha=0.1, spec=PredictorSpec("tps")).to_kv()))
     argv = ["evaluate", "--test", str(path), "--threshold", str(thr), "--out", str(work / "r.csv")]
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = main(argv)
@@ -795,16 +795,29 @@ def test_simulate_float_flags_must_be_finite(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value, code", [("-5e-1", 0), ("-1e-3", 5)])
-def test_simulate_reads_a_negative_value_in_scientific_notation(tmp_path, capsys, value, code):
-    # argparse's own negative-number pattern has no exponent, so the spaced
-    # form once read the value as an unknown flag and exited 2
+@pytest.mark.parametrize(
+    "flag, value, code",
+    [("wsp", "-5e-1", 0), ("wsp", "-1e-3", 5), ("wsp", "-inf", 2), ("wsp", "-Infinity", 2),
+     ("wsp", "-NaN", 2), ("lambda", "-inf", 2)],
+)
+def test_a_negative_flag_value_reads_the_same_spaced_or_joined(
+    tmp_path, capsys, flag, value, code
+):
+    # argparse's own negative-number pattern has no exponent and no -inf, so
+    # the spaced form once read such a value as an unknown flag and exited 2
+    _cal_csv(tmp_path / "cal.csv")
+    command = {
+        "wsp": ["simulate", "--trials", "2", "--n", "500"],
+        "lambda": ["calibrate", "--cal", str(tmp_path / "cal.csv"), "--predictor", "raps",
+                   "--kreg", "1", "--alpha", "0.1"],
+    }[flag]
     runs = []
-    for name, spelling in (("spaced", ["--wsp", value]), ("joined", [f"--wsp={value}"])):
-        out = tmp_path / f"{name}.csv"
-        rc = main(["simulate", "--trials", "2", "--n", "500", *spelling, "--out", str(out)])
+    for name, spelling in (("spaced", [f"--{flag}", value]), ("joined", [f"--{flag}={value}"])):
+        out = tmp_path / f"{name}.out"
+        rc = main([*command, *spelling, "--out", str(out)])
         runs.append((rc, capsys.readouterr(), out.read_bytes() if out.exists() else None))
     assert runs[0][0] == code
+    assert "expected one argument" not in runs[0][1].err
     assert runs[1] == runs[0]
 
 
@@ -1375,6 +1388,7 @@ _BASELINE_REQUIRED = ["baseline", "--cal", "c", "--predictor", "tps", "--alpha",
         (["simulate", "--out", "o", "--ptgt", "-1e-3"],
          "argument --ptgt: must be a number in [0, 1], got -1e-3"),
         (["simulate", "--out", "o", "--wsp", "-x"], "argument --wsp: expected one argument"),
+        (["simulate", "--out", "o", "--wsp", "-nanx"], "argument --wsp: expected one argument"),
     ],
 )
 def test_bad_flag_returns_2_instead_of_exiting(capsys, argv, message):
@@ -1472,6 +1486,117 @@ def test_a_command_whose_stdout_fails_exits_2_and_changes_no_output(tmp_path, mo
              for name in before}
     assert after == before
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+# values that a command may refuse: levels and grids out of range, non-finite,
+# of one point, with the stop below the start, with a zero step or with more
+# than MAX_ALPHA_GRID_POINTS points; raps knobs; unknown names
+FUZZ_EDGES = {
+    "alpha": ["0", "1", "nan", "-inf", "0.001", "0.1:0.1:0.05", "0.3:0.1:0.05", "0.1:0.3:0",
+              "1e-6:0.5:1e-6"],
+    "lambda": ["1e308", "-1", "nan"],
+    "kreg": ["1e308", "-1", "nan"],
+    "method": ["qtc,evil", "QTC", ""],
+    "predictor": ["raps2", "TPS", ""],
+}
+# each a change that makes a valid threshold file invalid
+FUZZ_THRESHOLD_EDITS = ["tau=inf", "beta=0", "saturated=maybe", "method=qtc,evil",
+                        "no predictor", "cut last line"]
+# every output a command may write, with its bytes before the run
+FUZZ_OUTPUTS = {"out.thr": b"tau=0.5\n", "out.thr.qtc": b"q=0.5\nvalue=0.1\n",
+                "report.csv": (EVAL_CSV_HEADER + "\nnone,tps,0.1,0.5,0.9,1.5,1.0,10,0\n").encode()}
+
+
+def _fuzz_threshold_text(data) -> tuple[str, set]:
+    spec = data.draw(st.sampled_from([PredictorSpec("tps"), PredictorSpec("aps"),
+                                      PredictorSpec("raps", 0.01, 2)]), label="spec")
+    kv = Threshold(0.9, 0.1, spec, "qtc", beta=0.08).to_kv()
+    # mostly one edit, so that each is seen alone
+    edits = {data.draw(st.sampled_from([None, *FUZZ_THRESHOLD_EDITS]), label="edit"),
+             data.draw(st.none() | st.sampled_from(FUZZ_THRESHOLD_EDITS), label="edit 2")}
+    edits.discard(None)
+    for edit in edits:
+        if edit == "no predictor":
+            kv.pop("predictor")
+        elif "=" in edit:
+            key, _, value = edit.partition("=")
+            kv[key] = value
+    text = format_kv(kv)
+    if "cut last line" in edits:
+        text = text[:-1]  # the rest of the line still parses
+    return text, edits
+
+
+def _fuzz_flags(data, command) -> dict:
+    """Valid flags of ``calibrate`` or ``recalibrate``, up to two of them
+    replaced by a :data:`FUZZ_EDGES` value."""
+    edged = data.draw(st.just(set()) | st.sets(st.sampled_from(sorted(FUZZ_EDGES)), min_size=1,
+                                               max_size=2), label="edged")
+    predictor = data.draw(st.sampled_from(KINDS), label="predictor")
+    raps = predictor == "raps"
+    valid = {"predictor": predictor, "lambda": "0.05" if raps else None,
+             "kreg": "2" if raps else None,
+             "alpha": data.draw(st.sampled_from(["0.1", "0.2", "0.05:0.3:0.05"]), label="alpha")}
+    if command == "recalibrate":
+        valid["method"] = data.draw(st.none() | st.sampled_from(util.METHODS), label="method")
+    return {flag: data.draw(st.sampled_from(FUZZ_EDGES[flag]), label=flag) if flag in edged
+            else value for flag, value in valid.items()}
+
+
+def _run_fuzzed(data, work, command, flags) -> int:
+    """Run ``command`` with ``flags``, each spelled ``--flag value`` or
+    ``--flag=value``, over the :data:`FUZZ_OUTPUTS` written to ``work``;
+    check its exit code, stderr and outputs, and return the exit code."""
+    inputs = sorted(p.name for p in work.iterdir())
+    for name, old in FUZZ_OUTPUTS.items():
+        (work / name).write_bytes(old)
+    argv = [command]
+    for flag, value in flags.items():
+        if value is not None:
+            joined = data.draw(st.booleans(), label=f"{command} {flag} joined")
+            argv += [f"--{flag}={value}"] if joined else [f"--{flag}", value]
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    err = err.getvalue()
+    assert rc in (0, 2, 3), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert sorted(p.name for p in work.iterdir()) == sorted([*FUZZ_OUTPUTS, *inputs])
+    if rc == 0:
+        assert err == ""
+    elif command == "calibrate" and rc == 3:
+        assert err == "warning: calibration saturated\n"
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert {name: (work / name).read_bytes() for name in FUZZ_OUTPUTS} == FUZZ_OUTPUTS
+    return rc
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_calibrate_recalibrate_evaluate_argv_fuzz_leaves_outputs_unless_it_succeeds(
+    tmp_path_factory, data
+):
+    cal = str(DATA / "cal.csv")
+    command = data.draw(st.sampled_from(["calibrate", "recalibrate"]), label="command")
+    work = tmp_path_factory.mktemp("fuzz")
+    flags = {"cal": cal} if command == "calibrate" else {
+        "source": cal, "target": str(DATA / "target.csv")}
+    _run_fuzzed(data, work, command, flags | _fuzz_flags(data, command)
+                | {"out": str(work / "out.thr")})
+
+    work = tmp_path_factory.mktemp("fuzz")
+    text, edits = _fuzz_threshold_text(data)
+    (work / "in.thr").write_text(text)
+    flags = {"test": cal, "threshold": str(work / "in.thr"), "out": str(work / "report.csv")}
+    # every edit makes the threshold file invalid; a valid one adds one row
+    # of the header's width to the report
+    assert _run_fuzzed(data, work, "evaluate", flags) == (2 if edits else 0)
+    added = (work / "report.csv").read_bytes().removeprefix(FUZZ_OUTPUTS["report.csv"])
+    assert edits or added.count(b",") == EVAL_CSV_HEADER.count(",")
 
 
 # --- the process entry point ---

@@ -23,9 +23,9 @@ from cshift.conformal import (
 from cshift.scores import LabeledDataset, ScoreMatrix, load_dataset, save_dataset
 from cshift.util import ceil_count, format_kv, read_kv, row_uniforms
 
-TPS = PredictorSpec.tps()
-APS = PredictorSpec.aps()
-RAPS = PredictorSpec.raps(0.1, 1)
+TPS = PredictorSpec("tps")
+APS = PredictorSpec("aps")
+RAPS = PredictorSpec("raps", 0.1, 1)
 
 
 def _set_sizes(threshold, data, seed):
@@ -142,7 +142,7 @@ def test_calibrator_refuses_alpha_outside_the_unit_interval_before_scoring(monke
 
 
 def test_raps_saturation_uses_penalized_maximum():
-    spec = PredictorSpec.raps(0.5, 1)
+    spec = PredictorSpec("raps", 0.5, 1)
     cal = labeled(4, 3, seed=0)
     thr = calibrate(spec, cal, alpha=0.01, seed=0)
     assert thr.saturated
@@ -154,7 +154,7 @@ def test_raps_saturation_uses_penalized_maximum():
 def test_raps_with_kreg_equal_to_the_class_count_saturates_at_one(lam, tmp_path):
     # no rank exceeds k_reg = L, so no class is ever penalized and the full
     # set scores 1 under either rank convention
-    spec = PredictorSpec.raps(lam, 3)
+    spec = PredictorSpec("raps", lam, 3)
     assert max_tau(spec, 3) == 1.0
     thr = calibrate(spec, labeled(4, 3, seed=0), alpha=0.01, seed=0)
     assert thr.saturated
@@ -195,7 +195,7 @@ def test_a_zero_threshold_holds_the_classes_of_score_one(tmp_path):
 @pytest.mark.parametrize("k_reg", [0, 1, 3])
 def test_raps_without_a_penalty_is_aps(k_reg):
     # lambda = 0 is legal, and adds exactly nothing to any aps score
-    spec = PredictorSpec.raps(0.0, k_reg)
+    spec = PredictorSpec("raps", 0.0, k_reg)
     data = labeled(300, 3, seed=5)
     values, u = data.scores.values, row_uniforms(7, data.n)
     got = conformity_scores(spec, values, data.labels, u)
@@ -209,7 +209,7 @@ def test_raps_without_a_penalty_is_aps(k_reg):
 def test_raps_kreg_must_fit_class_count():
     cal = labeled(10, 3, seed=1)
     with pytest.raises(ValueError, match="k_reg"):
-        calibrate(PredictorSpec.raps(0.1, 7), cal, alpha=0.1, seed=0)
+        calibrate(PredictorSpec("raps", 0.1, 7), cal, alpha=0.1, seed=0)
 
 
 def test_evaluate_saturated_threshold_covers_everything():
@@ -226,7 +226,7 @@ def test_empirical_calibration_on_the_calibration_set():
     # exactly k/n for continuous scores
     n = 400
     d = labeled(n, 6, seed=9)
-    for spec in (TPS, APS, PredictorSpec.raps(0.05, 2)):
+    for spec in (TPS, APS, PredictorSpec("raps", 0.05, 2)):
         for alpha in (0.1, 0.25):
             thr = calibrate(spec, d, alpha, seed=21)
             if thr.saturated:
@@ -346,7 +346,8 @@ def test_conformity_scores_match_argsort_reference_bitwise(
     saved = util.BLOCK_ENTRIES
     util.BLOCK_ENTRIES = block_rows * n_classes
     try:
-        for spec in (APS, PredictorSpec.raps(0.37, 0), PredictorSpec.raps(0.1, min(2, n_classes))):
+        for spec in (APS, PredictorSpec("raps", 0.37, 0),
+                     PredictorSpec("raps", 0.1, min(2, n_classes))):
             got = conformity_scores(spec, values, labels, u)
             want = _argsort_reference(spec, values, labels, u)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -397,7 +398,8 @@ def test_top_label_shortcut_matches_argsort_reference_bitwise(
     saved = util.BLOCK_ENTRIES
     util.BLOCK_ENTRIES = block_rows * n_classes
     try:
-        for spec in (APS, PredictorSpec.raps(0.37, 0), PredictorSpec.raps(0.1, min(k_reg, n_classes))):
+        for spec in (APS, PredictorSpec("raps", 0.37, 0),
+                     PredictorSpec("raps", 0.1, min(k_reg, n_classes))):
             got = conformity_scores(spec, values, labels, u)
             want = _argsort_reference(spec, values, labels, u)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -417,7 +419,7 @@ def test_only_rows_whose_label_is_not_the_unique_top_are_sorted(monkeypatch):
 
     monkeypatch.setattr(conformal, "_descending", counting)
     u = row_uniforms(2, 40)
-    for spec in (APS, PredictorSpec.raps(0.05, 2)):
+    for spec in (APS, PredictorSpec("raps", 0.05, 2)):
         sorted_rows.clear()
         conformity_scores(spec, values, top, u)
         assert sum(sorted_rows) == 0
@@ -427,7 +429,7 @@ def test_only_rows_whose_label_is_not_the_unique_top_are_sorted(monkeypatch):
 
 def test_evaluate_is_independent_of_the_row_blocks(monkeypatch):
     d = labeled(50, 7, seed=31)
-    for spec in (APS, PredictorSpec.raps(0.05, 2)):
+    for spec in (APS, PredictorSpec("raps", 0.05, 2)):
         thr = calibrate(spec, d, 0.2, seed=3)
         whole = evaluate(thr, d, seed=4)
         whole_sizes = _set_sizes(thr, d, seed=4)
@@ -522,7 +524,7 @@ def test_any_worker_count_gives_the_same_bits(monkeypatch, workers):
 
     def run():
         out = []
-        for spec in (TPS, APS, PredictorSpec.raps(0.05, 2)):
+        for spec in (TPS, APS, PredictorSpec("raps", 0.05, 2)):
             out.append(conformity_scores(spec, d.scores.values, d.labels, u).tobytes())
             thr = calibrate(spec, d, 0.1, seed=3)
             rep = evaluate(thr, d, seed=4)
@@ -567,7 +569,7 @@ def test_vectorized_scores_match_single_rows(n, seed):
 @given(alpha=st.floats(0.01, 0.5), seed=st.integers(0, 10**4))
 def test_calibrated_tau_stays_in_range(alpha, seed):
     d = labeled(40, 4, seed=seed)
-    for spec in (TPS, APS, PredictorSpec.raps(0.3, 2)):
+    for spec in (TPS, APS, PredictorSpec("raps", 0.3, 2)):
         thr = calibrate(spec, d, alpha, seed=seed)
         assert 0.0 <= thr.tau <= max_tau(spec, 4) + 1e-12
 

@@ -26,7 +26,7 @@ from cshift.qtc import (
 from cshift.scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
 from cshift.util import format_kv, read_kv
 
-TPS = PredictorSpec.tps()
+TPS = PredictorSpec("tps")
 
 
 def _rows_with_top(confs, n_classes):
@@ -195,7 +195,7 @@ def test_tau_qtc_st_self_consistency():
 
 
 def test_tau_qtc_st_raps_remap_round_trip():
-    spec = PredictorSpec.raps(1.0, 0)
+    spec = PredictorSpec("raps", 1.0, 0)
     d = labeled(50, 2, seed=23)
     tgt = unlabeled(40, 2, seed=24)
     thr = calibrate(spec, d, 0.3, seed=5)

@@ -23,7 +23,7 @@ from cshift.regression import (
 from cshift.scores import LabeledDataset, ScoreMatrix, UnlabeledDataset
 from cshift.util import derive_seed, parse_kv, replacing
 
-TPS = PredictorSpec.tps()
+TPS = PredictorSpec("tps")
 
 
 def _unlabeled_rows(rows):
@@ -362,7 +362,7 @@ def _save(model, path):
 
 def test_model_file_round_trip(tmp_path):
     d = labeled(140, 5, seed=20)
-    corpus = build_corpus(d, PredictorSpec.raps(0.1, 2), 0.1, 3, "chr", bins=6, seed=9)
+    corpus = build_corpus(d, PredictorSpec("raps", 0.1, 2), 0.1, 3, "chr", bins=6, seed=9)
     model = train(corpus)
     path = tmp_path / "model.bin"
     _save(model, path)

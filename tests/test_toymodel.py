@@ -438,7 +438,7 @@ def test_closed_form_coverage_agrees_with_evaluate_on_one_draw(source, target, c
     # miscovered too
     n = 10**6
     test = to_dataset(sample(target, n, seed=8), clf)
-    found = evaluate(Threshold(tau, alpha, PredictorSpec.tps()), test).coverage
+    found = evaluate(Threshold(tau, alpha, PredictorSpec("tps")), test).coverage
     exact = 1.0 - _margin_cdf(target, clf, _logit_of_miss(tau))
     assert abs(found - exact) <= 5 * math.sqrt(exact * (1 - exact) / n)
 

@@ -167,7 +167,7 @@ def test_kv_rejects_missing_separator(tmp_path):
 def intact_files(tmp_path_factory):
     """Bytes of one threshold and one config file, each with its reader."""
     d = tmp_path_factory.mktemp("intact")
-    threshold = Threshold(0.93, 0.1, PredictorSpec.raps(0.1, 2), "qtc-st")
+    threshold = Threshold(0.93, 0.1, PredictorSpec("raps", 0.1, 2), "qtc-st")
     (d / "thr").write_text(format_kv(threshold.to_kv()))
     (d / "cfg").write_text("# run\ncal=cal.csv\npredictor=raps\nlambda=0.1\nkreg=2\nalpha=0.1\n")
     readers = {"thr": load_threshold, "cfg": read_kv}
