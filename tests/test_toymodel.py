@@ -601,14 +601,16 @@ BOUND_DELTA = 0.1
 def _bound_settings(draw):
     """(source, target, clf, alpha, n): |w_sp| / w_inv anywhere from just
     above gamma to beyond c, both signs of w_sp, p_src = p_tgt among the
-    shifts, and p of 0 or 1, where c_sp can be 0."""
+    shifts, and p of 0 or 1, where c_sp can be 0. A p strictly between 0
+    and 1e-300 is not drawn: its error rate is subnormal, and alpha below
+    0.9 of it rounds to 0 or to the rate itself."""
     gamma = draw(st.floats(0.0, 1.0))
     c = gamma + draw(st.floats(0.05, 2.0))
     w_inv = draw(st.floats(0.1, 10.0))
     reach = draw(st.floats(0.02, 1.2))
     sign = draw(st.sampled_from([1.0, -1.0]))
     clf = ToyClassifier(w_inv, sign * w_inv * (gamma + reach * (c - gamma)))
-    rates = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    rates = st.one_of(st.floats(1e-300, 1.0), st.sampled_from([0.0, 1.0]))
     p_src = draw(rates)
     p_tgt = draw(st.one_of(st.just(p_src), rates))
     source, target = ToyModelParams(gamma, c, p_src), ToyModelParams(gamma, c, p_tgt)
@@ -626,6 +628,13 @@ def _bound_settings(draw):
     setting=(
         ToyModelParams(0.05, 1.0, 0.1), ToyModelParams(0.05, 1.0, 0.3), ToyClassifier(1.0, -0.5),
         0.02, 10000,
+    ),
+    seed=0,
+)
+@example(
+    setting=(
+        ToyModelParams(0.0, 1.0, 1.0), ToyModelParams(0.0, 1.0, 1e-300), ToyClassifier(1.0, -1.0),
+        1e-303, 500,
     ),
     seed=0,
 )
